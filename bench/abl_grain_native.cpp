@@ -10,10 +10,9 @@
 namespace pstlb::bench {
 namespace {
 
-template <class Policy>
-void bm_reduce_grain(benchmark::State& state) {
+void bm_reduce_grain(benchmark::State& state, backends::backend_id id) {
   const index_t n = 1 << 18;
-  Policy policy{4};
+  exec::policy policy = exec::make_policy(id, 4);
   policy.seq_threshold = 0;
   policy.grain = static_cast<index_t>(state.range(0));
   auto data = generate_increment(policy, n);
@@ -27,17 +26,17 @@ void bm_reduce_grain(benchmark::State& state) {
                           static_cast<std::int64_t>(n * sizeof(elem_t)));
 }
 
-BENCHMARK_TEMPLATE(bm_reduce_grain, exec::steal_policy)
+BENCHMARK_CAPTURE(bm_reduce_grain, steal, backends::backend_id::steal)
     ->Name("abl/grain/reduce/steal")
     ->RangeMultiplier(8)
     ->Range(64, 1 << 18)
     ->UseManualTime();
-BENCHMARK_TEMPLATE(bm_reduce_grain, exec::omp_dynamic_policy)
+BENCHMARK_CAPTURE(bm_reduce_grain, omp_dyn, backends::backend_id::omp_dynamic)
     ->Name("abl/grain/reduce/omp_dyn")
     ->RangeMultiplier(8)
     ->Range(64, 1 << 18)
     ->UseManualTime();
-BENCHMARK_TEMPLATE(bm_reduce_grain, exec::task_policy)
+BENCHMARK_CAPTURE(bm_reduce_grain, futures, backends::backend_id::task_futures)
     ->Name("abl/grain/reduce/futures")
     ->RangeMultiplier(8)
     ->Range(64, 1 << 18)

@@ -17,6 +17,7 @@
 #include "bench_core/report.hpp"
 #include "bench_core/result_store.hpp"
 #include "counters/counters.hpp"
+#include "pstlb/exec.hpp"
 #include "sim/run.hpp"
 
 namespace pstlb::bench {
@@ -28,14 +29,15 @@ inline constexpr double kN30 = 1073741824.0;  // 2^30, the paper's large size
 inline constexpr unsigned kMeasuredThreads = 4;
 
 /// Measured-counter harness for the Table 3/4 benches: runs `body(policy)`
-/// `reps` times inside one counters::region and returns the region result.
-/// With PSTLB_COUNTERS=perf the hw_* fields carry real instruction/cycle/
-/// cache counts aggregated over every worker thread; under sim/native they
-/// stay zero and callers print the wall-clock row only.
-template <class Policy, class Body>
-counters::counter_set measure_backend(const std::string& region_name, int reps,
+/// for backend `id` `reps` times inside one counters::region and returns the
+/// region result. With PSTLB_COUNTERS=perf the hw_* fields carry real
+/// instruction/cycle/cache counts aggregated over every worker thread; under
+/// sim/native they stay zero and callers print the wall-clock row only.
+template <class Body>
+counters::counter_set measure_backend(backends::backend_id id,
+                                      const std::string& region_name, int reps,
                                       Body&& body) {
-  Policy policy{kMeasuredThreads};
+  exec::policy policy = exec::make_policy(id, kMeasuredThreads);
   policy.seq_threshold = 0;
   counters::region region(region_name);
   for (int r = 0; r < reps; ++r) { body(policy); }

@@ -21,22 +21,16 @@ namespace {
 
 constexpr unsigned kThreads = 4;
 
-template <class Policy>
-Policy eager_policy() {
-  if constexpr (exec::ParallelPolicy<Policy>) {
-    Policy p{kThreads};
-    p.seq_threshold = 0;
-    return p;
-  } else {
-    return Policy{};
-  }
+exec::policy eager_policy(backends::backend_id id) {
+  exec::policy p = exec::make_policy(id, kThreads);
+  p.seq_threshold = 0;
+  return p;
 }
 
-template <class Policy>
-void bm_for_each(benchmark::State& state) {
+void bm_for_each(benchmark::State& state, backends::backend_id id) {
   const auto n = static_cast<index_t>(state.range(0));
   const auto k_it = static_cast<std::size_t>(state.range(1));
-  auto policy = eager_policy<Policy>();
+  const exec::policy policy = eager_policy(id);
   auto data = generate_increment(policy, n);
   // Listing 1's kernel: a volatile-bounded increment chain per element.
   const auto kernel = [k_it](elem_t& value) {
@@ -53,10 +47,9 @@ void bm_for_each(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size() * sizeof(elem_t)));
 }
 
-template <class Policy>
-void bm_find(benchmark::State& state) {
+void bm_find(benchmark::State& state, backends::backend_id id) {
   const auto n = static_cast<index_t>(state.range(0));
-  auto policy = eager_policy<Policy>();
+  const exec::policy policy = eager_policy(id);
   auto data = generate_increment(policy, n);
   std::uint64_t seed = 1;
   for (auto _ : state) {
@@ -70,10 +63,9 @@ void bm_find(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size() * sizeof(elem_t)));
 }
 
-template <class Policy>
-void bm_reduce(benchmark::State& state) {
+void bm_reduce(benchmark::State& state, backends::backend_id id) {
   const auto n = static_cast<index_t>(state.range(0));
-  auto policy = eager_policy<Policy>();
+  const exec::policy policy = eager_policy(id);
   auto data = generate_increment(policy, n);
   for (auto _ : state) {
     PSTLB_WRAP_TIMING(state, "X::reduce", {
@@ -85,10 +77,9 @@ void bm_reduce(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size() * sizeof(elem_t)));
 }
 
-template <class Policy>
-void bm_inclusive_scan(benchmark::State& state) {
+void bm_inclusive_scan(benchmark::State& state, backends::backend_id id) {
   const auto n = static_cast<index_t>(state.range(0));
-  auto policy = eager_policy<Policy>();
+  const exec::policy policy = eager_policy(id);
   auto data = generate_increment(policy, n);
   std::vector<elem_t> out(data.size());
   for (auto _ : state) {
@@ -100,10 +91,9 @@ void bm_inclusive_scan(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size() * sizeof(elem_t)));
 }
 
-template <class Policy>
-void bm_sort(benchmark::State& state) {
+void bm_sort(benchmark::State& state, backends::backend_id id) {
   const auto n = static_cast<index_t>(state.range(0));
-  auto policy = eager_policy<Policy>();
+  const exec::policy policy = eager_policy(id);
   auto data = shuffled_permutation(n, 7);
   std::uint64_t seed = 100;
   for (auto _ : state) {
@@ -116,22 +106,22 @@ void bm_sort(benchmark::State& state) {
 }
 
 #define PSTLB_REGISTER_NATIVE(fn, name)                                         \
-  BENCHMARK_TEMPLATE(fn, exec::seq_policy)                                      \
+  BENCHMARK_CAPTURE(fn, seq, backends::backend_id::seq)                         \
       ->Name(name "/seq")                                                       \
       ->Args({1 << 12, 1})                                                      \
       ->Args({1 << 18, 1})                                                      \
       ->UseManualTime();                                                        \
-  BENCHMARK_TEMPLATE(fn, exec::fork_join_policy)                                \
+  BENCHMARK_CAPTURE(fn, fork_join, backends::backend_id::fork_join)             \
       ->Name(name "/fork_join")                                                 \
       ->Args({1 << 12, 1})                                                      \
       ->Args({1 << 18, 1})                                                      \
       ->UseManualTime();                                                        \
-  BENCHMARK_TEMPLATE(fn, exec::steal_policy)                                    \
+  BENCHMARK_CAPTURE(fn, steal, backends::backend_id::steal)                     \
       ->Name(name "/steal")                                                     \
       ->Args({1 << 12, 1})                                                      \
       ->Args({1 << 18, 1})                                                      \
       ->UseManualTime();                                                        \
-  BENCHMARK_TEMPLATE(fn, exec::task_policy)                                     \
+  BENCHMARK_CAPTURE(fn, futures, backends::backend_id::task_futures)            \
       ->Name(name "/futures")                                                   \
       ->Args({1 << 12, 1})                                                      \
       ->Args({1 << 18, 1})                                                      \
@@ -144,11 +134,11 @@ PSTLB_REGISTER_NATIVE(bm_inclusive_scan, "native/inclusive_scan");
 PSTLB_REGISTER_NATIVE(bm_sort, "native/sort");
 
 // High-intensity for_each (the k_it knob of Listing 1).
-BENCHMARK_TEMPLATE(bm_for_each, exec::steal_policy)
+BENCHMARK_CAPTURE(bm_for_each, steal, backends::backend_id::steal)
     ->Name("native/for_each_k100/steal")
     ->Args({1 << 14, 100})
     ->UseManualTime();
-BENCHMARK_TEMPLATE(bm_for_each, exec::seq_policy)
+BENCHMARK_CAPTURE(bm_for_each, seq, backends::backend_id::seq)
     ->Name("native/for_each_k100/seq")
     ->Args({1 << 14, 100})
     ->UseManualTime();

@@ -18,31 +18,25 @@ namespace {
 
 constexpr elem_t kScalar = 0.4;
 
-template <class Policy>
 struct stream_fixture {
-  explicit stream_fixture(index_t n)
-      : policy(make_policy()), a(make(n, 1.0)), b(make(n, 2.0)), c(make(n, 0.0)) {}
-
-  static Policy make_policy() {
-    if constexpr (exec::ParallelPolicy<Policy>) {
-      Policy p{4};
-      p.seq_threshold = 0;
-      return p;
-    } else {
-      return Policy{};
-    }
+  stream_fixture(backends::backend_id id, index_t n)
+      : policy(exec::make_policy(id, 4)),
+        a(make(n, 1.0)),
+        b(make(n, 2.0)),
+        c(make(n, 0.0)) {
+    policy.seq_threshold = 0;
   }
+
   static std::vector<elem_t> make(index_t n, elem_t value) {
     return std::vector<elem_t>(static_cast<std::size_t>(n), value);
   }
 
-  Policy policy;
+  exec::policy policy;
   std::vector<elem_t> a, b, c;
 };
 
-template <class Policy>
-void bm_stream_copy(benchmark::State& state) {
-  stream_fixture<Policy> fx(state.range(0));
+void bm_stream_copy(benchmark::State& state, backends::backend_id id) {
+  stream_fixture fx(id, state.range(0));
   for (auto _ : state) {
     PSTLB_WRAP_TIMING(state, "stream/copy",
                       pstlb::copy(fx.policy, fx.a.begin(), fx.a.end(), fx.c.begin()));
@@ -51,9 +45,8 @@ void bm_stream_copy(benchmark::State& state) {
                           static_cast<std::int64_t>(sizeof(elem_t)));
 }
 
-template <class Policy>
-void bm_stream_mul(benchmark::State& state) {
-  stream_fixture<Policy> fx(state.range(0));
+void bm_stream_mul(benchmark::State& state, backends::backend_id id) {
+  stream_fixture fx(id, state.range(0));
   for (auto _ : state) {
     PSTLB_WRAP_TIMING(state, "stream/mul",
                       pstlb::transform(fx.policy, fx.c.begin(), fx.c.end(),
@@ -64,9 +57,8 @@ void bm_stream_mul(benchmark::State& state) {
                           static_cast<std::int64_t>(sizeof(elem_t)));
 }
 
-template <class Policy>
-void bm_stream_add(benchmark::State& state) {
-  stream_fixture<Policy> fx(state.range(0));
+void bm_stream_add(benchmark::State& state, backends::backend_id id) {
+  stream_fixture fx(id, state.range(0));
   for (auto _ : state) {
     PSTLB_WRAP_TIMING(state, "stream/add",
                       pstlb::transform(fx.policy, fx.a.begin(), fx.a.end(),
@@ -76,9 +68,8 @@ void bm_stream_add(benchmark::State& state) {
                           static_cast<std::int64_t>(sizeof(elem_t)));
 }
 
-template <class Policy>
-void bm_stream_triad(benchmark::State& state) {
-  stream_fixture<Policy> fx(state.range(0));
+void bm_stream_triad(benchmark::State& state, backends::backend_id id) {
+  stream_fixture fx(id, state.range(0));
   for (auto _ : state) {
     PSTLB_WRAP_TIMING(
         state, "stream/triad",
@@ -90,9 +81,8 @@ void bm_stream_triad(benchmark::State& state) {
                           static_cast<std::int64_t>(sizeof(elem_t)));
 }
 
-template <class Policy>
-void bm_stream_dot(benchmark::State& state) {
-  stream_fixture<Policy> fx(state.range(0));
+void bm_stream_dot(benchmark::State& state, backends::backend_id id) {
+  stream_fixture fx(id, state.range(0));
   for (auto _ : state) {
     PSTLB_WRAP_TIMING(state, "stream/dot", {
       elem_t dot = pstlb::transform_reduce(fx.policy, fx.a.begin(), fx.a.end(),
@@ -105,15 +95,15 @@ void bm_stream_dot(benchmark::State& state) {
 }
 
 #define PSTLB_STREAM(fn, name)                                             \
-  BENCHMARK_TEMPLATE(fn, exec::seq_policy)                                 \
+  BENCHMARK_CAPTURE(fn, seq, backends::backend_id::seq)                    \
       ->Name(name "/seq")                                                  \
       ->Arg(1 << 20)                                                       \
       ->UseManualTime();                                                   \
-  BENCHMARK_TEMPLATE(fn, exec::steal_policy)                               \
+  BENCHMARK_CAPTURE(fn, steal, backends::backend_id::steal)                \
       ->Name(name "/steal")                                                \
       ->Arg(1 << 20)                                                       \
       ->UseManualTime();                                                   \
-  BENCHMARK_TEMPLATE(fn, exec::omp_dynamic_policy)                         \
+  BENCHMARK_CAPTURE(fn, omp_dyn, backends::backend_id::omp_dynamic)        \
       ->Name(name "/omp_dyn")                                              \
       ->Arg(1 << 20)                                                       \
       ->UseManualTime()

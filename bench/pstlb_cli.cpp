@@ -276,8 +276,7 @@ int run_sim(const options& opt) {
   return 0;
 }
 
-template <class Policy>
-double native_median_seconds(const options& opt, Policy policy,
+double native_median_seconds(const options& opt, const exec::policy& policy,
                              const char* backend_name = nullptr,
                              unsigned threads = 0) {
   const auto n = static_cast<index_t>(opt.size);
@@ -300,17 +299,29 @@ double native_median_seconds(const options& opt, Policy policy,
               static_cast<elem_t>(bench::find_target(n, seed++) + 1);
           auto it = pstlb::find(policy, data.begin(), data.end(), target);
           if (it == data.end() && n > 0) { std::abort(); }
-        } else if (kernel == "reduce" || kernel == "count" ||
-                   kernel == "min_element") {
+        } else if (kernel == "reduce") {
           volatile elem_t sink = pstlb::reduce(policy, data.begin(), data.end());
           (void)sink;
-        } else if (kernel == "inclusive_scan" || kernel == "exclusive_scan") {
+        } else if (kernel == "count") {
+          volatile index_t sink =
+              pstlb::count(policy, data.begin(), data.end(), elem_t{1});
+          (void)sink;
+        } else if (kernel == "min_element") {
+          volatile elem_t sink = *pstlb::min_element(policy, data.begin(), data.end());
+          (void)sink;
+        } else if (kernel == "inclusive_scan") {
           pstlb::inclusive_scan(policy, data.begin(), data.end(), out.begin());
+        } else if (kernel == "exclusive_scan") {
+          pstlb::exclusive_scan(policy, data.begin(), data.end(), out.begin(),
+                                elem_t{0});
         } else if (kernel == "sort") {
           bench::shuffle_values(data.data(), n, seed++);
           pstlb::sort(policy, data.begin(), data.end());
-        } else if (kernel == "copy" || kernel == "transform") {
+        } else if (kernel == "copy") {
           pstlb::copy(policy, data.begin(), data.end(), out.begin());
+        } else if (kernel == "transform") {
+          pstlb::transform(policy, data.begin(), data.end(), out.begin(),
+                           [](elem_t x) { return 2 * x; });
         } else {
           std::fprintf(stderr, "native mode does not support kernel %s\n",
                        kernel.c_str());
@@ -338,13 +349,10 @@ int run_native(const options& opt) {
   for (backends::backend_id id : ids) {
     double median = 0.0;
     try {
-      median = backends::with_policy(id, threads, [&](auto policy) {
-        if constexpr (exec::ParallelPolicy<decltype(policy)>) {
-          policy.seq_threshold = 0;
-        }
-        return native_median_seconds(
-            opt, policy, std::string(backends::name_of(id)).c_str(), threads);
-      });
+      exec::policy policy = exec::make_policy(id, threads);
+      policy.seq_threshold = 0;
+      median = native_median_seconds(
+          opt, policy, std::string(backends::name_of(id)).c_str(), threads);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "pstlb_cli: %s/%s failed: %s\n", opt.kernel.c_str(),
                    std::string(backends::name_of(id)).c_str(), e.what());
@@ -432,12 +440,9 @@ std::string run_isolated(const options& opt, const suite_spec& spec,
       const unsigned threads =
           opt.threads == 0 ? exec::default_threads() : opt.threads;
       const backends::backend_id id = backends::parse_backend(spec.backend);
-      const double median = backends::with_policy(id, threads, [&](auto policy) {
-        if constexpr (exec::ParallelPolicy<decltype(policy)>) {
-          policy.seq_threshold = 0;
-        }
-        return native_median_seconds(child_opt, policy);
-      });
+      exec::policy policy = exec::make_policy(id, threads);
+      policy.seq_threshold = 0;
+      const double median = native_median_seconds(child_opt, policy);
       (void)!::write(pipe_fd[1], &median, sizeof median);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "pstlb_cli: %s/%s failed: %s\n", spec.kernel.c_str(),

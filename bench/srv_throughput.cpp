@@ -81,8 +81,7 @@ index_t zipf_size(std::uint64_t draw) {
 
 /// One request: op and size drawn from the caller's deterministic stream.
 /// Returns a value derived from the result so nothing is optimized away.
-template <class Policy>
-long long serve_one(const Policy& policy, std::uint64_t& rng,
+long long serve_one(const exec::policy& policy, std::uint64_t& rng,
                     std::vector<long long>& scratch) {
   const std::uint64_t draw = splitmix64(rng);
   const index_t n = zipf_size(draw);
@@ -203,28 +202,10 @@ sweep_point run_point(unsigned callers, int ops_per_caller, unsigned cap,
           std::this_thread::sleep_until(scheduled);
           t0 = scheduled;
         }
-        switch (u % 4) {
-          case 0: {
-            exec::steal_policy p{8};
-            local += serve_one(p, rng, scratch);
-            break;
-          }
-          case 1: {
-            exec::fork_join_policy p{8};
-            local += serve_one(p, rng, scratch);
-            break;
-          }
-          case 2: {
-            exec::task_policy p{8};
-            local += serve_one(p, rng, scratch);
-            break;
-          }
-          default: {
-            exec::omp_dynamic_policy p{8};
-            local += serve_one(p, rng, scratch);
-            break;
-          }
-        }
+        static constexpr backends::backend_id rotation[] = {
+            backends::backend_id::steal, backends::backend_id::fork_join,
+            backends::backend_id::task_futures, backends::backend_id::omp_dynamic};
+        local += serve_one(exec::make_policy(rotation[u % 4], 8), rng, scratch);
         mine.push_back(std::chrono::duration<double>(clock_type::now() - t0)
                            .count());
       }

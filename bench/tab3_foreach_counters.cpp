@@ -10,6 +10,7 @@
 
 #include "pstlb/pstlb.hpp"
 
+#include <utility>
 #include <vector>
 
 namespace pstlb::bench {
@@ -79,22 +80,23 @@ void measured_report(std::ostream& os) {
   constexpr index_t kMeasN = index_t{1} << 20;
   constexpr int kReps = 3;
   std::vector<elem_t> data(static_cast<std::size_t>(kMeasN), elem_t{1});
-  const auto body = [&](auto& policy) {
+  const auto body = [&](const exec::policy& policy) {
     pstlb::for_each(policy, data.begin(), data.end(), [](elem_t& v) { v += 1; });
   };
   struct backend_sample {
     std::string name;
     counters::counter_set s;
   };
+  const std::pair<backends::backend_id, const char*> measured_backends[] = {
+      {backends::backend_id::fork_join, "fork_join"},
+      {backends::backend_id::omp_dynamic, "omp_dynamic"},
+      {backends::backend_id::steal, "steal"},
+      {backends::backend_id::task_futures, "task_futures"}};
   std::vector<backend_sample> rows;
-  rows.push_back({"fork_join", measure_backend<exec::fork_join_policy>(
-                                   "tab3/measured/fork_join", kReps, body)});
-  rows.push_back({"omp_dynamic", measure_backend<exec::omp_dynamic_policy>(
-                                     "tab3/measured/omp_dynamic", kReps, body)});
-  rows.push_back({"steal", measure_backend<exec::steal_policy>(
-                               "tab3/measured/steal", kReps, body)});
-  rows.push_back({"task_futures", measure_backend<exec::task_policy>(
-                                      "tab3/measured/task_futures", kReps, body)});
+  for (const auto& [id, name] : measured_backends) {
+    rows.push_back(
+        {name, measure_backend(id, std::string("tab3/measured/") + name, kReps, body)});
+  }
 
   const std::string p(provider_label());
   table t("Table 3 (measured, this host): " + std::to_string(kReps) +

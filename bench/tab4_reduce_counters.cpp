@@ -10,6 +10,7 @@
 
 #include "pstlb/pstlb.hpp"
 
+#include <utility>
 #include <vector>
 
 namespace pstlb::bench {
@@ -77,22 +78,23 @@ void measured_report(std::ostream& os) {
   constexpr int kReps = 3;
   std::vector<elem_t> data(static_cast<std::size_t>(kMeasN), elem_t{1});
   elem_t sink = 0;
-  const auto body = [&](auto& policy) {
+  const auto body = [&](const exec::policy& policy) {
     sink += pstlb::reduce(policy, data.begin(), data.end());
   };
   struct backend_sample {
     std::string name;
     counters::counter_set s;
   };
+  const std::pair<backends::backend_id, const char*> measured_backends[] = {
+      {backends::backend_id::fork_join, "fork_join"},
+      {backends::backend_id::omp_dynamic, "omp_dynamic"},
+      {backends::backend_id::steal, "steal"},
+      {backends::backend_id::task_futures, "task_futures"}};
   std::vector<backend_sample> rows;
-  rows.push_back({"fork_join", measure_backend<exec::fork_join_policy>(
-                                   "tab4/measured/fork_join", kReps, body)});
-  rows.push_back({"omp_dynamic", measure_backend<exec::omp_dynamic_policy>(
-                                     "tab4/measured/omp_dynamic", kReps, body)});
-  rows.push_back({"steal", measure_backend<exec::steal_policy>(
-                               "tab4/measured/steal", kReps, body)});
-  rows.push_back({"task_futures", measure_backend<exec::task_policy>(
-                                      "tab4/measured/task_futures", kReps, body)});
+  for (const auto& [id, name] : measured_backends) {
+    rows.push_back(
+        {name, measure_backend(id, std::string("tab4/measured/") + name, kReps, body)});
+  }
   benchmark::DoNotOptimize(sink);
 
   const std::string p(provider_label());

@@ -33,9 +33,8 @@ constexpr unsigned kThreads = 8;
 constexpr int kReps = 3;
 
 /// Fig. 3's kernel shape: low-intensity for_each over a large range.
-template <class Policy>
-void run_foreach(index_t n) {
-  Policy policy{kThreads};
+void run_foreach(backends::backend_id id, index_t n) {
+  exec::policy policy = exec::make_policy(id, kThreads);
   policy.seq_threshold = 0;
   std::vector<elem_t> data(static_cast<std::size_t>(n), elem_t{1});
   for (int rep = 0; rep < kReps; ++rep) {
@@ -49,12 +48,11 @@ struct backend_row {
   trace::sched_metrics window;
 };
 
-template <class Policy>
-backend_row measure(const std::string& name, index_t n) {
+backend_row measure(backends::backend_id id, const std::string& name, index_t n) {
   const trace::sched_metrics before = trace::collect();
   {
     counters::region region("tabX/" + name);  // folds sched_* into markers
-    run_foreach<Policy>(n);
+    run_foreach(id, n);
   }
   backend_row row{name, trace::delta(before, trace::collect())};
   trace::fold_into_markers("tabX/" + name + "/sched", row.window);
@@ -134,10 +132,10 @@ int main(int argc, char** argv) {
   // on regardless of PSTLB_TRACE (trace-off behaviour is covered by tests).
   trace::set_enabled(true);
   std::vector<backend_row> rows;
-  rows.push_back(measure<exec::fork_join_policy>("fork_join", n));
-  rows.push_back(measure<exec::omp_dynamic_policy>("omp_dynamic", n));
-  rows.push_back(measure<exec::steal_policy>("steal", n));
-  rows.push_back(measure<exec::task_policy>("task_futures", n));
+  rows.push_back(measure(backends::backend_id::fork_join, "fork_join", n));
+  rows.push_back(measure(backends::backend_id::omp_dynamic, "omp_dynamic", n));
+  rows.push_back(measure(backends::backend_id::steal, "steal", n));
+  rows.push_back(measure(backends::backend_id::task_futures, "task_futures", n));
   report(std::cout, rows, n);
   return 0;
 }

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   const index_t n = static_cast<index_t>(text.size());
   index_t words = (text[0] != ' ') ? 1 : 0;
   words += backends::parallel_reduce(
-      exec::policy_traits<exec::steal_policy>::make(par), n - 1, index_t{0},
+      backends::backend(par.backend, par.threads), n - 1, index_t{0},
       [&](index_t b, index_t e) {
         index_t count = 0;
         for (index_t i = b; i < e; ++i) {

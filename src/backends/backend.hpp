@@ -1,42 +1,53 @@
-// Backend concept and shared helpers.
+// The backend value and the one runtime seam every parallel loop crosses.
 //
-// A backend is a lightweight value describing *how* a loop is scheduled:
-//   - threads():   participants a parallel loop may use,
-//   - slots():     exclusive accumulator slots (>= number of distinct `tid`
-//                  values the backend passes to bodies),
-//   - for_blocks(n, grain, cancel, body): run body(b, e, tid) over grain-
-//                  sized blocks covering [0, n), optionally cancellable.
+// A backend describes *how* a loop is scheduled: which of the paper's
+// execution models claims its chunks, and how many participants it may use.
 //
-// The four models mirror the paper's backends:
-//   seq          — GCC-SEQ baseline
-//   fork_join    — GNU/OpenMP static scheduling (+ NVC-OMP with a different
-//                  policy profile)
+//   seq          — GCC-SEQ baseline: blocks run in order on the caller
+//   fork_join    — GNU/OpenMP static scheduling: one thread_pool region,
+//   omp_static     each participant runs an even share of the chunks
+//                  (NVC-OMP is the same model under another policy profile)
+//   omp_dynamic  — OpenMP schedule(dynamic): the same region, but chunks are
+//                  claimed from one shared cursor
 //   steal        — TBB-style work stealing with lazy binary splitting
-//   task_futures — HPX-style per-chunk tasks through a central queue
+//   task_futures — HPX-style: one heap-allocated task per chunk through a
+//                  central queue
+//
+// A backend bound to an arena is the nested-call form exec::dispatch builds
+// for a parallel call made inside a chunk: its chunks become that arena's
+// tasks instead of a second pool region.
+//
+// Every loop reaches the pools through one non-template function:
+// for_blocks only type-erases the body into a sched::loop_context, and
+// backends::run owns the rest — the sequential short-circuit, the nesting
+// guard, the caller's arena binding, the spawn/allocation failure ladder and
+// each model's claim rule.
 #pragma once
 
 #include <atomic>
-#include <concepts>
-#include <type_traits>
-#include <utility>
 
 #include "pstlb/common.hpp"
-#include "pstlb/fault.hpp"
 #include "sched/loop_context.hpp"
+
+namespace pstlb::sched {
+class arena;
+}
 
 namespace pstlb::backends {
 
-template <class B>
-concept Backend = requires(const B& b, index_t n, index_t grain,
-                           std::atomic<index_t>* cancel) {
-  { b.threads() } -> std::convertible_to<unsigned>;
-  { b.slots() } -> std::convertible_to<unsigned>;
-  b.for_blocks(n, grain, cancel,
-               [](index_t, index_t, unsigned) {});
-};
+enum class backend_id { seq, fork_join, omp_static, omp_dynamic, steal, task_futures };
+
+class backend;
+
+/// Runs `ctx` on `be`. Blocks until every chunk ran or was skipped; the
+/// first exception a chunk throws is rethrown here, once. A pool that cannot
+/// start (worker spawn or scratch allocation failure before any chunk ran)
+/// sheds the loop to the sequential path and counts the shed.
+void run(const backend& be, const sched::loop_context& ctx);
 
 /// Type-erases a callable into a sched::loop_context (no allocation; the
 /// callable must outlive the loop, which for_blocks guarantees by blocking).
+/// A const callable stays const: only `run` casts the state back.
 template <class F>
 sched::loop_context make_loop_context(index_t n, index_t grain,
                                       std::atomic<index_t>* cancel, F& body) {
@@ -44,26 +55,73 @@ sched::loop_context make_loop_context(index_t n, index_t grain,
   ctx.n = n;
   ctx.grain = grain > 0 ? grain : 1;
   ctx.cancel_before = cancel;
-  ctx.state = &body;
+  ctx.state = const_cast<void*>(static_cast<const void*>(&body));
   ctx.run = [](void* state, index_t begin, index_t end, unsigned tid) {
     (*static_cast<F*>(state))(begin, end, tid);
   };
   return ctx;
 }
 
-/// Sequential block walk shared by every backend's fallback path.
-template <class F>
-void sequential_blocks(index_t n, index_t grain, std::atomic<index_t>* cancel,
-                       F&& body, unsigned tid = 0) {
-  grain = grain > 0 ? grain : 1;
-  for (index_t begin = 0; begin < n; begin += grain) {
-    if (cancel != nullptr && begin >= cancel->load(std::memory_order_relaxed)) {
-      return;  // in-order walk: nothing past the cancel point matters
-    }
-    const index_t end = begin + grain < n ? begin + grain : n;
-    if (fault::armed()) { fault::on_chunk(begin); }
-    body(begin, end, tid);
+class backend {
+ public:
+  /// The sequential backend.
+  backend() noexcept = default;
+  /// Model `id` with `threads` participants (0 counts as 1; seq always has 1).
+  backend(backend_id id, unsigned threads) noexcept;
+  /// Runs every loop as tasks of arena `a` (a parallel call nested inside a
+  /// chunk): the caller drains the chunks and idle workers help.
+  explicit backend(sched::arena* a) noexcept;
+
+  backend_id id() const noexcept { return id_; }
+  /// The arena a nested backend publishes its chunks to, else nullptr.
+  sched::arena* nested_arena() const noexcept { return nested_; }
+  /// Participants a parallel loop may use.
+  unsigned threads() const noexcept { return threads_; }
+  /// Exclusive accumulator slots: every `tid` a loop body sees is below this.
+  /// Every pool hands a run's chunks tids below its participants; nested
+  /// helpers claim slots 1..63 of the run's slot mask however many show up.
+  unsigned slots() const noexcept { return nested_ != nullptr ? 64 : threads_; }
+
+  /// Runs body(begin, end, tid) over grain-sized blocks covering [0, n).
+  /// With `cancel`, blocks whose first index is >= *cancel are skipped; the
+  /// body lowers it (sched::fetch_min) when it finds a match.
+  template <class F>
+  void for_blocks(index_t n, index_t grain, std::atomic<index_t>* cancel,
+                  F&& body) const {
+    if (n <= 0) { return; }
+    run(*this, make_loop_context(n, grain, cancel, body));
   }
+
+ private:
+  backend_id id_ = backend_id::seq;
+  unsigned threads_ = 1;
+  sched::arena* nested_ = nullptr;
+};
+
+/// The paper's parallel models by name, `threads` participants each.
+inline backend fork_join_backend(unsigned threads) {
+  return {backend_id::fork_join, threads};
+}
+inline backend omp_dynamic_backend(unsigned threads) {
+  return {backend_id::omp_dynamic, threads};
+}
+inline backend steal_backend(unsigned threads) {
+  return {backend_id::steal, threads};
+}
+inline backend task_futures_backend(unsigned threads) {
+  return {backend_id::task_futures, threads};
+}
+
+/// Most chunks one loop may have: the steal scheduler packs a chunk range
+/// into the two 32-bit halves of one deque word.
+inline constexpr index_t max_chunks = 0xFFFFFFFF;
+
+/// `grain` (0 counts as 1), raised just enough that [0, n) splits into at
+/// most max_chunks chunks. Grain only decides scheduling, so raising it never
+/// changes a result.
+constexpr index_t fit_grain(index_t n, index_t grain) {
+  const index_t g = grain > 0 ? grain : 1;
+  return ceil_div(n, g) <= max_chunks ? g : ceil_div(n, max_chunks);
 }
 
 /// Default scheduling granularity: enough chunks for balance (~8 per

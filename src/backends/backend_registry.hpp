@@ -1,25 +1,23 @@
-// Runtime registry of execution policies by name.
+// Runtime registry of backends by name.
 //
 // Benches and tests iterate over backends generically; this maps the paper's
-// backend names onto our policy types:
+// backend names onto backend ids (exec::make_policy turns an id into the
+// matching policy value):
 //
-//   "seq"       -> exec::seq_policy         (GCC-SEQ)
-//   "fork_join" -> exec::fork_join_policy   (GCC-GNU)
-//   "omp"       -> exec::omp_static_policy  (NVC-OMP)
-//   "omp_dyn"   -> exec::omp_dynamic_policy (extension: dynamic schedule)
-//   "steal"     -> exec::steal_policy       (GCC-TBB / ICC-TBB)
-//   "futures"   -> exec::task_policy        (GCC-HPX)
+//   "seq"       -> backend_id::seq           (GCC-SEQ)
+//   "fork_join" -> backend_id::fork_join     (GCC-GNU)
+//   "omp"       -> backend_id::omp_static    (NVC-OMP)
+//   "omp_dyn"   -> backend_id::omp_dynamic   (extension: dynamic schedule)
+//   "steal"     -> backend_id::steal         (GCC-TBB / ICC-TBB)
+//   "futures"   -> backend_id::task_futures  (GCC-HPX)
 #pragma once
 
 #include <span>
 #include <string_view>
-#include <utility>
 
-#include "pstlb/exec.hpp"
+#include "backends/backend.hpp"
 
 namespace pstlb::backends {
-
-enum class backend_id { seq, fork_join, omp_static, omp_dynamic, steal, task_futures };
 
 /// All parallel backend ids (excludes seq).
 std::span<const backend_id> parallel_backends();
@@ -30,27 +28,5 @@ std::string_view name_of(backend_id id);
 
 /// Parses a backend name; aborts on unknown names (bench CLI contract).
 backend_id parse_backend(std::string_view name);
-
-/// Invokes `f(policy)` with the policy type selected by `id`, configured
-/// with `threads` participants (0 = environment default).
-template <class F>
-decltype(auto) with_policy(backend_id id, unsigned threads, F&& f) {
-  const unsigned t = threads == 0 ? exec::default_threads() : threads;
-  switch (id) {
-    case backend_id::seq:
-      return f(exec::seq_policy{});
-    case backend_id::fork_join:
-      return f(exec::fork_join_policy{t});
-    case backend_id::omp_static:
-      return f(exec::omp_static_policy{t});
-    case backend_id::omp_dynamic:
-      return f(exec::omp_dynamic_policy{t});
-    case backend_id::steal:
-      return f(exec::steal_policy{t});
-    case backend_id::task_futures:
-      return f(exec::task_policy{t});
-  }
-  contract_failure("invariant", "valid backend_id", __FILE__, __LINE__);
-}
 
 }  // namespace pstlb::backends

@@ -3,8 +3,9 @@
 // Real STL backends (TBB, GOMP) execute a parallel algorithm called from
 // inside another parallel region sequentially on the calling thread; our
 // pools additionally must not re-enter themselves (a worker waiting on its
-// own pool would deadlock). Every backend consults `in_parallel_region()`
-// and degrades to its sequential path when set.
+// own pool would deadlock). backends::run consults `in_parallel_region()`
+// and degrades to the sequential path when set; exec::dispatch turns a
+// first-level nested call inside an arena into arena tasks instead.
 #pragma once
 
 namespace pstlb::backends {
@@ -13,7 +14,7 @@ namespace detail {
 inline thread_local int region_depth = 0;
 }
 
-/// RAII marker placed around user-body execution by every parallel backend.
+/// RAII marker backends::run places around every chunk it hands a pool.
 class region_guard {
  public:
   region_guard() noexcept { ++detail::region_depth; }

@@ -152,10 +152,9 @@ inline index_t lookback_chunk_size(index_t n, unsigned threads,
 /// to force deep lookbacks); 0 means the configured default.
 /// `final_prefix`, when non-null, receives the inclusive prefix of the whole
 /// range (the pack skeleton's total).
-template <Backend B, class T, class Combine, class ReduceBlock, class ScanBlock,
-          class FusedBlock>
+template <class T, class Combine, class ReduceBlock, class ScanBlock, class FusedBlock>
   requires std::invocable<FusedBlock&, index_t, index_t, T, bool>
-void parallel_scan_1p(const B& be, index_t n, Combine&& combine,
+void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
                       ReduceBlock&& reduce_block, ScanBlock&& scan_block,
                       FusedBlock&& fused_block, index_t min_chunk = 0,
                       T* final_prefix = nullptr) {
@@ -268,8 +267,8 @@ void parallel_scan_1p(const B& be, index_t n, Combine&& combine,
 /// DRAM pass — the second chunk read hits cache — but each element is
 /// touched twice). Front-ends that can produce a fused block cheaply should
 /// pass one.
-template <Backend B, class T, class Combine, class ReduceBlock, class ScanBlock>
-void parallel_scan_1p(const B& be, index_t n, Combine&& combine,
+template <class T, class Combine, class ReduceBlock, class ScanBlock>
+void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
                       ReduceBlock&& reduce_block, ScanBlock&& scan_block,
                       index_t min_chunk = 0) {
   auto fused = [&](index_t b, index_t e, T carry, bool has_carry) {
@@ -278,7 +277,7 @@ void parallel_scan_1p(const B& be, index_t n, Combine&& combine,
     scan_block(b, e, std::move(carry), has_carry);
     return prefix;
   };
-  parallel_scan_1p<B, T>(be, n, std::forward<Combine>(combine),
+  parallel_scan_1p<T>(be, n, std::forward<Combine>(combine),
                          std::forward<ReduceBlock>(reduce_block),
                          std::forward<ScanBlock>(scan_block), fused, min_chunk);
 }
@@ -293,12 +292,12 @@ void parallel_scan_1p(const B& be, index_t n, Combine&& combine,
 ///   count_block(b, e) -> index_t
 ///   emit_block(b, e, offset) -> index_t   (the number of elements emitted)
 /// Returns the total packed count.
-template <Backend B, class CountBlock, class EmitBlock>
-index_t parallel_pack_1p(const B& be, index_t n, CountBlock&& count_block,
+template <class CountBlock, class EmitBlock>
+index_t parallel_pack_1p(const backend& be, index_t n, CountBlock&& count_block,
                          EmitBlock&& emit_block, index_t min_chunk = 0) {
   if (n <= 0) { return 0; }
   index_t total = 0;
-  parallel_scan_1p<B, index_t>(
+  parallel_scan_1p<index_t>(
       be, n, [](index_t a, index_t b) { return a + b; },
       [&](index_t b, index_t e) { return count_block(b, e); },
       [&](index_t b, index_t e, index_t carry, bool has_carry) {

@@ -1,4 +1,4 @@
-// Algorithmic skeletons over any Backend.
+// Algorithmic skeletons over the backend value.
 //
 // Every parallel STL algorithm in src/pstlb reduces to one of these five
 // shapes (plus the sort/merge machinery in pstlb/algo_sort.hpp):
@@ -20,13 +20,13 @@
 namespace pstlb::backends {
 
 /// Runs body(begin, end, tid) over grain-sized blocks of [0, n).
-template <Backend B, class Body>
-void parallel_for(const B& be, index_t n, index_t grain, Body&& body) {
+template <class Body>
+void parallel_for(const backend& be, index_t n, index_t grain, Body&& body) {
   be.for_blocks(n, grain, nullptr, std::forward<Body>(body));
 }
 
-template <Backend B, class Body>
-void parallel_for(const B& be, index_t n, Body&& body) {
+template <class Body>
+void parallel_for(const backend& be, index_t n, Body&& body) {
   parallel_for(be, n, default_grain(n, be.threads()), std::forward<Body>(body));
 }
 
@@ -42,8 +42,8 @@ struct alignas(cache_line_size) padded_slot {
 /// then into `init`. (Like the real parallel backends, the grouping of
 /// elements into partials depends on scheduling, so floating-point results
 /// can differ between runs within rounding — exactly as std::reduce allows.)
-template <Backend B, class T, class BlockFn, class Combine>
-T parallel_reduce(const B& be, index_t n, index_t grain, T init, BlockFn&& block,
+template <class T, class BlockFn, class Combine>
+T parallel_reduce(const backend& be, index_t n, index_t grain, T init, BlockFn&& block,
                   Combine&& combine) {
   if (n <= 0) { return init; }
   std::vector<detail::padded_slot<T>> slots(be.slots());
@@ -65,8 +65,9 @@ T parallel_reduce(const B& be, index_t n, index_t grain, T init, BlockFn&& block
   return result;
 }
 
-template <Backend B, class T, class BlockFn, class Combine>
-T parallel_reduce(const B& be, index_t n, T init, BlockFn&& block, Combine&& combine) {
+template <class T, class BlockFn, class Combine>
+T parallel_reduce(const backend& be, index_t n, T init, BlockFn&& block,
+                  Combine&& combine) {
   return parallel_reduce(be, n, default_grain(n, be.threads()), std::move(init),
                          std::forward<BlockFn>(block), std::forward<Combine>(combine));
 }
@@ -75,8 +76,8 @@ T parallel_reduce(const B& be, index_t n, T init, BlockFn&& block, Combine&& com
 /// index in [b, e) or `e` when there is none. Returns the smallest matching
 /// index overall, or `n` when nothing matches — matching std::find's
 /// first-occurrence semantics under out-of-order block execution.
-template <Backend B, class BlockFind>
-index_t parallel_find(const B& be, index_t n, index_t grain, BlockFind&& block) {
+template <class BlockFind>
+index_t parallel_find(const backend& be, index_t n, index_t grain, BlockFind&& block) {
   if (n <= 0) { return 0; }
   std::atomic<index_t> best{n};
   be.for_blocks(n, grain, &best, [&](index_t b, index_t e, unsigned) {
@@ -130,8 +131,8 @@ struct chunk_table {
 ///   scan_block(b, e, carry, has_carry)     : rescan chunk, seeded (pass 2)
 ///   combine(T, T) -> T                     : the scan operation
 /// T must be movable and default-constructible (slot storage only).
-template <Backend B, class T, class Combine, class ReduceBlock, class ScanBlock>
-void parallel_scan(const B& be, index_t n, Combine&& combine,
+template <class T, class Combine, class ReduceBlock, class ScanBlock>
+void parallel_scan(const backend& be, index_t n, Combine&& combine,
                    ReduceBlock&& reduce_block, ScanBlock&& scan_block) {
   if (n <= 0) { return; }
   const chunk_table chunks(n, be.slots());
@@ -174,8 +175,8 @@ void parallel_scan(const B& be, index_t n, Combine&& combine,
 /// emit each chunk at its exclusive offset. Returns the total packed count.
 ///   count_block(b, e) -> index_t
 ///   emit_block(b, e, offset, total)   (total = overall packed count)
-template <Backend B, class CountBlock, class EmitBlock>
-index_t parallel_pack(const B& be, index_t n, CountBlock&& count_block,
+template <class CountBlock, class EmitBlock>
+index_t parallel_pack(const backend& be, index_t n, CountBlock&& count_block,
                       EmitBlock&& emit_block) {
   if (n <= 0) { return 0; }
   const chunk_table chunks(n, be.slots());

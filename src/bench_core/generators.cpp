@@ -12,6 +12,15 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 }
 }  // namespace
 
+ft_vector generate_increment(const exec::policy& policy, index_t n) {
+  ft_vector v{numa::first_touch_allocator<elem_t, exec::policy>{policy}};
+  v.resize(static_cast<std::size_t>(n));
+  pstlb::for_each(policy, v.begin(), v.end(), [&](elem_t& x) {
+    x = static_cast<elem_t>(&x - v.data() + 1);
+  });
+  return v;
+}
+
 std::uint64_t bounded_rand(std::uint64_t& state, std::uint64_t bound) {
   if (bound == 0) { return 0; }
   // Modulo mapping; the bias is < bound / 2^64, far below anything the

@@ -17,22 +17,13 @@
 
 namespace pstlb::bench {
 
-template <class Policy>
 using ft_vector =
-    std::vector<elem_t, numa::first_touch_allocator<elem_t, std::decay_t<Policy>>>;
+    std::vector<elem_t, numa::first_touch_allocator<elem_t, exec::policy>>;
 
 /// v = [1, 2, ..., n] allocated with the custom parallel allocator and
 /// initialized with the same policy (the pstl::generate_increment of
 /// Listing 3).
-template <exec::ExecutionPolicy Policy>
-ft_vector<Policy> generate_increment(const Policy& policy, index_t n) {
-  ft_vector<Policy> v{numa::first_touch_allocator<elem_t, std::decay_t<Policy>>{policy}};
-  v.resize(static_cast<std::size_t>(n));
-  pstlb::for_each(policy, v.begin(), v.end(), [&](elem_t& x) {
-    x = static_cast<elem_t>(&x - v.data() + 1);
-  });
-  return v;
-}
+ft_vector generate_increment(const exec::policy& policy, index_t n);
 
 /// Deterministic xorshift-based uniform in [0, bound).
 std::uint64_t bounded_rand(std::uint64_t& state, std::uint64_t bound);

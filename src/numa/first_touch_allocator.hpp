@@ -26,30 +26,27 @@
 namespace pstlb::numa {
 
 /// Touches the first byte of each page of [p, p + bytes) in parallel with
-/// the policy's backend — the core of Listing 5.
-template <exec::ExecutionPolicy Policy>
-void parallel_first_touch(const Policy& policy, std::byte* p, std::size_t bytes) {
+/// the policy's backend — the core of Listing 5. A seq policy touches from
+/// the calling thread.
+inline void parallel_first_touch(const exec::policy& policy, std::byte* p,
+                                 std::size_t bytes) {
   if (bytes == 0) { return; }
   const std::size_t page = topology().page_size;
   const index_t pages = static_cast<index_t>((bytes + page - 1) / page);
-  if constexpr (exec::is_seq_policy_v<std::decay_t<Policy>>) {
-    for (index_t i = 0; i < pages; ++i) { p[static_cast<std::size_t>(i) * page] = std::byte{0}; }
-  } else {
-    auto backend = exec::policy_traits<std::decay_t<Policy>>::make(policy);
-    // Contiguous page slices per thread, mirroring the chunks the parallel
-    // algorithms will later hand to the same threads.
-    backends::parallel_for(backend, pages,
-                           backends::default_grain(pages, policy.threads),
-                           [&](index_t b, index_t e, unsigned) {
-                             for (index_t i = b; i < e; ++i) {
-                               p[static_cast<std::size_t>(i) * page] = std::byte{0};
-                             }
-                           });
-  }
+  // Contiguous page slices per thread, mirroring the chunks the parallel
+  // algorithms will later hand to the same threads.
+  backends::parallel_for(backends::backend(policy.backend, policy.threads), pages,
+                         backends::default_grain(pages, policy.threads),
+                         [&](index_t b, index_t e, unsigned) {
+                           for (index_t i = b; i < e; ++i) {
+                             p[static_cast<std::size_t>(i) * page] = std::byte{0};
+                           }
+                         });
 }
 
 /// std-compatible allocator performing a parallel first touch on allocate().
-template <class T, exec::ExecutionPolicy Policy = exec::omp_static_policy>
+/// `Policy` is the stored policy's type: exec::policy or one of its presets.
+template <class T, class Policy = exec::omp_static_policy>
 class first_touch_allocator {
  public:
   using value_type = T;
@@ -73,15 +70,18 @@ class first_touch_allocator {
     if (fault::armed()) { fault::on_alloc(bytes); }
     auto* raw = static_cast<std::byte*>(
         ::operator new(bytes, std::align_val_t{alignof(std::max_align_t)}));
-    parallel_first_touch(policy_, raw, bytes);
-    unsigned touch_threads = 1;
-    if constexpr (!exec::is_seq_policy_v<Policy>) { touch_threads = policy_.threads; }
+    try {
+      parallel_first_touch(policy_, raw, bytes);
+    } catch (...) {  // a touch chunk threw (fault injection): nothing to leak
+      ::operator delete(raw, std::align_val_t{alignof(std::max_align_t)});
+      throw;
+    }
+    const bool sequential = policy_.backend == backends::backend_id::seq;
     page_registry::instance().record(
         raw, allocation_info{bytes,
-                             exec::is_seq_policy_v<Policy>
-                                 ? placement::sequential_touch
-                                 : placement::parallel_touch,
-                             touch_threads});
+                             sequential ? placement::sequential_touch
+                                        : placement::parallel_touch,
+                             sequential ? 1u : policy_.threads});
     return reinterpret_cast<T*>(raw);
   }
 

@@ -20,8 +20,8 @@
 
 namespace pstlb {
 
-template <exec::ExecutionPolicy P, class It, class F>
-void for_each(P&& policy, It first, It last, F f) {
+template <class It, class F>
+void for_each(const exec::policy& policy, It first, It last, F f) {
   stats::scoped_call pstlb_stats_scope_(stats::op::for_each);
   const index_t n = std::distance(first, last);
   // NUMA placement hint for the steal scheduler: the loop at index i touches
@@ -29,24 +29,24 @@ void for_each(P&& policy, It first, It last, F f) {
   // sched/locality.hpp). The same pattern marks the other flagship
   // bandwidth-bound kernels (reduce, transform_reduce, scan).
   const auto hint = exec::data_hint(first);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::for_each(first, last, f); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::for_each(first + b, first + e, f);
         });
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Size, class F>
-It for_each_n(P&& policy, It first, Size count, F f) {
+template <class It, class Size, class F>
+It for_each_n(const exec::policy& policy, It first, Size count, F f) {
   stats::scoped_call pstlb_stats_scope_(stats::op::for_each_n);
   if (count <= Size{0}) { return first; }
   const index_t n = static_cast<index_t>(count);
   const auto hint = exec::data_hint(first);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::for_each_n(first, count, f); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::for_each(first + b, first + e, f);
         });
@@ -54,8 +54,8 @@ It for_each_n(P&& policy, It first, Size count, F f) {
   return std::next(first, static_cast<index_t>(count));
 }
 
-template <exec::ExecutionPolicy P, class It, class Out, class F>
-Out transform(P&& policy, It first, It last, Out out, F f) {
+template <class It, class Out, class F>
+Out transform(const exec::policy& policy, It first, It last, Out out, F f) {
   stats::scoped_call pstlb_stats_scope_(stats::op::transform);
   const index_t n = std::distance(first, last);
   const auto hint = exec::data_hint(first);
@@ -67,9 +67,9 @@ Out transform(P&& policy, It first, It last, Out out, F f) {
                           simd::is_negate_v<F, Elem>;
   const simd::kernel_set<Elem>* vk = nullptr;
   if constexpr (vec_ok) {
-    vk = simd::leaf_for<Elem, It, Out>(exec::wants_vector_leaf(policy));
+    vk = simd::leaf_for<Elem, It, Out>(policy.unseq);
   }
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n,
       [&] {
         if constexpr (vec_ok) {
@@ -80,7 +80,7 @@ Out transform(P&& policy, It first, It last, Out out, F f) {
         }
         return std::transform(first, last, out, f);
       },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           if constexpr (vec_ok) {
             if (vk != nullptr) {
@@ -95,8 +95,9 @@ Out transform(P&& policy, It first, It last, Out out, F f) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out, class F>
-Out transform(P&& policy, It1 first1, It1 last1, It2 first2, Out out, F f) {
+template <class It1, class It2, class Out, class F>
+Out transform(const exec::policy& policy, It1 first1, It1 last1, It2 first2, Out out,
+              F f) {
   stats::scoped_call pstlb_stats_scope_(stats::op::transform);
   const index_t n = std::distance(first1, last1);
   // par_unseq: std::plus/minus/multiplies over covered contiguous types run
@@ -109,7 +110,7 @@ Out transform(P&& policy, It1 first1, It1 last1, It2 first2, Out out, F f) {
                simd::is_multiplies_v<F, Elem>);
   const simd::kernel_set<Elem>* vk = nullptr;
   if constexpr (vec_ok) {
-    vk = simd::leaf_for<Elem, It1, It2, Out>(exec::wants_vector_leaf(policy));
+    vk = simd::leaf_for<Elem, It1, It2, Out>(policy.unseq);
   }
   auto vec_leaf = [&](index_t b, index_t e) {
     if constexpr (vec_ok) {
@@ -128,7 +129,7 @@ Out transform(P&& policy, It1 first1, It1 last1, It2 first2, Out out, F f) {
       (void)e;
     }
   };
-  return exec::dispatch<It1, It2, Out>(
+  return exec::dispatch(
       policy, n,
       [&] {
         if constexpr (vec_ok) {
@@ -139,7 +140,7 @@ Out transform(P&& policy, It1 first1, It1 last1, It2 first2, Out out, F f) {
         }
         return std::transform(first1, last1, first2, out, f);
       },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           if constexpr (vec_ok) {
             if (vk != nullptr) {
@@ -153,21 +154,21 @@ Out transform(P&& policy, It1 first1, It1 last1, It2 first2, Out out, F f) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class T>
-void fill(P&& policy, It first, It last, const T& value) {
+template <class It, class T>
+void fill(const exec::policy& policy, It first, It last, const T& value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::fill);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::fill(first, last, value); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::fill(first + b, first + e, value);
         });
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Size, class T>
-It fill_n(P&& policy, It first, Size count, const T& value) {
+template <class It, class Size, class T>
+It fill_n(const exec::policy& policy, It first, Size count, const T& value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::fill_n);
   if (count <= Size{0}) { return first; }
   fill(policy, first, first + static_cast<index_t>(count), value);
@@ -177,13 +178,13 @@ It fill_n(P&& policy, It first, Size count, const T& value) {
 /// Note on generate: the generator is stateful by definition, so the parallel
 /// version calls it independently per thread — results are only deterministic
 /// for stateless generators, matching std::generate(par, ...) requirements.
-template <exec::ExecutionPolicy P, class It, class Gen>
-void generate(P&& policy, It first, It last, Gen gen) {
+template <class It, class Gen>
+void generate(const exec::policy& policy, It first, It last, Gen gen) {
   stats::scoped_call pstlb_stats_scope_(stats::op::generate);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::generate(first, last, gen); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           Gen local = gen;  // per-block copy, as permitted for par policies
           std::generate(first + b, first + e, local);
@@ -191,21 +192,21 @@ void generate(P&& policy, It first, It last, Gen gen) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Size, class Gen>
-It generate_n(P&& policy, It first, Size count, Gen gen) {
+template <class It, class Size, class Gen>
+It generate_n(const exec::policy& policy, It first, Size count, Gen gen) {
   stats::scoped_call pstlb_stats_scope_(stats::op::generate_n);
   if (count <= Size{0}) { return first; }
   generate(policy, first, first + static_cast<index_t>(count), std::move(gen));
   return first + static_cast<index_t>(count);
 }
 
-template <exec::ExecutionPolicy P, class It, class Out>
-Out copy(P&& policy, It first, It last, Out out) {
+template <class It, class Out>
+Out copy(const exec::policy& policy, It first, It last, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::copy);
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n, [&] { return std::copy(first, last, out); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::copy(first + b, first + e, out + b);
         });
@@ -213,20 +214,20 @@ Out copy(P&& policy, It first, It last, Out out) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Size, class Out>
-Out copy_n(P&& policy, It first, Size count, Out out) {
+template <class It, class Size, class Out>
+Out copy_n(const exec::policy& policy, It first, Size count, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::copy_n);
   if (count <= Size{0}) { return out; }
   return copy(policy, first, first + static_cast<index_t>(count), out);
 }
 
-template <exec::ExecutionPolicy P, class It, class Out>
-Out move(P&& policy, It first, It last, Out out) {
+template <class It, class Out>
+Out move(const exec::policy& policy, It first, It last, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::move);
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n, [&] { return std::move(first, last, out); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::move(first + b, first + e, out + b);
         });
@@ -234,13 +235,13 @@ Out move(P&& policy, It first, It last, Out out) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2>
-It2 swap_ranges(P&& policy, It1 first1, It1 last1, It2 first2) {
+template <class It1, class It2>
+It2 swap_ranges(const exec::policy& policy, It1 first1, It1 last1, It2 first2) {
   stats::scoped_call pstlb_stats_scope_(stats::op::swap_ranges);
   const index_t n = std::distance(first1, last1);
-  return exec::dispatch<It1, It2>(
+  return exec::dispatch(
       policy, n, [&] { return std::swap_ranges(first1, last1, first2); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::swap_ranges(first1 + b, first1 + e, first2 + b);
         });
@@ -248,40 +249,42 @@ It2 swap_ranges(P&& policy, It1 first1, It1 last1, It2 first2) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class T>
-void replace(P&& policy, It first, It last, const T& old_value, const T& new_value) {
+template <class It, class T>
+void replace(const exec::policy& policy, It first, It last, const T& old_value,
+             const T& new_value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::replace);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::replace(first, last, old_value, new_value); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::replace(first + b, first + e, old_value, new_value);
         });
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Pred, class T>
-void replace_if(P&& policy, It first, It last, Pred pred, const T& new_value) {
+template <class It, class Pred, class T>
+void replace_if(const exec::policy& policy, It first, It last, Pred pred,
+                const T& new_value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::replace_if);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::replace_if(first, last, pred, new_value); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::replace_if(first + b, first + e, pred, new_value);
         });
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Out, class T>
-Out replace_copy(P&& policy, It first, It last, Out out, const T& old_value,
-                 const T& new_value) {
+template <class It, class Out, class T>
+Out replace_copy(const exec::policy& policy, It first, It last, Out out,
+                 const T& old_value, const T& new_value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::replace_copy);
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n, [&] { return std::replace_copy(first, last, out, old_value, new_value); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::replace_copy(first + b, first + e, out + b, old_value, new_value);
         });
@@ -289,13 +292,13 @@ Out replace_copy(P&& policy, It first, It last, Out out, const T& old_value,
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-void reverse(P&& policy, It first, It last) {
+template <class It>
+void reverse(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::reverse);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::reverse(first, last); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         // Swap mirrored halves: iteration space is the front half only.
         backends::parallel_for(be, n / 2, grain, [&](index_t b, index_t e, unsigned) {
           for (index_t i = b; i < e; ++i) {
@@ -305,13 +308,13 @@ void reverse(P&& policy, It first, It last) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Out>
-Out reverse_copy(P&& policy, It first, It last, Out out) {
+template <class It, class Out>
+Out reverse_copy(const exec::policy& policy, It first, It last, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::reverse_copy);
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n, [&] { return std::reverse_copy(first, last, out); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           for (index_t i = b; i < e; ++i) { out[n - 1 - i] = first[i]; }
         });
@@ -319,8 +322,8 @@ Out reverse_copy(P&& policy, It first, It last, Out out) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Out>
-Out rotate_copy(P&& policy, It first, It middle, It last, Out out) {
+template <class It, class Out>
+Out rotate_copy(const exec::policy& policy, It first, It middle, It last, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::rotate_copy);
   const index_t lead = std::distance(middle, last);
   Out tail = copy(policy, middle, last, out);
@@ -331,17 +334,17 @@ Out rotate_copy(P&& policy, It first, It middle, It last, Out out) {
 /// C++20 shift_left: moves [first+n, last) to [first, ...). The source and
 /// destination overlap, so the parallel version stages through a buffer
 /// (same strategy as rotate); returns the end of the resulting range.
-template <exec::ExecutionPolicy P, class It>
-It shift_left(P&& policy, It first, It last,
+template <class It>
+It shift_left(const exec::policy& policy, It first, It last,
               typename std::iterator_traits<It>::difference_type shift) {
   stats::scoped_call pstlb_stats_scope_(stats::op::shift_left);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
   if (shift <= 0) { return last; }
   if (shift >= n) { return first; }
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::shift_left(first, last, shift); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         const index_t kept = n - shift;
         std::vector<T> buffer(static_cast<std::size_t>(kept));
         backends::parallel_for(be, kept, grain, [&](index_t b, index_t e, unsigned) {
@@ -356,17 +359,17 @@ It shift_left(P&& policy, It first, It last,
 
 /// C++20 shift_right: moves [first, last-n) to [first+n, ...); returns the
 /// beginning of the resulting range.
-template <exec::ExecutionPolicy P, class It>
-It shift_right(P&& policy, It first, It last,
+template <class It>
+It shift_right(const exec::policy& policy, It first, It last,
                typename std::iterator_traits<It>::difference_type shift) {
   stats::scoped_call pstlb_stats_scope_(stats::op::shift_right);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
   if (shift <= 0) { return first; }
   if (shift >= n) { return last; }
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::shift_right(first, last, shift); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         const index_t kept = n - shift;
         std::vector<T> buffer(static_cast<std::size_t>(kept));
         backends::parallel_for(be, kept, grain, [&](index_t b, index_t e, unsigned) {
@@ -385,17 +388,17 @@ It shift_right(P&& policy, It first, It last,
 /// Parallel rotate: out-of-place rotate_copy into a buffer, then move back.
 /// (Real backends do the same; an in-place parallel cycle rotation is not
 /// worth the synchronization.)
-template <exec::ExecutionPolicy P, class It>
-It rotate(P&& policy, It first, It middle, It last) {
+template <class It>
+It rotate(const exec::policy& policy, It first, It middle, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::rotate);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
   const index_t shift = std::distance(first, middle);
   if (shift == 0) { return last; }
   if (shift == n) { return first; }
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::rotate(first, middle, last); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         std::vector<T> buffer(static_cast<std::size_t>(n));
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           for (index_t i = b; i < e; ++i) {
@@ -409,13 +412,13 @@ It rotate(P&& policy, It first, It middle, It last) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Out, class Op>
-Out adjacent_difference(P&& policy, It first, It last, Out out, Op op) {
+template <class It, class Out, class Op>
+Out adjacent_difference(const exec::policy& policy, It first, It last, Out out, Op op) {
   stats::scoped_call pstlb_stats_scope_(stats::op::adjacent_difference);
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n, [&] { return std::adjacent_difference(first, last, out, op); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           for (index_t i = b; i < e; ++i) {
             if (i == 0) {
@@ -429,82 +432,82 @@ Out adjacent_difference(P&& policy, It first, It last, Out out, Op op) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Out>
-Out adjacent_difference(P&& policy, It first, It last, Out out) {
+template <class It, class Out>
+Out adjacent_difference(const exec::policy& policy, It first, It last, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::adjacent_difference);
-  return pstlb::adjacent_difference(std::forward<P>(policy), first, last, out,
+  return pstlb::adjacent_difference(policy, first, last, out,
                                     std::minus<>{});
 }
 
 // --- uninitialized-memory and destruction family --------------------------
 
-template <exec::ExecutionPolicy P, class It>
-void destroy(P&& policy, It first, It last) {
+template <class It>
+void destroy(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::destroy);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::destroy(first, last); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::destroy(first + b, first + e);
         });
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Size>
-It destroy_n(P&& policy, It first, Size count) {
+template <class It, class Size>
+It destroy_n(const exec::policy& policy, It first, Size count) {
   stats::scoped_call pstlb_stats_scope_(stats::op::destroy_n);
   if (count <= Size{0}) { return first; }
   destroy(policy, first, first + static_cast<index_t>(count));
   return first + static_cast<index_t>(count);
 }
 
-template <exec::ExecutionPolicy P, class It>
-void uninitialized_default_construct(P&& policy, It first, It last) {
+template <class It>
+void uninitialized_default_construct(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::uninitialized_default_construct);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::uninitialized_default_construct(first, last); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::uninitialized_default_construct(first + b, first + e);
         });
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-void uninitialized_value_construct(P&& policy, It first, It last) {
+template <class It>
+void uninitialized_value_construct(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::uninitialized_value_construct);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::uninitialized_value_construct(first, last); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::uninitialized_value_construct(first + b, first + e);
         });
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class T>
-void uninitialized_fill(P&& policy, It first, It last, const T& value) {
+template <class It, class T>
+void uninitialized_fill(const exec::policy& policy, It first, It last, const T& value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::uninitialized_fill);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::uninitialized_fill(first, last, value); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::uninitialized_fill(first + b, first + e, value);
         });
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Out>
-Out uninitialized_copy(P&& policy, It first, It last, Out out) {
+template <class It, class Out>
+Out uninitialized_copy(const exec::policy& policy, It first, It last, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::uninitialized_copy);
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n, [&] { return std::uninitialized_copy(first, last, out); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::uninitialized_copy(first + b, first + e, out + b);
         });
@@ -512,13 +515,13 @@ Out uninitialized_copy(P&& policy, It first, It last, Out out) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Out>
-Out uninitialized_move(P&& policy, It first, It last, Out out) {
+template <class It, class Out>
+Out uninitialized_move(const exec::policy& policy, It first, It last, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::uninitialized_move);
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n, [&] { return std::uninitialized_move(first, last, out); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           std::uninitialized_move(first + b, first + e, out + b);
         });

@@ -20,8 +20,8 @@ namespace pstlb {
 
 // --- reduce / transform_reduce ---------------------------------------------
 
-template <exec::ExecutionPolicy P, class It, class T, class Op>
-T reduce(P&& policy, It first, It last, T init, Op op) {
+template <class It, class T, class Op>
+T reduce(const exec::policy& policy, It first, It last, T init, Op op) {
   stats::scoped_call pstlb_stats_scope_(stats::op::reduce);
   const index_t n = std::distance(first, last);
   // NUMA placement hint: chunks seed onto the node owning first[i]'s pages.
@@ -33,9 +33,9 @@ T reduce(P&& policy, It first, It last, T init, Op op) {
   constexpr bool vec_ok = simd::leaf_eligible_v<T, It> && simd::is_plus_v<Op, T>;
   const simd::kernel_set<T>* vk = nullptr;
   if constexpr (vec_ok) {
-    vk = simd::leaf_for<T, It>(exec::wants_vector_leaf(policy));
+    vk = simd::leaf_for<T, It>(policy.unseq);
   }
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n,
       [&] {
         if constexpr (vec_ok) {
@@ -45,7 +45,7 @@ T reduce(P&& policy, It first, It last, T init, Op op) {
         }
         return std::reduce(first, last, std::move(init), op);
       },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         return backends::parallel_reduce(
             be, n, grain, std::move(init),
             [&](index_t b, index_t e) {
@@ -60,33 +60,34 @@ T reduce(P&& policy, It first, It last, T init, Op op) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class T>
-T reduce(P&& policy, It first, It last, T init) {
+template <class It, class T>
+T reduce(const exec::policy& policy, It first, It last, T init) {
   stats::scoped_call pstlb_stats_scope_(stats::op::reduce);
-  return pstlb::reduce(std::forward<P>(policy), first, last, std::move(init),
+  return pstlb::reduce(policy, first, last, std::move(init),
                        std::plus<>{});
 }
 
-template <exec::ExecutionPolicy P, class It>
-typename std::iterator_traits<It>::value_type reduce(P&& policy, It first, It last) {
+template <class It>
+typename std::iterator_traits<It>::value_type reduce(const exec::policy& policy, It first,
+                                                     It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::reduce);
   using T = typename std::iterator_traits<It>::value_type;
-  return pstlb::reduce(std::forward<P>(policy), first, last, T{}, std::plus<>{});
+  return pstlb::reduce(policy, first, last, T{}, std::plus<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class T, class Reduce, class Transform>
-T transform_reduce(P&& policy, It first, It last, T init, Reduce reduce_op,
-                   Transform transform_op) {
+template <class It, class T, class Reduce, class Transform>
+T transform_reduce(const exec::policy& policy, It first, It last, T init,
+                   Reduce reduce_op, Transform transform_op) {
   stats::scoped_call pstlb_stats_scope_(stats::op::transform_reduce);
   const index_t n = std::distance(first, last);
   const auto hint = exec::data_hint(first);
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n,
       [&] {
         return std::transform_reduce(first, last, std::move(init), reduce_op,
                                      transform_op);
       },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         return backends::parallel_reduce(
             be, n, grain, std::move(init),
             [&](index_t b, index_t e) {
@@ -100,9 +101,9 @@ T transform_reduce(P&& policy, It first, It last, T init, Reduce reduce_op,
       });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class T, class Reduce,
+template <class It1, class It2, class T, class Reduce,
           class Transform>
-T transform_reduce(P&& policy, It1 first1, It1 last1, It2 first2, T init,
+T transform_reduce(const exec::policy& policy, It1 first1, It1 last1, It2 first2, T init,
                    Reduce reduce_op, Transform transform_op) {
   stats::scoped_call pstlb_stats_scope_(stats::op::transform_reduce);
   const index_t n = std::distance(first1, last1);
@@ -113,9 +114,9 @@ T transform_reduce(P&& policy, It1 first1, It1 last1, It2 first2, T init,
                           simd::is_multiplies_v<Transform, T>;
   const simd::kernel_set<T>* vk = nullptr;
   if constexpr (vec_ok) {
-    vk = simd::leaf_for<T, It1, It2>(exec::wants_vector_leaf(policy));
+    vk = simd::leaf_for<T, It1, It2>(policy.unseq);
   }
-  return exec::dispatch<It1, It2>(
+  return exec::dispatch(
       policy, n,
       [&] {
         if constexpr (vec_ok) {
@@ -128,7 +129,7 @@ T transform_reduce(P&& policy, It1 first1, It1 last1, It2 first2, T init,
         return std::transform_reduce(first1, last1, first2, std::move(init),
                                      reduce_op, transform_op);
       },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         return backends::parallel_reduce(
             be, n, grain, std::move(init),
             [&](index_t b, index_t e) {
@@ -148,24 +149,25 @@ T transform_reduce(P&& policy, It1 first1, It1 last1, It2 first2, T init,
       });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class T>
-T transform_reduce(P&& policy, It1 first1, It1 last1, It2 first2, T init) {
+template <class It1, class It2, class T>
+T transform_reduce(const exec::policy& policy, It1 first1, It1 last1, It2 first2,
+                   T init) {
   stats::scoped_call pstlb_stats_scope_(stats::op::transform_reduce);
-  return pstlb::transform_reduce(std::forward<P>(policy), first1, last1, first2,
+  return pstlb::transform_reduce(policy, first1, last1, first2,
                                  std::move(init), std::plus<>{}, std::multiplies<>{});
 }
 
 // --- count ------------------------------------------------------------------
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-typename std::iterator_traits<It>::difference_type count_if(P&& policy, It first,
-                                                            It last, Pred pred) {
+template <class It, class Pred>
+typename std::iterator_traits<It>::difference_type count_if(
+    const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::count_if);
   using D = typename std::iterator_traits<It>::difference_type;
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::count_if(first, last, pred); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         return backends::parallel_reduce(
             be, n, grain, D{0},
             [&](index_t b, index_t e) {
@@ -175,9 +177,9 @@ typename std::iterator_traits<It>::difference_type count_if(P&& policy, It first
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class T>
-typename std::iterator_traits<It>::difference_type count(P&& policy, It first,
-                                                         It last, const T& value) {
+template <class It, class T>
+typename std::iterator_traits<It>::difference_type count(
+    const exec::policy& policy, It first, It last, const T& value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::count);
   using D = typename std::iterator_traits<It>::difference_type;
   using Elem = typename std::iterator_traits<It>::value_type;
@@ -185,15 +187,15 @@ typename std::iterator_traits<It>::difference_type count(P&& policy, It first,
   // (accumulated compare masks) instead of delegating to count_if.
   if constexpr (simd::leaf_eligible_v<Elem, It> && std::is_same_v<T, Elem>) {
     const simd::kernel_set<Elem>* vk =
-        simd::leaf_for<Elem, It>(exec::wants_vector_leaf(policy));
+        simd::leaf_for<Elem, It>(policy.unseq);
     if (vk != nullptr) {
       const index_t n = std::distance(first, last);
       const auto hint = exec::data_hint(first);
       const Elem* p = std::to_address(first);
       const Elem v = value;
-      return exec::dispatch<It>(
+      return exec::dispatch(
           policy, n, [&] { return static_cast<D>(vk->count_eq(p, n, v)); },
-          [&](auto be, index_t grain) {
+          [&](const backends::backend& be, index_t grain) {
             return backends::parallel_reduce(
                 be, n, grain, D{0},
                 [&](index_t b, index_t e) {
@@ -203,7 +205,7 @@ typename std::iterator_traits<It>::difference_type count(P&& policy, It first,
           });
     }
   }
-  return pstlb::count_if(std::forward<P>(policy), first, last,
+  return pstlb::count_if(policy, first, last,
                          [&value](const auto& x) { return x == value; });
 }
 
@@ -227,8 +229,8 @@ index_t better_max(It first, Compare comp, index_t a, index_t b) {
 }
 }  // namespace detail
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-It min_element(P&& policy, It first, It last, Compare comp) {
+template <class It, class Compare>
+It min_element(const exec::policy& policy, It first, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::min_element);
   const index_t n = std::distance(first, last);
   if (n <= 0) { return last; }
@@ -241,9 +243,9 @@ It min_element(P&& policy, It first, It last, Compare comp) {
       simd::leaf_eligible_v<Elem, It> && simd::is_less_v<Compare, Elem>;
   const simd::kernel_set<Elem>* vk = nullptr;
   if constexpr (vec_ok) {
-    vk = simd::leaf_for<Elem, It>(exec::wants_vector_leaf(policy));
+    vk = simd::leaf_for<Elem, It>(policy.unseq);
   }
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n,
       [&] {
         if constexpr (vec_ok) {
@@ -253,7 +255,7 @@ It min_element(P&& policy, It first, It last, Compare comp) {
         }
         return std::min_element(first, last, comp);
       },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         const index_t best = backends::parallel_reduce(
             be, n, grain, index_t{0},
             [&](index_t b, index_t e) {
@@ -270,14 +272,14 @@ It min_element(P&& policy, It first, It last, Compare comp) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-It min_element(P&& policy, It first, It last) {
+template <class It>
+It min_element(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::min_element);
-  return pstlb::min_element(std::forward<P>(policy), first, last, std::less<>{});
+  return pstlb::min_element(policy, first, last, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-It max_element(P&& policy, It first, It last, Compare comp) {
+template <class It, class Compare>
+It max_element(const exec::policy& policy, It first, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::max_element);
   const index_t n = std::distance(first, last);
   if (n <= 0) { return last; }
@@ -286,9 +288,9 @@ It max_element(P&& policy, It first, It last, Compare comp) {
       simd::leaf_eligible_v<Elem, It> && simd::is_less_v<Compare, Elem>;
   const simd::kernel_set<Elem>* vk = nullptr;
   if constexpr (vec_ok) {
-    vk = simd::leaf_for<Elem, It>(exec::wants_vector_leaf(policy));
+    vk = simd::leaf_for<Elem, It>(policy.unseq);
   }
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n,
       [&] {
         if constexpr (vec_ok) {
@@ -298,7 +300,7 @@ It max_element(P&& policy, It first, It last, Compare comp) {
         }
         return std::max_element(first, last, comp);
       },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         const index_t best = backends::parallel_reduce(
             be, n, grain, index_t{0},
             [&](index_t b, index_t e) {
@@ -315,20 +317,21 @@ It max_element(P&& policy, It first, It last, Compare comp) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-It max_element(P&& policy, It first, It last) {
+template <class It>
+It max_element(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::max_element);
-  return pstlb::max_element(std::forward<P>(policy), first, last, std::less<>{});
+  return pstlb::max_element(policy, first, last, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-std::pair<It, It> minmax_element(P&& policy, It first, It last, Compare comp) {
+template <class It, class Compare>
+std::pair<It, It> minmax_element(const exec::policy& policy, It first, It last,
+                                 Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::minmax_element);
   const index_t n = std::distance(first, last);
   if (n <= 0) { return {last, last}; }
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::minmax_element(first, last, comp); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         using pair_t = std::pair<index_t, index_t>;  // (first min, last max)
         const pair_t best = backends::parallel_reduce(
             be, n, grain, pair_t{0, 0},
@@ -349,21 +352,21 @@ std::pair<It, It> minmax_element(P&& policy, It first, It last, Compare comp) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-std::pair<It, It> minmax_element(P&& policy, It first, It last) {
+template <class It>
+std::pair<It, It> minmax_element(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::minmax_element);
-  return pstlb::minmax_element(std::forward<P>(policy), first, last, std::less<>{});
+  return pstlb::minmax_element(policy, first, last, std::less<>{});
 }
 
 // --- find family ------------------------------------------------------------
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-It find_if(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+It find_if(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::find_if);
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::find_if(first, last, pred); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         const index_t hit = backends::parallel_find(
             be, n, grain, [&](index_t b, index_t e) {
               return static_cast<index_t>(std::find_if(first + b, first + e, pred) -
@@ -373,15 +376,15 @@ It find_if(P&& policy, It first, It last, Pred pred) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-It find_if_not(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+It find_if_not(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::find_if_not);
-  return pstlb::find_if(std::forward<P>(policy), first, last,
+  return pstlb::find_if(policy, first, last,
                         [&pred](const auto& x) { return !pred(x); });
 }
 
-template <exec::ExecutionPolicy P, class It, class T>
-It find(P&& policy, It first, It last, const T& value) {
+template <class It, class T>
+It find(const exec::policy& policy, It first, It last, const T& value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::find);
   using Elem = typename std::iterator_traits<It>::value_type;
   // par_unseq: same-typed value searches run the branchless block probe
@@ -389,14 +392,14 @@ It find(P&& policy, It first, It last, const T& value) {
   // parallel_find skeleton's first-hit fold is unchanged.
   if constexpr (simd::leaf_eligible_v<Elem, It> && std::is_same_v<T, Elem>) {
     const simd::kernel_set<Elem>* vk =
-        simd::leaf_for<Elem, It>(exec::wants_vector_leaf(policy));
+        simd::leaf_for<Elem, It>(policy.unseq);
     if (vk != nullptr) {
       const index_t n = std::distance(first, last);
       const Elem* p = std::to_address(first);
       const Elem v = value;
-      return exec::dispatch<It>(
+      return exec::dispatch(
           policy, n, [&] { return first + vk->find_eq(p, n, v); },
-          [&](auto be, index_t grain) {
+          [&](const backends::backend& be, index_t grain) {
             const index_t hit = backends::parallel_find(
                 be, n, grain, [&](index_t b, index_t e) {
                   return b + vk->find_eq(p + b, e - b, v);
@@ -405,36 +408,36 @@ It find(P&& policy, It first, It last, const T& value) {
           });
     }
   }
-  return pstlb::find_if(std::forward<P>(policy), first, last,
+  return pstlb::find_if(policy, first, last,
                         [&value](const auto& x) { return x == value; });
 }
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-bool any_of(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+bool any_of(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::any_of);
-  return pstlb::find_if(std::forward<P>(policy), first, last, pred) != last;
+  return pstlb::find_if(policy, first, last, pred) != last;
 }
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-bool none_of(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+bool none_of(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::none_of);
-  return !pstlb::any_of(std::forward<P>(policy), first, last, pred);
+  return !pstlb::any_of(policy, first, last, pred);
 }
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-bool all_of(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+bool all_of(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::all_of);
-  return pstlb::find_if_not(std::forward<P>(policy), first, last, pred) == last;
+  return pstlb::find_if_not(policy, first, last, pred) == last;
 }
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-It adjacent_find(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+It adjacent_find(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::adjacent_find);
   const index_t n = std::distance(first, last);
   if (n < 2) { return last; }
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::adjacent_find(first, last, pred); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         // Search the n-1 adjacent pairs; pair i = (v[i], v[i+1]).
         const index_t hit = backends::parallel_find(
             be, n - 1, grain, [&](index_t b, index_t e) {
@@ -447,21 +450,22 @@ It adjacent_find(P&& policy, It first, It last, Pred pred) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-It adjacent_find(P&& policy, It first, It last) {
+template <class It>
+It adjacent_find(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::adjacent_find);
-  return pstlb::adjacent_find(std::forward<P>(policy), first, last, std::equal_to<>{});
+  return pstlb::adjacent_find(policy, first, last, std::equal_to<>{});
 }
 
 // --- mismatch / equal -------------------------------------------------------
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Pred>
-std::pair<It1, It2> mismatch(P&& policy, It1 first1, It1 last1, It2 first2, Pred pred) {
+template <class It1, class It2, class Pred>
+std::pair<It1, It2> mismatch(const exec::policy& policy, It1 first1, It1 last1,
+                             It2 first2, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::mismatch);
   const index_t n = std::distance(first1, last1);
-  return exec::dispatch<It1, It2>(
+  return exec::dispatch(
       policy, n, [&] { return std::mismatch(first1, last1, first2, pred); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         const index_t hit = backends::parallel_find(
             be, n, grain, [&](index_t b, index_t e) {
               for (index_t i = b; i < e; ++i) {
@@ -473,97 +477,100 @@ std::pair<It1, It2> mismatch(P&& policy, It1 first1, It1 last1, It2 first2, Pred
       });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2>
-std::pair<It1, It2> mismatch(P&& policy, It1 first1, It1 last1, It2 first2) {
+template <class It1, class It2>
+std::pair<It1, It2> mismatch(const exec::policy& policy, It1 first1, It1 last1,
+                             It2 first2) {
   stats::scoped_call pstlb_stats_scope_(stats::op::mismatch);
-  return pstlb::mismatch(std::forward<P>(policy), first1, last1, first2,
+  return pstlb::mismatch(policy, first1, last1, first2,
                          std::equal_to<>{});
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Pred>
-std::pair<It1, It2> mismatch(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2,
-                             Pred pred) {
+template <class It1, class It2, class Pred>
+std::pair<It1, It2> mismatch(const exec::policy& policy, It1 first1, It1 last1,
+                             It2 first2, It2 last2, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::mismatch);
   const index_t n =
       std::min<index_t>(std::distance(first1, last1), std::distance(first2, last2));
-  auto result = pstlb::mismatch(std::forward<P>(policy), first1, first1 + n, first2, pred);
+  auto result = pstlb::mismatch(policy, first1, first1 + n, first2, pred);
   return result;
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2>
-std::pair<It1, It2> mismatch(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2) {
+template <class It1, class It2>
+std::pair<It1, It2> mismatch(const exec::policy& policy, It1 first1, It1 last1,
+                             It2 first2, It2 last2) {
   stats::scoped_call pstlb_stats_scope_(stats::op::mismatch);
-  return pstlb::mismatch(std::forward<P>(policy), first1, last1, first2, last2,
+  return pstlb::mismatch(policy, first1, last1, first2, last2,
                          std::equal_to<>{});
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Pred>
-bool equal(P&& policy, It1 first1, It1 last1, It2 first2, Pred pred) {
+template <class It1, class It2, class Pred>
+bool equal(const exec::policy& policy, It1 first1, It1 last1, It2 first2, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::equal);
-  return pstlb::mismatch(std::forward<P>(policy), first1, last1, first2, pred).first ==
+  return pstlb::mismatch(policy, first1, last1, first2, pred).first ==
          last1;
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2>
-bool equal(P&& policy, It1 first1, It1 last1, It2 first2) {
+template <class It1, class It2>
+bool equal(const exec::policy& policy, It1 first1, It1 last1, It2 first2) {
   stats::scoped_call pstlb_stats_scope_(stats::op::equal);
-  return pstlb::equal(std::forward<P>(policy), first1, last1, first2,
+  return pstlb::equal(policy, first1, last1, first2,
                       std::equal_to<>{});
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Pred>
-bool equal(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Pred pred) {
+template <class It1, class It2, class Pred>
+bool equal(const exec::policy& policy, It1 first1, It1 last1, It2 first2, It2 last2,
+           Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::equal);
   if (std::distance(first1, last1) != std::distance(first2, last2)) { return false; }
-  return pstlb::equal(std::forward<P>(policy), first1, last1, first2, pred);
+  return pstlb::equal(policy, first1, last1, first2, pred);
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2>
-bool equal(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2) {
+template <class It1, class It2>
+bool equal(const exec::policy& policy, It1 first1, It1 last1, It2 first2, It2 last2) {
   stats::scoped_call pstlb_stats_scope_(stats::op::equal);
-  return pstlb::equal(std::forward<P>(policy), first1, last1, first2, last2,
+  return pstlb::equal(policy, first1, last1, first2, last2,
                       std::equal_to<>{});
 }
 
 // --- sortedness / heap / partition predicates --------------------------------
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-It is_sorted_until(P&& policy, It first, It last, Compare comp) {
+template <class It, class Compare>
+It is_sorted_until(const exec::policy& policy, It first, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::is_sorted_until);
   // First position i+1 such that comp(v[i+1], v[i]) — an adjacent_find with
   // the inverted comparison, shifted by one.
   auto hit = pstlb::adjacent_find(
-      std::forward<P>(policy), first, last,
+      policy, first, last,
       [&comp](const auto& a, const auto& b) { return comp(b, a); });
   return hit == last ? last : hit + 1;
 }
 
-template <exec::ExecutionPolicy P, class It>
-It is_sorted_until(P&& policy, It first, It last) {
+template <class It>
+It is_sorted_until(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::is_sorted_until);
-  return pstlb::is_sorted_until(std::forward<P>(policy), first, last, std::less<>{});
+  return pstlb::is_sorted_until(policy, first, last, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-bool is_sorted(P&& policy, It first, It last, Compare comp) {
+template <class It, class Compare>
+bool is_sorted(const exec::policy& policy, It first, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::is_sorted);
-  return pstlb::is_sorted_until(std::forward<P>(policy), first, last, comp) == last;
+  return pstlb::is_sorted_until(policy, first, last, comp) == last;
 }
 
-template <exec::ExecutionPolicy P, class It>
-bool is_sorted(P&& policy, It first, It last) {
+template <class It>
+bool is_sorted(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::is_sorted);
-  return pstlb::is_sorted(std::forward<P>(policy), first, last, std::less<>{});
+  return pstlb::is_sorted(policy, first, last, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-It is_heap_until(P&& policy, It first, It last, Compare comp) {
+template <class It, class Compare>
+It is_heap_until(const exec::policy& policy, It first, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::is_heap_until);
   const index_t n = std::distance(first, last);
   if (n < 2) { return last; }
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::is_heap_until(first, last, comp); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         // Element i violates the heap property iff comp(parent, child).
         const index_t hit = backends::parallel_find(
             be, n - 1, grain, [&](index_t b, index_t e) {
@@ -577,37 +584,37 @@ It is_heap_until(P&& policy, It first, It last, Compare comp) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-It is_heap_until(P&& policy, It first, It last) {
+template <class It>
+It is_heap_until(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::is_heap_until);
-  return pstlb::is_heap_until(std::forward<P>(policy), first, last, std::less<>{});
+  return pstlb::is_heap_until(policy, first, last, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-bool is_heap(P&& policy, It first, It last, Compare comp) {
+template <class It, class Compare>
+bool is_heap(const exec::policy& policy, It first, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::is_heap);
-  return pstlb::is_heap_until(std::forward<P>(policy), first, last, comp) == last;
+  return pstlb::is_heap_until(policy, first, last, comp) == last;
 }
 
-template <exec::ExecutionPolicy P, class It>
-bool is_heap(P&& policy, It first, It last) {
+template <class It>
+bool is_heap(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::is_heap);
-  return pstlb::is_heap(std::forward<P>(policy), first, last, std::less<>{});
+  return pstlb::is_heap(policy, first, last, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-bool is_partitioned(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+bool is_partitioned(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::is_partitioned);
   It boundary = pstlb::find_if_not(policy, first, last, pred);
   if (boundary == last) { return true; }
-  return pstlb::none_of(std::forward<P>(policy), boundary, last, pred);
+  return pstlb::none_of(policy, boundary, last, pred);
 }
 
 // --- lexicographical compare --------------------------------------------------
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Compare>
-bool lexicographical_compare(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2,
-                             Compare comp) {
+template <class It1, class It2, class Compare>
+bool lexicographical_compare(const exec::policy& policy, It1 first1, It1 last1,
+                             It2 first2, It2 last2, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::lexicographical_compare);
   const index_t n1 = std::distance(first1, last1);
   const index_t n2 = std::distance(first2, last2);
@@ -623,24 +630,25 @@ bool lexicographical_compare(P&& policy, It1 first1, It1 last1, It2 first2, It2 
   return n1 < n2;
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2>
-bool lexicographical_compare(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2) {
+template <class It1, class It2>
+bool lexicographical_compare(const exec::policy& policy, It1 first1, It1 last1,
+                             It2 first2, It2 last2) {
   stats::scoped_call pstlb_stats_scope_(stats::op::lexicographical_compare);
-  return pstlb::lexicographical_compare(std::forward<P>(policy), first1, last1, first2,
+  return pstlb::lexicographical_compare(policy, first1, last1, first2,
                                         last2, std::less<>{});
 }
 
 // --- subsequence searches ------------------------------------------------------
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Pred>
-It1 find_first_of(P&& policy, It1 first1, It1 last1, It2 s_first, It2 s_last,
-                  Pred pred) {
+template <class It1, class It2, class Pred>
+It1 find_first_of(const exec::policy& policy, It1 first1, It1 last1, It2 s_first,
+                  It2 s_last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::find_first_of);
   const index_t n = std::distance(first1, last1);
-  return exec::dispatch<It1>(
+  return exec::dispatch(
       policy, n,
       [&] { return std::find_first_of(first1, last1, s_first, s_last, pred); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         const index_t hit = backends::parallel_find(
             be, n, grain, [&](index_t b, index_t e) {
               return static_cast<index_t>(
@@ -651,25 +659,27 @@ It1 find_first_of(P&& policy, It1 first1, It1 last1, It2 s_first, It2 s_last,
       });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2>
-It1 find_first_of(P&& policy, It1 first1, It1 last1, It2 s_first, It2 s_last) {
+template <class It1, class It2>
+It1 find_first_of(const exec::policy& policy, It1 first1, It1 last1, It2 s_first,
+                  It2 s_last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::find_first_of);
-  return pstlb::find_first_of(std::forward<P>(policy), first1, last1, s_first, s_last,
+  return pstlb::find_first_of(policy, first1, last1, s_first, s_last,
                               std::equal_to<>{});
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Pred>
-It1 search(P&& policy, It1 first1, It1 last1, It2 s_first, It2 s_last, Pred pred) {
+template <class It1, class It2, class Pred>
+It1 search(const exec::policy& policy, It1 first1, It1 last1, It2 s_first, It2 s_last,
+           Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::search);
   const index_t n = std::distance(first1, last1);
   const index_t m = std::distance(s_first, s_last);
   if (m == 0) { return first1; }
   if (m > n) { return last1; }
   const index_t windows = n - m + 1;
-  return exec::dispatch<It1, It2>(
+  return exec::dispatch(
       policy, windows,
       [&] { return std::search(first1, last1, s_first, s_last, pred); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         const index_t hit = backends::parallel_find(
             be, windows, grain, [&](index_t b, index_t e) {
               for (index_t i = b; i < e; ++i) {
@@ -681,25 +691,26 @@ It1 search(P&& policy, It1 first1, It1 last1, It2 s_first, It2 s_last, Pred pred
       });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2>
-It1 search(P&& policy, It1 first1, It1 last1, It2 s_first, It2 s_last) {
+template <class It1, class It2>
+It1 search(const exec::policy& policy, It1 first1, It1 last1, It2 s_first, It2 s_last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::search);
-  return pstlb::search(std::forward<P>(policy), first1, last1, s_first, s_last,
+  return pstlb::search(policy, first1, last1, s_first, s_last,
                        std::equal_to<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Size, class T, class Pred>
-It search_n(P&& policy, It first, It last, Size count, const T& value, Pred pred) {
+template <class It, class Size, class T, class Pred>
+It search_n(const exec::policy& policy, It first, It last, Size count, const T& value,
+            Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::search_n);
   const index_t n = std::distance(first, last);
   const index_t m = static_cast<index_t>(count);
   if (m <= 0) { return first; }
   if (m > n) { return last; }
   const index_t windows = n - m + 1;
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, windows,
       [&] { return std::search_n(first, last, count, value, pred); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         const index_t hit = backends::parallel_find(
             be, windows, grain, [&](index_t b, index_t e) {
               for (index_t i = b; i < e; ++i) {
@@ -718,24 +729,25 @@ It search_n(P&& policy, It first, It last, Size count, const T& value, Pred pred
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Size, class T>
-It search_n(P&& policy, It first, It last, Size count, const T& value) {
+template <class It, class Size, class T>
+It search_n(const exec::policy& policy, It first, It last, Size count, const T& value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::search_n);
-  return pstlb::search_n(std::forward<P>(policy), first, last, count, value,
+  return pstlb::search_n(policy, first, last, count, value,
                          std::equal_to<>{});
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Pred>
-It1 find_end(P&& policy, It1 first1, It1 last1, It2 s_first, It2 s_last, Pred pred) {
+template <class It1, class It2, class Pred>
+It1 find_end(const exec::policy& policy, It1 first1, It1 last1, It2 s_first, It2 s_last,
+             Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::find_end);
   const index_t n = std::distance(first1, last1);
   const index_t m = std::distance(s_first, s_last);
   if (m == 0 || m > n) { return last1; }
   const index_t windows = n - m + 1;
-  return exec::dispatch<It1, It2>(
+  return exec::dispatch(
       policy, windows,
       [&] { return std::find_end(first1, last1, s_first, s_last, pred); },
-      [&](auto be, index_t grain) {
+      [&](const backends::backend& be, index_t grain) {
         // Last occurrence: reduce block-local last matches with max.
         const index_t best = backends::parallel_reduce(
             be, windows, grain, index_t{-1},
@@ -751,10 +763,10 @@ It1 find_end(P&& policy, It1 first1, It1 last1, It2 s_first, It2 s_last, Pred pr
       });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2>
-It1 find_end(P&& policy, It1 first1, It1 last1, It2 s_first, It2 s_last) {
+template <class It1, class It2>
+It1 find_end(const exec::policy& policy, It1 first1, It1 last1, It2 s_first, It2 s_last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::find_end);
-  return pstlb::find_end(std::forward<P>(policy), first1, last1, s_first, s_last,
+  return pstlb::find_end(policy, first1, last1, s_first, s_last,
                          std::equal_to<>{});
 }
 

@@ -43,9 +43,9 @@ inline void report_scan_traffic(index_t n_read, index_t n_written,
 /// Shared implementation for all eight scan front-ends.
 /// `init` is folded in front of the sequence when present. `inclusive`
 /// selects whether out[i] includes element i.
-template <bool Inclusive, class P, class It, class Out, class T, class Op, class Unary>
-Out scan_impl(P&& policy, It first, It last, Out out, std::optional<T> init, Op op,
-              Unary unary) {
+template <bool Inclusive, class It, class Out, class T, class Op, class Unary>
+Out scan_impl(const exec::policy& policy, It first, It last, Out out,
+              std::optional<T> init, Op op, Unary unary) {
   const index_t n = std::distance(first, last);
   if (n == 0) { return out; }
 
@@ -71,15 +71,14 @@ Out scan_impl(P&& policy, It first, It last, Out out, std::optional<T> init, Op 
   using in_t = typename std::iterator_traits<It>::value_type;
   // NUMA placement hint: chunks seed onto the node owning first[i]'s pages.
   const auto hint = exec::data_hint(first);
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n,
       [&] {
         scan_block(0, n, init);
         report_scan_traffic(n, n, sizeof(in_t), sizeof(T), 1.0);
         return out + n;
       },
-      [&](auto be, index_t grain) {
-        (void)grain;  // scans use fixed chunk tables, not the loop grain
+      [&](const backends::backend& be, index_t) {  // fixed chunk tables, not the grain
         // par_unseq: the up-sweep aggregate pass of a plain plus-scan is a
         // block sum and runs the SIMD reduce_sum kernel (reassociation is
         // licensed under unseq). The down-sweep keeps the ordered serial
@@ -89,7 +88,7 @@ Out scan_impl(P&& policy, It first, It last, Out out, std::optional<T> init, Op 
                                 std::is_same_v<Unary, identity_fn>;
         const simd::kernel_set<T>* vk = nullptr;
         if constexpr (vec_ok) {
-          vk = simd::leaf_for<T, It>(exec::wants_vector_leaf(policy));
+          vk = simd::leaf_for<T, It>(policy.unseq);
         }
         auto reduce_block = [&](index_t b, index_t e) {
           if constexpr (vec_ok) {
@@ -154,12 +153,11 @@ Out scan_impl(P&& policy, It first, It last, Out out, std::optional<T> init, Op 
           return std::move(*raw);
         };
         if (exec::use_lookback_scan(policy, n)) {
-          backends::parallel_scan_1p<decltype(be), T>(be, n, op, reduce_block,
-                                                      scan_chunk, fused_chunk);
+          backends::parallel_scan_1p<T>(be, n, op, reduce_block, scan_chunk,
+                                       fused_chunk);
           report_scan_traffic(n, n, sizeof(in_t), sizeof(T), 1.0);
         } else {
-          backends::parallel_scan<decltype(be), T>(be, n, op, reduce_block,
-                                                   scan_chunk);
+          backends::parallel_scan<T>(be, n, op, reduce_block, scan_chunk);
           report_scan_traffic(n, n, sizeof(in_t), sizeof(T), 2.0);
         }
         return out + n;
@@ -177,84 +175,85 @@ struct identity_fn {
 
 // --- inclusive_scan -----------------------------------------------------------
 
-template <exec::ExecutionPolicy P, class It, class Out, class Op, class T>
-Out inclusive_scan(P&& policy, It first, It last, Out out, Op op, T init) {
+template <class It, class Out, class Op, class T>
+Out inclusive_scan(const exec::policy& policy, It first, It last, Out out, Op op,
+                   T init) {
   stats::scoped_call pstlb_stats_scope_(stats::op::inclusive_scan);
-  return detail::scan_impl<true>(std::forward<P>(policy), first, last, out,
+  return detail::scan_impl<true>(policy, first, last, out,
                                  std::optional<T>{std::move(init)}, op,
                                  detail::identity_fn{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Out, class Op>
-Out inclusive_scan(P&& policy, It first, It last, Out out, Op op) {
+template <class It, class Out, class Op>
+Out inclusive_scan(const exec::policy& policy, It first, It last, Out out, Op op) {
   stats::scoped_call pstlb_stats_scope_(stats::op::inclusive_scan);
   using T = typename std::iterator_traits<It>::value_type;
-  return detail::scan_impl<true>(std::forward<P>(policy), first, last, out,
+  return detail::scan_impl<true>(policy, first, last, out,
                                  std::optional<T>{}, op, detail::identity_fn{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Out>
-Out inclusive_scan(P&& policy, It first, It last, Out out) {
+template <class It, class Out>
+Out inclusive_scan(const exec::policy& policy, It first, It last, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::inclusive_scan);
-  return pstlb::inclusive_scan(std::forward<P>(policy), first, last, out,
+  return pstlb::inclusive_scan(policy, first, last, out,
                                std::plus<>{});
 }
 
 // --- exclusive_scan -----------------------------------------------------------
 
-template <exec::ExecutionPolicy P, class It, class Out, class T, class Op>
-Out exclusive_scan(P&& policy, It first, It last, Out out, T init, Op op) {
+template <class It, class Out, class T, class Op>
+Out exclusive_scan(const exec::policy& policy, It first, It last, Out out, T init,
+                   Op op) {
   stats::scoped_call pstlb_stats_scope_(stats::op::exclusive_scan);
-  return detail::scan_impl<false>(std::forward<P>(policy), first, last, out,
+  return detail::scan_impl<false>(policy, first, last, out,
                                   std::optional<T>{std::move(init)}, op,
                                   detail::identity_fn{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Out, class T>
-Out exclusive_scan(P&& policy, It first, It last, Out out, T init) {
+template <class It, class Out, class T>
+Out exclusive_scan(const exec::policy& policy, It first, It last, Out out, T init) {
   stats::scoped_call pstlb_stats_scope_(stats::op::exclusive_scan);
-  return pstlb::exclusive_scan(std::forward<P>(policy), first, last, out,
+  return pstlb::exclusive_scan(policy, first, last, out,
                                std::move(init), std::plus<>{});
 }
 
 // --- transform scans ------------------------------------------------------------
 
-template <exec::ExecutionPolicy P, class It, class Out, class Op, class Unary>
-Out transform_inclusive_scan(P&& policy, It first, It last, Out out, Op op,
-                             Unary unary) {
+template <class It, class Out, class Op, class Unary>
+Out transform_inclusive_scan(const exec::policy& policy, It first, It last, Out out,
+                             Op op, Unary unary) {
   stats::scoped_call pstlb_stats_scope_(stats::op::transform_inclusive_scan);
   using T = std::decay_t<decltype(unary(*first))>;
-  return detail::scan_impl<true>(std::forward<P>(policy), first, last, out,
+  return detail::scan_impl<true>(policy, first, last, out,
                                  std::optional<T>{}, op, unary);
 }
 
-template <exec::ExecutionPolicy P, class It, class Out, class Op, class Unary, class T>
-Out transform_inclusive_scan(P&& policy, It first, It last, Out out, Op op,
-                             Unary unary, T init) {
+template <class It, class Out, class Op, class Unary, class T>
+Out transform_inclusive_scan(const exec::policy& policy, It first, It last, Out out,
+                             Op op, Unary unary, T init) {
   stats::scoped_call pstlb_stats_scope_(stats::op::transform_inclusive_scan);
-  return detail::scan_impl<true>(std::forward<P>(policy), first, last, out,
+  return detail::scan_impl<true>(policy, first, last, out,
                                  std::optional<T>{std::move(init)}, op, unary);
 }
 
-template <exec::ExecutionPolicy P, class It, class Out, class T, class Op, class Unary>
-Out transform_exclusive_scan(P&& policy, It first, It last, Out out, T init, Op op,
-                             Unary unary) {
+template <class It, class Out, class T, class Op, class Unary>
+Out transform_exclusive_scan(const exec::policy& policy, It first, It last, Out out,
+                             T init, Op op, Unary unary) {
   stats::scoped_call pstlb_stats_scope_(stats::op::transform_exclusive_scan);
-  return detail::scan_impl<false>(std::forward<P>(policy), first, last, out,
+  return detail::scan_impl<false>(policy, first, last, out,
                                   std::optional<T>{std::move(init)}, op, unary);
 }
 
 // --- pack family (copy_if and friends) -------------------------------------------
 
-template <exec::ExecutionPolicy P, class It, class Out, class Pred>
-Out copy_if(P&& policy, It first, It last, Out out, Pred pred) {
+template <class It, class Out, class Pred>
+Out copy_if(const exec::policy& policy, It first, It last, Out out, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::copy_if);
   using in_t = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n, [&] { return std::copy_if(first, last, out, pred); },
-      [&](auto be, index_t grain) {
-        (void)grain;
+      [&](const backends::backend& be, index_t) {
         auto count_block = [&](index_t b, index_t e) {
           return static_cast<index_t>(std::count_if(first + b, first + e, pred));
         };
@@ -278,30 +277,29 @@ Out copy_if(P&& policy, It first, It last, Out out, Pred pred) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Out, class T>
-Out remove_copy(P&& policy, It first, It last, Out out, const T& value) {
+template <class It, class Out, class T>
+Out remove_copy(const exec::policy& policy, It first, It last, Out out, const T& value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::remove_copy);
-  return pstlb::copy_if(std::forward<P>(policy), first, last, out,
+  return pstlb::copy_if(policy, first, last, out,
                         [&value](const auto& x) { return !(x == value); });
 }
 
-template <exec::ExecutionPolicy P, class It, class Out, class Pred>
-Out remove_copy_if(P&& policy, It first, It last, Out out, Pred pred) {
+template <class It, class Out, class Pred>
+Out remove_copy_if(const exec::policy& policy, It first, It last, Out out, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::remove_copy_if);
-  return pstlb::copy_if(std::forward<P>(policy), first, last, out,
+  return pstlb::copy_if(policy, first, last, out,
                         [&pred](const auto& x) { return !pred(x); });
 }
 
-template <exec::ExecutionPolicy P, class It1, class Out1, class Out2, class Pred>
-std::pair<Out1, Out2> partition_copy(P&& policy, It1 first, It1 last, Out1 out_true,
-                                     Out2 out_false, Pred pred) {
+template <class It1, class Out1, class Out2, class Pred>
+std::pair<Out1, Out2> partition_copy(const exec::policy& policy, It1 first, It1 last,
+                                     Out1 out_true, Out2 out_false, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::partition_copy);
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It1, Out1, Out2>(
+  return exec::dispatch(
       policy, n,
       [&] { return std::partition_copy(first, last, out_true, out_false, pred); },
-      [&](auto be, index_t grain) {
-        (void)grain;
+      [&](const backends::backend& be, index_t) {
         // The pack offset counts matching elements before the chunk; the
         // non-matching offset is derivable as (chunk begin - matching count).
         auto count_block = [&](index_t b, index_t e) {
@@ -337,16 +335,15 @@ std::pair<Out1, Out2> partition_copy(P&& policy, It1 first, It1 last, Out1 out_t
 /// unique_copy keeps element i iff i == 0 or it differs from element i-1 —
 /// a pure function of the *input*, which is what makes the parallel pack
 /// legal (unlike in-place unique, which is rewritten via a buffer below).
-template <exec::ExecutionPolicy P, class It, class Out, class Pred>
-Out unique_copy(P&& policy, It first, It last, Out out, Pred pred) {
+template <class It, class Out, class Pred>
+Out unique_copy(const exec::policy& policy, It first, It last, Out out, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::unique_copy);
   const index_t n = std::distance(first, last);
   if (n == 0) { return out; }
   auto keep = [&](index_t i) { return i == 0 || !pred(first[i - 1], first[i]); };
-  return exec::dispatch<It, Out>(
+  return exec::dispatch(
       policy, n, [&] { return std::unique_copy(first, last, out, pred); },
-      [&](auto be, index_t grain) {
-        (void)grain;
+      [&](const backends::backend& be, index_t) {
         auto count_block = [&](index_t b, index_t e) {
           index_t kept = 0;
           for (index_t i = b; i < e; ++i) { kept += keep(i) ? 1 : 0; }
@@ -373,25 +370,23 @@ Out unique_copy(P&& policy, It first, It last, Out out, Pred pred) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class Out>
-Out unique_copy(P&& policy, It first, It last, Out out) {
+template <class It, class Out>
+Out unique_copy(const exec::policy& policy, It first, It last, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::unique_copy);
-  return pstlb::unique_copy(std::forward<P>(policy), first, last, out,
+  return pstlb::unique_copy(policy, first, last, out,
                             std::equal_to<>{});
 }
 
 // --- in-place removals (buffer + move back, as real backends do) -----------------
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-It remove_if(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+It remove_if(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::remove_if);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::remove_if(first, last, pred); },
-      [&](auto be, index_t grain) {
-        (void)be;
-        (void)grain;
+      [&](const backends::backend&, index_t) {
         std::vector<T> kept(static_cast<std::size_t>(n));
         auto end_kept = pstlb::remove_copy_if(policy, first, last, kept.begin(), pred);
         const index_t count = end_kept - kept.begin();
@@ -400,23 +395,21 @@ It remove_if(P&& policy, It first, It last, Pred pred) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class T>
-It remove(P&& policy, It first, It last, const T& value) {
+template <class It, class T>
+It remove(const exec::policy& policy, It first, It last, const T& value) {
   stats::scoped_call pstlb_stats_scope_(stats::op::remove);
-  return pstlb::remove_if(std::forward<P>(policy), first, last,
+  return pstlb::remove_if(policy, first, last,
                           [&value](const auto& x) { return x == value; });
 }
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-It unique(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+It unique(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::unique);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::unique(first, last, pred); },
-      [&](auto be, index_t grain) {
-        (void)be;
-        (void)grain;
+      [&](const backends::backend&, index_t) {
         std::vector<T> kept(static_cast<std::size_t>(n));
         auto end_kept = pstlb::unique_copy(policy, first, last, kept.begin(), pred);
         const index_t count = end_kept - kept.begin();
@@ -425,10 +418,10 @@ It unique(P&& policy, It first, It last, Pred pred) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-It unique(P&& policy, It first, It last) {
+template <class It>
+It unique(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::unique);
-  return pstlb::unique(std::forward<P>(policy), first, last, std::equal_to<>{});
+  return pstlb::unique(policy, first, last, std::equal_to<>{});
 }
 
 }  // namespace pstlb

@@ -91,15 +91,14 @@ std::vector<set_chunk> make_set_chunks(ItA a, index_t na, ItB b, index_t nb,
 /// Shared two-pass driver for the four set operations. `op(a0,a1,b0,b1,out)`
 /// must be a callable running the sequential std:: algorithm and returning
 /// the end output iterator.
-template <class P, class It1, class It2, class Out, class Compare, class SeqOp>
-Out set_op_impl(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Out out,
-                Compare comp, SeqOp op) {
+template <class It1, class It2, class Out, class Compare, class SeqOp>
+Out set_op_impl(const exec::policy& policy, It1 first1, It1 last1, It2 first2, It2 last2,
+                Out out, Compare comp, SeqOp op) {
   const index_t n1 = std::distance(first1, last1);
   const index_t n2 = std::distance(first2, last2);
-  return exec::dispatch<It1, It2, Out>(
+  return exec::dispatch(
       policy, n1 + n2, [&] { return op(first1, last1, first2, last2, out); },
-      [&](auto be, index_t grain) {
-        (void)grain;
+      [&](const backends::backend& be, index_t) {
         const index_t parts = static_cast<index_t>(be.slots()) * 4;
         const auto chunks = make_set_chunks(first1, n1, first2, n2, parts, comp);
         const index_t nchunks = static_cast<index_t>(chunks.size());
@@ -135,90 +134,93 @@ Out set_op_impl(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Out ou
 
 }  // namespace detail
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out, class Compare>
-Out set_union(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Out out,
-              Compare comp) {
+template <class It1, class It2, class Out, class Compare>
+Out set_union(const exec::policy& policy, It1 first1, It1 last1, It2 first2, It2 last2,
+              Out out, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::set_union);
-  return detail::set_op_impl(std::forward<P>(policy), first1, last1, first2, last2,
+  return detail::set_op_impl(policy, first1, last1, first2, last2,
                              out, comp, [comp](auto a0, auto a1, auto b0, auto b1, auto o) {
                                return std::set_union(a0, a1, b0, b1, o, comp);
                              });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out>
-Out set_union(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Out out) {
+template <class It1, class It2, class Out>
+Out set_union(const exec::policy& policy, It1 first1, It1 last1, It2 first2, It2 last2,
+              Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::set_union);
-  return pstlb::set_union(std::forward<P>(policy), first1, last1, first2, last2, out,
+  return pstlb::set_union(policy, first1, last1, first2, last2, out,
                           std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out, class Compare>
-Out set_intersection(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Out out,
-                     Compare comp) {
+template <class It1, class It2, class Out, class Compare>
+Out set_intersection(const exec::policy& policy, It1 first1, It1 last1, It2 first2,
+                     It2 last2, Out out, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::set_intersection);
-  return detail::set_op_impl(std::forward<P>(policy), first1, last1, first2, last2,
+  return detail::set_op_impl(policy, first1, last1, first2, last2,
                              out, comp, [comp](auto a0, auto a1, auto b0, auto b1, auto o) {
                                return std::set_intersection(a0, a1, b0, b1, o, comp);
                              });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out>
-Out set_intersection(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Out out) {
+template <class It1, class It2, class Out>
+Out set_intersection(const exec::policy& policy, It1 first1, It1 last1, It2 first2,
+                     It2 last2, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::set_intersection);
-  return pstlb::set_intersection(std::forward<P>(policy), first1, last1, first2, last2,
+  return pstlb::set_intersection(policy, first1, last1, first2, last2,
                                  out, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out, class Compare>
-Out set_difference(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Out out,
-                   Compare comp) {
+template <class It1, class It2, class Out, class Compare>
+Out set_difference(const exec::policy& policy, It1 first1, It1 last1, It2 first2,
+                   It2 last2, Out out, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::set_difference);
-  return detail::set_op_impl(std::forward<P>(policy), first1, last1, first2, last2,
+  return detail::set_op_impl(policy, first1, last1, first2, last2,
                              out, comp, [comp](auto a0, auto a1, auto b0, auto b1, auto o) {
                                return std::set_difference(a0, a1, b0, b1, o, comp);
                              });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out>
-Out set_difference(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Out out) {
+template <class It1, class It2, class Out>
+Out set_difference(const exec::policy& policy, It1 first1, It1 last1, It2 first2,
+                   It2 last2, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::set_difference);
-  return pstlb::set_difference(std::forward<P>(policy), first1, last1, first2, last2,
+  return pstlb::set_difference(policy, first1, last1, first2, last2,
                                out, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out, class Compare>
-Out set_symmetric_difference(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2,
-                             Out out, Compare comp) {
+template <class It1, class It2, class Out, class Compare>
+Out set_symmetric_difference(const exec::policy& policy, It1 first1, It1 last1,
+                             It2 first2, It2 last2, Out out, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::set_symmetric_difference);
-  return detail::set_op_impl(std::forward<P>(policy), first1, last1, first2, last2,
+  return detail::set_op_impl(policy, first1, last1, first2, last2,
                              out, comp, [comp](auto a0, auto a1, auto b0, auto b1, auto o) {
                                return std::set_symmetric_difference(a0, a1, b0, b1, o,
                                                                     comp);
                              });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out>
-Out set_symmetric_difference(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2,
-                             Out out) {
+template <class It1, class It2, class Out>
+Out set_symmetric_difference(const exec::policy& policy, It1 first1, It1 last1,
+                             It2 first2, It2 last2, Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::set_symmetric_difference);
-  return pstlb::set_symmetric_difference(std::forward<P>(policy), first1, last1,
+  return pstlb::set_symmetric_difference(policy, first1, last1,
                                          first2, last2, out, std::less<>{});
 }
 
 /// includes: is the sorted needle range [first2, last2) a sub-multiset of the
 /// sorted haystack [first1, last1)? Chunked by needle values; every chunk must
 /// individually be included in its value-aligned haystack slice.
-template <exec::ExecutionPolicy P, class It1, class It2, class Compare>
-bool includes(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Compare comp) {
+template <class It1, class It2, class Compare>
+bool includes(const exec::policy& policy, It1 first1, It1 last1, It2 first2, It2 last2,
+              Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::includes);
   const index_t n1 = std::distance(first1, last1);
   const index_t n2 = std::distance(first2, last2);
   if (n2 == 0) { return true; }
-  return exec::dispatch<It1, It2>(
+  return exec::dispatch(
       policy, n1 + n2,
       [&] { return std::includes(first1, last1, first2, last2, comp); },
-      [&](auto be, index_t grain) {
-        (void)grain;
+      [&](const backends::backend& be, index_t) {
         const index_t parts = static_cast<index_t>(be.slots()) * 4;
         // Drive the cuts by the needle so each needle chunk is complete.
         const auto chunks = detail::make_set_chunks(first2, n2, first1, n1, parts, comp);
@@ -237,10 +239,10 @@ bool includes(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Compare 
       });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2>
-bool includes(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2) {
+template <class It1, class It2>
+bool includes(const exec::policy& policy, It1 first1, It1 last1, It2 first2, It2 last2) {
   stats::scoped_call pstlb_stats_scope_(stats::op::includes);
-  return pstlb::includes(std::forward<P>(policy), first1, last1, first2, last2,
+  return pstlb::includes(policy, first1, last1, first2, last2,
                          std::less<>{});
 }
 

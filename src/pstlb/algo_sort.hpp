@@ -43,23 +43,11 @@ namespace pstlb {
 
 namespace detail {
 
-/// Reads the policy's multiway-sort preference (seq policies have none).
-template <class P>
-bool sort_multiway_of(const P& policy) {
-  if constexpr (exec::ParallelPolicy<P>) {
-    return policy.multiway_sort;
-  } else {
-    (void)policy;
-    return false;
-  }
-}
-
 /// True when this sort should take the samplesort pipeline. Resolution
 /// order: PSTLB_SORT=sample|merge (ablation override, any other value is
 /// ignored) > the policy's sort_path > the automatic size threshold.
 /// Callers gate on samplesort's type requirements before asking.
-template <class P>
-bool use_samplesort(const P& policy, index_t n) {
+inline bool use_samplesort(const exec::policy& policy, index_t n) {
   const std::string choice = env::string_or("PSTLB_SORT", "");
   if (choice == "sample") { return true; }
   if (choice == "merge") { return false; }
@@ -75,9 +63,9 @@ struct sub_merge {
   index_t a0, a1, b0, b1, out;
 };
 
-template <class B, class It, class Compare, bool Stable>
-void parallel_mergesort(const B& be, It first, index_t n, Compare comp,
-                        bool multiway = false) {
+template <bool Stable, class It, class Compare>
+void parallel_mergesort(const backends::backend& be, It first, index_t n,
+                        Compare comp, bool multiway) {
   using T = typename std::iterator_traits<It>::value_type;
   if (n < 2) { return; }
   auto& stats =
@@ -237,9 +225,9 @@ void parallel_mergesort(const B& be, It first, index_t n, Compare comp,
 /// splitter copies and value-initializes its scatter buffer, so types that
 /// are not copy-constructible + default-constructible + move-assignable
 /// silently keep the mergesort pipeline (which needs only the latter two).
-template <bool Stable, class B, class P, class It, class Compare>
-void parallel_sort_dispatch(const B& be, const P& policy, It first, index_t n,
-                            Compare comp) {
+template <bool Stable, class It, class Compare>
+void parallel_sort_dispatch(const backends::backend& be, const exec::policy& policy,
+                            It first, index_t n, Compare comp) {
   using T = typename std::iterator_traits<It>::value_type;
   if constexpr (std::is_copy_constructible_v<T> &&
                 std::is_default_constructible_v<T> &&
@@ -253,80 +241,77 @@ void parallel_sort_dispatch(const B& be, const P& policy, It first, index_t n,
       }
     }
   }
-  parallel_mergesort<B, It, Compare, Stable>(be, first, n, comp,
-                                             sort_multiway_of(policy));
+  parallel_mergesort<Stable>(be, first, n, comp, policy.multiway_sort);
 }
 
 }  // namespace detail
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-void sort(P&& policy, It first, It last, Compare comp) {
+template <class It, class Compare>
+void sort(const exec::policy& policy, It first, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::sort);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::sort(first, last, comp); },
-      [&](auto be, index_t grain) {
-        (void)grain;
+      [&](const backends::backend& be, index_t) {
         detail::parallel_sort_dispatch<false>(be, policy, first, n, comp);
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-void sort(P&& policy, It first, It last) {
+template <class It>
+void sort(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::sort);
-  pstlb::sort(std::forward<P>(policy), first, last, std::less<>{});
+  pstlb::sort(policy, first, last, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-void stable_sort(P&& policy, It first, It last, Compare comp) {
+template <class It, class Compare>
+void stable_sort(const exec::policy& policy, It first, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::stable_sort);
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::stable_sort(first, last, comp); },
-      [&](auto be, index_t grain) {
-        (void)grain;
+      [&](const backends::backend& be, index_t) {
         detail::parallel_sort_dispatch<true>(be, policy, first, n, comp);
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-void stable_sort(P&& policy, It first, It last) {
+template <class It>
+void stable_sort(const exec::policy& policy, It first, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::stable_sort);
-  pstlb::stable_sort(std::forward<P>(policy), first, last, std::less<>{});
+  pstlb::stable_sort(policy, first, last, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out, class Compare>
-Out merge(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Out out,
-          Compare comp) {
+template <class It1, class It2, class Out, class Compare>
+Out merge(const exec::policy& policy, It1 first1, It1 last1, It2 first2, It2 last2,
+          Out out, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::merge);
   const index_t n1 = std::distance(first1, last1);
   const index_t n2 = std::distance(first2, last2);
-  return exec::dispatch<It1, It2, Out>(
+  return exec::dispatch(
       policy, n1 + n2,
       [&] { return std::merge(first1, last1, first2, last2, out, comp); },
-      [&](auto be, index_t grain) {
-        (void)grain;
+      [&](const backends::backend& be, index_t) {
         detail::parallel_merge_into(be, first1, n1, first2, n2, out, comp);
         return out + n1 + n2;
       });
 }
 
-template <exec::ExecutionPolicy P, class It1, class It2, class Out>
-Out merge(P&& policy, It1 first1, It1 last1, It2 first2, It2 last2, Out out) {
+template <class It1, class It2, class Out>
+Out merge(const exec::policy& policy, It1 first1, It1 last1, It2 first2, It2 last2,
+          Out out) {
   stats::scoped_call pstlb_stats_scope_(stats::op::merge);
-  return pstlb::merge(std::forward<P>(policy), first1, last1, first2, last2, out,
+  return pstlb::merge(policy, first1, last1, first2, last2, out,
                       std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-void inplace_merge(P&& policy, It first, It middle, It last, Compare comp) {
+template <class It, class Compare>
+void inplace_merge(const exec::policy& policy, It first, It middle, It last,
+                   Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::inplace_merge);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
-  exec::dispatch<It>(
+  exec::dispatch(
       policy, n, [&] { std::inplace_merge(first, middle, last, comp); },
-      [&](auto be, index_t grain) {
-        (void)grain;
+      [&](const backends::backend& be, index_t) {
         const index_t n1 = std::distance(first, middle);
         std::vector<T> buffer(static_cast<std::size_t>(n));
         detail::parallel_merge_into(be, std::make_move_iterator(first), n1,
@@ -338,23 +323,22 @@ void inplace_merge(P&& policy, It first, It middle, It last, Compare comp) {
       });
 }
 
-template <exec::ExecutionPolicy P, class It>
-void inplace_merge(P&& policy, It first, It middle, It last) {
+template <class It>
+void inplace_merge(const exec::policy& policy, It first, It middle, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::inplace_merge);
-  pstlb::inplace_merge(std::forward<P>(policy), first, middle, last, std::less<>{});
+  pstlb::inplace_merge(policy, first, middle, last, std::less<>{});
 }
 
 // --- partitioning -------------------------------------------------------------
 
-template <exec::ExecutionPolicy P, class It, class Pred>
-It stable_partition(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+It stable_partition(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::stable_partition);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
-  return exec::dispatch<It>(
+  return exec::dispatch(
       policy, n, [&] { return std::stable_partition(first, last, pred); },
-      [&](auto be, index_t grain) {
-        (void)grain;
+      [&](const backends::backend& be, index_t) {
         std::vector<T> buffer(static_cast<std::size_t>(n));
         // Stays on the two-pass pack regardless of the policy's scan
         // skeleton: the false partition starts at total_true, so every
@@ -385,10 +369,10 @@ It stable_partition(P&& policy, It first, It last, Pred pred) {
 
 /// partition has no stability requirement; the stable implementation is a
 /// valid (and parallel-friendly) one.
-template <exec::ExecutionPolicy P, class It, class Pred>
-It partition(P&& policy, It first, It last, Pred pred) {
+template <class It, class Pred>
+It partition(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::partition);
-  return pstlb::stable_partition(std::forward<P>(policy), first, last, pred);
+  return pstlb::stable_partition(policy, first, last, pred);
 }
 
 // --- order statistics ------------------------------------------------------------
@@ -399,46 +383,45 @@ It partition(P&& policy, It first, It last, Pred pred) {
 // instance of unspecified). This is also what NVC++'s stdpar does for
 // nth_element on GPUs.
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-void nth_element(P&& policy, It first, It nth, It last, Compare comp) {
+template <class It, class Compare>
+void nth_element(const exec::policy& policy, It first, It nth, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::nth_element);
   if (first == last || nth == last) { return; }
-  pstlb::sort(std::forward<P>(policy), first, last, comp);
+  pstlb::sort(policy, first, last, comp);
 }
 
-template <exec::ExecutionPolicy P, class It>
-void nth_element(P&& policy, It first, It nth, It last) {
+template <class It>
+void nth_element(const exec::policy& policy, It first, It nth, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::nth_element);
-  pstlb::nth_element(std::forward<P>(policy), first, nth, last, std::less<>{});
+  pstlb::nth_element(policy, first, nth, last, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class Compare>
-void partial_sort(P&& policy, It first, It middle, It last, Compare comp) {
+template <class It, class Compare>
+void partial_sort(const exec::policy& policy, It first, It middle, It last,
+                  Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::partial_sort);
   if (first == middle) { return; }
-  pstlb::sort(std::forward<P>(policy), first, last, comp);
+  pstlb::sort(policy, first, last, comp);
 }
 
-template <exec::ExecutionPolicy P, class It>
-void partial_sort(P&& policy, It first, It middle, It last) {
+template <class It>
+void partial_sort(const exec::policy& policy, It first, It middle, It last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::partial_sort);
-  pstlb::partial_sort(std::forward<P>(policy), first, middle, last, std::less<>{});
+  pstlb::partial_sort(policy, first, middle, last, std::less<>{});
 }
 
-template <exec::ExecutionPolicy P, class It, class RIt, class Compare>
-RIt partial_sort_copy(P&& policy, It first, It last, RIt d_first, RIt d_last,
-                      Compare comp) {
+template <class It, class RIt, class Compare>
+RIt partial_sort_copy(const exec::policy& policy, It first, It last, RIt d_first,
+                      RIt d_last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::partial_sort_copy);
   const index_t n = std::distance(first, last);
   const index_t m = std::distance(d_first, d_last);
   const index_t k = std::min(n, m);
   if (k <= 0) { return d_first; }
-  return exec::dispatch<It, RIt>(
+  return exec::dispatch(
       policy, n,
       [&] { return std::partial_sort_copy(first, last, d_first, d_last, comp); },
-      [&](auto be, index_t grain) {
-        (void)be;
-        (void)grain;
+      [&](const backends::backend&, index_t) {
         using T = typename std::iterator_traits<It>::value_type;
         std::vector<T> scratch(first, last);
         pstlb::sort(policy, scratch.begin(), scratch.end(), comp);
@@ -447,10 +430,11 @@ RIt partial_sort_copy(P&& policy, It first, It last, RIt d_first, RIt d_last,
       });
 }
 
-template <exec::ExecutionPolicy P, class It, class RIt>
-RIt partial_sort_copy(P&& policy, It first, It last, RIt d_first, RIt d_last) {
+template <class It, class RIt>
+RIt partial_sort_copy(const exec::policy& policy, It first, It last, RIt d_first,
+                      RIt d_last) {
   stats::scoped_call pstlb_stats_scope_(stats::op::partial_sort_copy);
-  return pstlb::partial_sort_copy(std::forward<P>(policy), first, last, d_first,
+  return pstlb::partial_sort_copy(policy, first, last, d_first,
                                   d_last, std::less<>{});
 }
 

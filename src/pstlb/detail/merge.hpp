@@ -63,9 +63,9 @@ std::vector<merge_part> make_merge_parts(ItA a_first, index_t a_len, ItB b_first
 }
 
 /// Stable parallel merge of two sorted ranges into `out` (non-overlapping).
-template <class B, class ItA, class ItB, class Out, class Compare>
-void parallel_merge_into(const B& be, ItA a_first, index_t a_len, ItB b_first,
-                         index_t b_len, Out out, Compare comp) {
+template <class ItA, class ItB, class Out, class Compare>
+void parallel_merge_into(const backends::backend& be, ItA a_first, index_t a_len,
+                         ItB b_first, index_t b_len, Out out, Compare comp) {
   const index_t total = a_len + b_len;
   if (total == 0) { return; }
   const index_t parts =

@@ -56,9 +56,10 @@ Out kway_merge_segments(const std::vector<run_ref<It>>& runs, Out out, Compare c
 
 /// Parallel stable multiway merge of `runs` into `out` over backend `be`.
 /// The output must not overlap any run.
-template <class B, class It, class Out, class Compare>
-void parallel_multiway_merge(const B& be, const std::vector<run_ref<It>>& runs,
-                             Out out, Compare comp) {
+template <class It, class Out, class Compare>
+void parallel_multiway_merge(const backends::backend& be,
+                             const std::vector<run_ref<It>>& runs, Out out,
+                             Compare comp) {
   const std::size_t r_count = runs.size();
   index_t total = 0;
   for (const auto& run : runs) { total += run.end - run.begin; }

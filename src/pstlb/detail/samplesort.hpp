@@ -61,7 +61,6 @@
 #include <vector>
 
 #include "backends/scan_lookback.hpp"
-#include "backends/seq.hpp"
 #include "backends/skeletons.hpp"
 #include "numa/first_touch_allocator.hpp"
 #include "pstlb/detail/simd/leaf.hpp"
@@ -181,9 +180,8 @@ class sort_phase_span {
 /// inside a pool worker, so nesting a second pool launch is off the table).
 /// `stats` is non-null only at the top level — recursion traffic rides on
 /// the bucket phase's accounting.
-template <bool Stable, backends::Backend B, class SrcIt, class TmpIt,
-          class Compare>
-void samplesort_segment(const B& be, SrcIt src, TmpIt tmp, index_t n,
+template <bool Stable, class SrcIt, class TmpIt, class Compare>
+void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index_t n,
                         Compare comp, const samplesort_params& params,
                         int depth, sort_traffic_stats* stats) {
   using T = typename std::iterator_traits<SrcIt>::value_type;
@@ -331,7 +329,7 @@ void samplesort_segment(const B& be, SrcIt src, TmpIt tmp, index_t n,
   // protocol keeps a mid-scan failure from deadlocking peers).
   const index_t cells = bucket_count * chunk_count;
   std::vector<index_t> offsets(static_cast<std::size_t>(cells));
-  backends::parallel_scan_1p<B, index_t>(
+  backends::parallel_scan_1p<index_t>(
       be, cells, [](index_t a, index_t b) { return a + b; },
       [&](index_t b, index_t e) {
         index_t sum = 0;
@@ -461,7 +459,7 @@ void samplesort_segment(const B& be, SrcIt src, TmpIt tmp, index_t n,
             return true;
           }();
           if (!all_equal) {
-            samplesort_segment<Stable>(backends::seq_backend{}, tmp + s,
+            samplesort_segment<Stable>(backends::backend{}, tmp + s,
                                        src + s, e - s, comp, params, 1,
                                        nullptr);
           }
@@ -489,16 +487,13 @@ void samplesort_segment(const B& be, SrcIt src, TmpIt tmp, index_t n,
 /// any element moves, so the input is still intact and the caller falls back
 /// to the merge pipeline (or all the way to a sequential sort) instead of
 /// letting std::bad_alloc escape from pstlb::sort.
-template <bool Stable, backends::Backend B, class Policy, class It,
-          class Compare>
-bool parallel_samplesort(const B& be, const Policy& policy, It first,
-                         index_t n, Compare comp) {
+template <bool Stable, class It, class Compare>
+bool parallel_samplesort(const backends::backend& be, const exec::policy& policy,
+                         It first, index_t n, Compare comp) {
   using T = typename std::iterator_traits<It>::value_type;
   samplesort_params params = samplesort_params::from_env();
-  if constexpr (requires { policy.unseq; }) {
-    params.vector_classify = policy.unseq;
-  }
-  using alloc_t = numa::first_touch_allocator<T, std::decay_t<Policy>>;
+  params.vector_classify = policy.unseq;
+  using alloc_t = numa::first_touch_allocator<T, exec::policy>;
   // optional-wrapped so the fallback needs no allocator move-assignment;
   // the oom:p fault hook fires inside the allocator's tracked allocation.
   std::optional<std::vector<T, alloc_t>> buffer;

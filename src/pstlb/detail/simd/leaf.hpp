@@ -69,7 +69,7 @@ inline constexpr bool leaf_eligible_v =
 
 /// Kernels for element type T at the active ISA, or null when the caller
 /// must run the classic scalar leaf. `wanted` carries the policy gate
-/// (exec::wants_vector_leaf); a scalar active level always returns null so
+/// (exec::policy::unseq); a scalar active level always returns null so
 /// PSTLB_SIMD=scalar reproduces pre-SIMD behaviour element for element.
 /// Counts one leaf selection per call (tab4_simd / stats attribution).
 template <class T, class... Its>

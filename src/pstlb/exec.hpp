@@ -1,37 +1,31 @@
-// Execution policies.
+// Execution policies and the dispatch every algorithm front-end funnels
+// through.
 //
-// Like std::execution policies, these select an implementation; unlike the
-// std ones they are runtime-configurable values (thread count, scheduling
-// grain, sequential-fallback threshold), because configurability across
-// those knobs is precisely what pSTL-Bench studies.
+// Like std::execution policies, a policy selects an implementation; unlike
+// the std ones it is one runtime value — the backend that runs the parallel
+// loops plus the knobs pSTL-Bench studies (thread count, scheduling grain,
+// sequential-fallback threshold, sort and scan pipelines, SIMD leaves).
+// Front-ends take `const exec::policy&`, so every algorithm compiles once per
+// (iterator, functor) and the backend can be chosen at run time.
 //
-// Policy -> paper backend correspondence:
-//   seq_policy        GCC-SEQ baseline
-//   fork_join_policy  GCC-GNU (GOMP static scheduling; defaults to the GNU
-//                     parallel mode's "sequential below 2^10" heuristic)
-//   steal_policy      GCC-TBB / ICC-TBB (work stealing, lazy splitting)
-//   task_policy       GCC-HPX (per-chunk futures through a central queue)
-//   omp_static_policy NVC-OMP (fork-join with no fallback threshold)
+// Policy -> paper backend correspondence (see make_policy for the profiles):
+//   seq                GCC-SEQ baseline
+//   unseq              sequential with SIMD leaves (std::execution::unseq)
+//   fork_join_policy   GCC-GNU (GOMP static scheduling; defaults to the GNU
+//                      parallel mode's "sequential below 2^10" heuristic)
+//   steal_policy       GCC-TBB / ICC-TBB (work stealing, lazy splitting)
+//   task_policy        GCC-HPX (per-chunk futures through a central queue)
+//   omp_static_policy  NVC-OMP (fork-join with no fallback threshold)
 //   omp_dynamic_policy extension: OpenMP schedule(dynamic) semantics
 #pragma once
 
 #include <algorithm>
 #include <iterator>
 #include <memory>
-#include <new>
 #include <optional>
-#include <system_error>
 #include <thread>
-#include <type_traits>
 
-#include "backends/arena_nested.hpp"
 #include "backends/backend.hpp"
-#include "backends/fork_join.hpp"
-#include "backends/nesting.hpp"
-#include "backends/omp_dynamic.hpp"
-#include "backends/seq.hpp"
-#include "backends/steal.hpp"
-#include "backends/task_futures.hpp"
 #include "pstlb/common.hpp"
 #include "sched/arena.hpp"
 #include "sched/locality.hpp"
@@ -46,15 +40,6 @@ inline unsigned default_threads() {
   if (env == 0) { env = std::max(1u, std::thread::hardware_concurrency()); }
   return env;
 }
-
-struct seq_policy {};
-
-/// Sequential execution with vectorized leaves (std::execution::unseq
-/// analogue): one thread, but eligible inner loops run through the
-/// runtime-dispatched SIMD kernel tables (detail/simd/). Reduction results
-/// over floating point may reassociate relative to seq's left fold — the
-/// same licence std::execution::unseq grants.
-struct unseq_policy {};
 
 /// Which scan/pack skeleton a parallel policy uses (see DESIGN.md "Scan
 /// skeletons: two-pass vs decoupled lookback").
@@ -84,8 +69,9 @@ enum class sort_path {
   merge,
 };
 
-namespace detail {
-struct parallel_policy_base {
+struct policy {
+  /// The execution model that runs the parallel loops; seq never forks.
+  backends::backend_id backend = backends::backend_id::seq;
   /// Participants for parallel loops.
   unsigned threads = default_threads();
   /// Scheduling granularity in elements; 0 = automatic.
@@ -105,143 +91,78 @@ struct parallel_policy_base {
   index_t sample_sort_min = index_t{1} << 16;
   /// Scan/pack skeleton selection. Defaults to the single-pass lookback
   /// skeleton; profiles that model backends without a chained scan
-  /// (NVC-OMP) pin this to two_pass in their constructor.
+  /// (NVC-OMP) pin this to two_pass.
   scan_skeleton scan = scan_skeleton::single_pass;
   /// par_unseq bit: when set, eligible leaves run the runtime-dispatched
   /// SIMD kernels (detail/simd/) instead of the classic element loop. Rides
   /// the policy value through arena admission and backend selection
-  /// unchanged — vectorization is purely a leaf-level property.
+  /// unchanged — vectorization is purely a leaf-level property. Reduction
+  /// results over floating point may reassociate, the licence
+  /// std::execution::unseq grants.
   bool unseq = false;
 };
-}  // namespace detail
+
+/// The policy profile of backend `id` with `threads` participants
+/// (0 = default_threads()).
+inline policy make_policy(backends::backend_id id, unsigned threads = 0) {
+  policy p;
+  p.backend = id;
+  if (threads != 0) { p.threads = threads; }
+  switch (id) {
+    case backends::backend_id::fork_join:
+      p.seq_threshold = index_t{1} << 10;
+      p.multiway_sort = true;  // the GNU algorithm this profile models
+      break;
+    case backends::backend_id::omp_static:
+      // NVC-OMP: the same fork-join engine, but it parallelizes everything.
+      // Section 5.4: its inclusive_scan substitutes sequential code — there
+      // is no chained-scan machinery to model, so the profile keeps the
+      // conservative two-pass skeleton (the sim models the substitution).
+      p.scan = scan_skeleton::two_pass;
+      break;
+    default:
+      break;
+  }
+  return p;
+}
+
+/// A policy preset to backend `Id`'s profile. Constructor-only, so it is a
+/// plain `policy` value in every front-end.
+template <backends::backend_id Id>
+struct preset : policy {
+  preset() : policy(make_policy(Id)) {}
+  explicit preset(unsigned t) : preset() { threads = t; }
+};
+
+using fork_join_policy = preset<backends::backend_id::fork_join>;
+using omp_static_policy = preset<backends::backend_id::omp_static>;
+/// Extension beyond the paper's set: dynamically-claimed chunks over the
+/// fork-join pool (OpenMP schedule(dynamic) semantics).
+using omp_dynamic_policy = preset<backends::backend_id::omp_dynamic>;
+using steal_policy = preset<backends::backend_id::steal>;
+using task_policy = preset<backends::backend_id::task_futures>;
+
+/// Copy of `p` with the par_unseq bit set (std::execution::par_unseq
+/// analogue for any policy: pstlb::exec::with_unseq(steal_policy{8})).
+inline policy with_unseq(policy p) {
+  p.unseq = true;
+  return p;
+}
+
+/// Ready-made values in the spirit of std::execution::seq / unseq.
+inline const policy seq = make_policy(backends::backend_id::seq, 1);
+inline const policy unseq = with_unseq(seq);
 
 /// Inputs below this stay on the two-pass skeleton even when the policy
 /// requests lookback: with so few chunks the descriptor protocol is pure
 /// overhead and the two-pass serial prefix is already a handful of combines.
 inline constexpr index_t lookback_min_elements = index_t{1} << 12;
 
-/// True when `policy` wants the single-pass lookback skeleton for an input
-/// of `n` elements. Funnel for scan- and pack-family front-ends.
-template <class P>
-bool use_lookback_scan(const P& policy, index_t n) {
-  return policy.scan == scan_skeleton::single_pass && n >= lookback_min_elements;
+/// True when `p` wants the single-pass lookback skeleton for an input of `n`
+/// elements. Funnel for scan- and pack-family front-ends.
+inline bool use_lookback_scan(const policy& p, index_t n) {
+  return p.scan == scan_skeleton::single_pass && n >= lookback_min_elements;
 }
-
-struct fork_join_policy : detail::parallel_policy_base {
-  fork_join_policy() {
-    seq_threshold = index_t{1} << 10;
-    multiway_sort = true;  // the GNU algorithm this policy models
-  }
-  explicit fork_join_policy(unsigned t) : fork_join_policy() { threads = t; }
-};
-
-/// NVC-OMP-like: same fork-join engine, but parallelizes everything.
-struct omp_static_policy : detail::parallel_policy_base {
-  omp_static_policy() {
-    // Section 5.4: NVC-OMP's inclusive_scan substitutes sequential code —
-    // it has no chained-scan machinery to model, so this profile keeps the
-    // conservative two-pass skeleton (and the sim models the sequential
-    // substitution itself).
-    scan = scan_skeleton::two_pass;
-  }
-  explicit omp_static_policy(unsigned t) : omp_static_policy() { threads = t; }
-};
-
-/// Extension beyond the paper's set: dynamically-claimed chunks over the
-/// fork-join pool (OpenMP schedule(dynamic) semantics).
-struct omp_dynamic_policy : detail::parallel_policy_base {
-  omp_dynamic_policy() = default;
-  explicit omp_dynamic_policy(unsigned t) { threads = t; }
-};
-
-struct steal_policy : detail::parallel_policy_base {
-  steal_policy() = default;
-  explicit steal_policy(unsigned t) { threads = t; }
-};
-
-struct task_policy : detail::parallel_policy_base {
-  task_policy() = default;
-  explicit task_policy(unsigned t) { threads = t; }
-};
-
-/// Ready-made instances in the spirit of std::execution::seq / par.
-inline constexpr seq_policy seq{};
-inline constexpr unseq_policy unseq{};
-
-template <class P>
-struct policy_traits;
-
-template <>
-struct policy_traits<fork_join_policy> {
-  using backend_type = backends::fork_join_backend;
-  static backend_type make(const fork_join_policy& p) { return backend_type(p.threads); }
-};
-template <>
-struct policy_traits<omp_static_policy> {
-  using backend_type = backends::fork_join_backend;
-  static backend_type make(const omp_static_policy& p) { return backend_type(p.threads); }
-};
-template <>
-struct policy_traits<omp_dynamic_policy> {
-  using backend_type = backends::omp_dynamic_backend;
-  static backend_type make(const omp_dynamic_policy& p) { return backend_type(p.threads); }
-};
-template <>
-struct policy_traits<steal_policy> {
-  using backend_type = backends::steal_backend;
-  static backend_type make(const steal_policy& p) { return backend_type(p.threads); }
-};
-template <>
-struct policy_traits<task_policy> {
-  using backend_type = backends::task_futures_backend;
-  static backend_type make(const task_policy& p) { return backend_type(p.threads); }
-};
-
-template <class P>
-inline constexpr bool is_seq_policy_v = std::is_same_v<std::decay_t<P>, seq_policy>;
-
-template <class P>
-inline constexpr bool is_unseq_policy_v =
-    std::is_same_v<std::decay_t<P>, unseq_policy>;
-
-template <class P>
-concept ParallelPolicy =
-    std::is_base_of_v<detail::parallel_policy_base, std::decay_t<P>>;
-
-template <class P>
-concept ExecutionPolicy =
-    ParallelPolicy<P> || is_seq_policy_v<P> || is_unseq_policy_v<P>;
-
-/// True when `policy` licences SIMD leaves: unseq itself, or any parallel
-/// policy with the par_unseq bit set. Front-ends pass this to
-/// simd::leaf_for as the runtime half of the vectorization gate.
-template <class P>
-constexpr bool wants_vector_leaf(const P& policy) {
-  if constexpr (is_unseq_policy_v<P>) {
-    return true;
-  } else if constexpr (ParallelPolicy<P>) {
-    return policy.unseq;
-  } else {
-    (void)policy;
-    return false;
-  }
-}
-
-/// Copy of `policy` with the par_unseq bit set (std::execution::par_unseq
-/// analogue for any parallel policy: pstlb::exec::with_unseq(steal_policy{8})).
-template <ParallelPolicy P>
-constexpr std::decay_t<P> with_unseq(P policy) {
-  policy.unseq = true;
-  return policy;
-}
-
-template <class It>
-inline constexpr bool random_access_v =
-    std::is_base_of_v<std::random_access_iterator_tag,
-                      typename std::iterator_traits<It>::iterator_category>;
-
-template <class... Its>
-inline constexpr bool all_random_access_v = (random_access_v<Its> && ...);
 
 /// RAII NUMA data hint installed by algorithm front-ends around dispatch:
 /// declares that the parallel loop at index i touches element `first + i`
@@ -265,83 +186,55 @@ sched::scoped_data_hint data_hint(It first, index_t stride_elems = 1) {
   }
 }
 
-/// Central dispatch: runs `par_fn(backend, grain)` when the policy, input
-/// size and nesting situation allow parallel execution, otherwise `seq_fn()`.
-/// Every algorithm front-end funnels through here so fallback rules live in
-/// exactly one place — which makes it the single choke point for arena
-/// admission (DESIGN.md §17): every parallel call asks its arena for
-/// concurrency tokens first, runs at the granted width, and sheds to
-/// `seq_fn()` when admission says no or backend setup (worker spawn, scratch
-/// allocation) fails. Nested calls route to the arena task backend instead of
-/// serializing outright.
+/// One parallel call's claim on the machine (DESIGN.md §17): decides whether
+/// the call may run in parallel and on which backend, and holds the arena
+/// grant and the thread's arena binding until the call returns.
 ///
-/// Iterator requirement: the parallel front-ends index iterators
-/// (`first + i`), so every iterator passed with a parallel policy must be
+///   - Inside another region the pools are off-limits (non-reentrant). A
+///     first-level nested call inside an arena becomes that arena's tasks,
+///     which the enclosing region's idle workers help drain; anything deeper
+///     — or any nested call outside an arena — runs sequentially.
+///   - Otherwise the call asks its arena for concurrency tokens and runs at
+///     the granted width, or sequentially when admission says no.
+///     PSTLB_ARENA=0 skips admission (the policy's width, ungated).
+class admission {
+ public:
+  admission(const policy& p, index_t n);
+  admission(const admission&) = delete;
+  admission& operator=(const admission&) = delete;
+
+  /// False when the call must take its sequential path.
+  bool parallel() const noexcept { return parallel_; }
+  const backends::backend& backend() const noexcept { return backend_; }
+  /// The policy's grain, or the default for the granted width.
+  index_t grain() const noexcept { return grain_; }
+
+ private:
+  sched::arena::ticket ticket_;
+  std::optional<sched::arena::scoped_bind> bind_;
+  backends::backend backend_;
+  index_t grain_ = 1;
+  bool parallel_ = false;
+};
+
+/// Central dispatch: runs `par_fn(backend, grain)` when the policy, input
+/// size, nesting situation and arena admission allow parallel execution,
+/// otherwise `seq_fn()`. Every algorithm front-end funnels through here, so
+/// the fallback rules live in exactly one place; a pool that fails to start
+/// sheds inside backends::run instead.
+///
+/// Iterator requirement: the parallel bodies index their iterators
+/// (`first + i`), so every iterator passed to a front-end must be
 /// random-access — the same practical requirement TBB-based backends have.
-/// (`Its...` documents which iterators the parallel body indexes; a non-RA
-/// instantiation fails to compile rather than silently serializing.)
-template <class... Its, class PolicyRef, class SeqFn, class ParFn>
-decltype(auto) dispatch(const PolicyRef& policy, index_t n, SeqFn&& seq_fn,
-                        ParFn&& par_fn)
-  requires ExecutionPolicy<std::decay_t<PolicyRef>>
-{
-  using Policy = std::decay_t<PolicyRef>;
-  if constexpr (is_seq_policy_v<Policy> || is_unseq_policy_v<Policy> ||
-                !all_random_access_v<Its...>) {
-    (void)policy;
-    (void)n;
-    (void)par_fn;
+template <class SeqFn, class ParFn>
+decltype(auto) dispatch(const policy& p, index_t n, SeqFn&& seq_fn, ParFn&& par_fn) {
+  if (p.backend == backends::backend_id::seq || p.threads <= 1 || n <= 1 ||
+      n < p.seq_threshold) {
     return seq_fn();
-  } else {
-    if (n < policy.seq_threshold || policy.threads <= 1 || n <= 1) {
-      return seq_fn();
-    }
-    if (backends::in_parallel_region()) {
-      // Inside another region the pools are off-limits (non-reentrant). A
-      // first-level nested call inside an arena becomes arena tasks that the
-      // enclosing region's idle workers help drain; anything deeper — or any
-      // nested call outside an arena — serializes as before.
-      sched::arena* a = sched::arena::current();
-      if (a != nullptr && a->cap() > 1 && backends::region_depth() <= 1) {
-        const backends::arena_nested_backend nested(a);
-        const index_t grain = policy.grain > 0
-                                  ? policy.grain
-                                  : backends::default_grain(n, nested.threads());
-        return par_fn(nested, grain);
-      }
-      return seq_fn();
-    }
-    sched::arena* a = sched::arena::admission_target();
-    if (a == nullptr) {  // PSTLB_ARENA=0: legacy ungated dispatch
-      auto backend = policy_traits<Policy>::make(policy);
-      const index_t grain = policy.grain > 0
-                                ? policy.grain
-                                : backends::default_grain(n, policy.threads);
-      return par_fn(backend, grain);
-    }
-    const sched::arena::ticket ticket = a->admit(policy.threads);
-    if (!ticket.parallel()) { return seq_fn(); }
-    sched::arena::scoped_bind bind(a);
-    Policy capped = policy;
-    capped.threads = ticket.granted();
-    // Backend construction can spawn pool workers (task_futures ensures its
-    // queue workers in the constructor). A spawn or allocation failure here
-    // degrades to the sequential path — graceful degradation, not an error.
-    std::optional<typename policy_traits<Policy>::backend_type> backend;
-    try {
-      backend.emplace(policy_traits<Policy>::make(capped));
-    } catch (const std::system_error&) {
-      sched::note_degradation(sched::shed_reason::spawnfail);
-      return seq_fn();
-    } catch (const std::bad_alloc&) {
-      sched::note_degradation(sched::shed_reason::oom);
-      return seq_fn();
-    }
-    const index_t grain = capped.grain > 0
-                              ? capped.grain
-                              : backends::default_grain(n, capped.threads);
-    return par_fn(*backend, grain);
   }
+  const admission call(p, n);
+  if (!call.parallel()) { return seq_fn(); }
+  return par_fn(call.backend(), call.grain());
 }
 
 }  // namespace pstlb::exec
@@ -351,8 +244,8 @@ decltype(auto) dispatch(const PolicyRef& policy, index_t n, SeqFn&& seq_fn,
 /// pick a concrete exec::*_policy directly to choose another backend, and
 /// exec::with_unseq to add vector leaves to it.
 namespace pstlb::execution {
-inline constexpr exec::seq_policy seq{};
-inline constexpr exec::unseq_policy unseq{};
+using exec::seq;
+using exec::unseq;
 inline const exec::steal_policy par{};
-inline const exec::steal_policy par_unseq = exec::with_unseq(exec::steal_policy{});
+inline const exec::policy par_unseq = exec::with_unseq(exec::steal_policy{});
 }  // namespace pstlb::execution

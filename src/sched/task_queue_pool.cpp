@@ -11,15 +11,16 @@
 namespace pstlb::sched {
 
 namespace {
-// Stable per-thread slot for loop-body accumulators. Slot 0 = any thread that
-// is not a pool worker (the run() caller — runs are serialized, so at most
-// one such thread executes chunks at a time).
+// Slot for loop-body accumulators. Slot 0 = any thread that is not a pool
+// worker (the run() caller — runs are serialized, so at most one such thread
+// executes chunks at a time); a worker holds a slot while it runs tasks.
 thread_local unsigned tls_slot = 0;
 }  // namespace
 
 task_queue_pool::task_queue_pool(unsigned workers) {
   active_limit_ = ~0u;
   workers_.reserve(workers);
+  slot_busy_.assign(workers, false);
   try {
     for (unsigned i = 0; i < workers; ++i) {
       spawn_with_retry([this, slot = i + 1] {
@@ -56,6 +57,7 @@ void task_queue_pool::shutdown_and_join() noexcept {
 void task_queue_pool::ensure(unsigned participants) {
   std::lock_guard lock(mutex_);
   const unsigned needed = participants == 0 ? 0 : participants - 1;
+  if (slot_busy_.size() < needed) { slot_busy_.resize(needed, false); }
   while (workers_.size() < needed) {
     const unsigned slot = static_cast<unsigned>(workers_.size()) + 1;
     // A persistent spawn failure (after the bounded retry) propagates with
@@ -100,8 +102,15 @@ bool task_queue_pool::run_one(std::unique_lock<std::mutex>& lock) {
   return true;
 }
 
+unsigned task_queue_pool::claim_slot() {
+  // The lowest free slot: fewer than active_limit_ workers hold one, so it
+  // stays below the run's participants whatever other runs grew the pool to.
+  const auto free = std::find(slot_busy_.begin(), slot_busy_.end(), false);
+  *free = true;
+  return static_cast<unsigned>(free - slot_busy_.begin()) + 1;
+}
+
 void task_queue_pool::worker_main(unsigned slot) {
-  tls_slot = slot;
   trace::set_thread_label("task_queue worker " + std::to_string(slot));
   // Per-worker hardware-counter group (no-op for sim/native providers).
   counters::attach_thread();
@@ -118,9 +127,11 @@ void task_queue_pool::worker_main(unsigned slot) {
     if (stopping_) { return; }
     trace::record_span(trace::pool_id::task_queue, trace::event_kind::idle, idle0);
     ++active_workers_;
+    tls_slot = claim_slot();
     while (!queue_.empty()) {
       run_one(lock);
     }
+    slot_busy_[tls_slot - 1] = false;
     --active_workers_;
   }
 }

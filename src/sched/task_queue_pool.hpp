@@ -44,8 +44,10 @@ class task_queue_pool {
   void ensure(unsigned participants);
   unsigned worker_count() const noexcept { return static_cast<unsigned>(workers_.size()); }
 
-  /// Upper bound (exclusive) of the `tid` values passed to loop bodies.
-  /// Slot 0 is the calling thread; pool workers hold stable slots 1..N.
+  /// Upper bound (exclusive) of the `tid` values passed to loop bodies. A
+  /// run's bodies see tids below its participants: slot 0 is the calling
+  /// thread, and a worker takes the lowest free slot of 1..N while it runs
+  /// tasks.
   unsigned slot_count() const noexcept { return worker_count() + 1; }
 
   static task_queue_pool& global();
@@ -56,6 +58,7 @@ class task_queue_pool {
   };
 
   void worker_main(unsigned slot);
+  unsigned claim_slot();
   bool run_one(std::unique_lock<std::mutex>& lock);
   void shutdown_and_join() noexcept;
 
@@ -68,6 +71,7 @@ class task_queue_pool {
   std::size_t in_flight_ = 0;     // queued + executing
   unsigned active_limit_ = 0;     // how many workers may run tasks right now
   unsigned active_workers_ = 0;
+  std::vector<bool> slot_busy_;   // guarded by mutex_; [i] = slot i+1 held
   bool stopping_ = false;
 };
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 
 #include <unistd.h>
 
@@ -62,12 +63,10 @@ void write_all(int fd, const char* data, std::size_t len) noexcept {
 extern "C" void stats_sigusr2_handler(int) { signal_safe_dump(STDERR_FILENO); }
 
 /// Reads PSTLB_STATS / PSTLB_STATS_FILE at static-init time (before any
-/// instrumented call can run), registers the at-exit JSON dump and the
-/// SIGUSR2 live-dump handler.
+/// instrumented call can run) and registers the SIGUSR2 live-dump handler.
 struct env_init {
   env_init() {
-    const bool file_set = !env::string_or("PSTLB_STATS_FILE", "").empty();
-    if (env::truthy("PSTLB_STATS") || file_set) {
+    if (env::truthy("PSTLB_STATS") || !env::string_or("PSTLB_STATS_FILE", "").empty()) {
       detail::g_enabled.store(true, std::memory_order_relaxed);
       struct sigaction sa = {};
       sa.sa_handler = stats_sigusr2_handler;
@@ -75,12 +74,21 @@ struct env_init {
       sa.sa_flags = SA_RESTART;
       sigaction(SIGUSR2, &sa, nullptr);
     }
-    if (file_set) {
-      std::atexit([] { dump_to_env_file(); });
-    }
   }
 };
 env_init g_env_init;
+
+/// Registers the PSTLB_STATS_FILE at-exit dump. Statics are destroyed in
+/// reverse order of construction, interleaved with atexit handlers, so
+/// everything the dump reads (topology, arena registry, counter provider)
+/// is constructed by one throwaway render first and outlives the handler.
+bool register_exit_dump() {
+  if (env::string_or("PSTLB_STATS_FILE", "").empty()) { return false; }
+  std::ostringstream warm;
+  write_json(warm);
+  std::atexit([] { dump_to_env_file(); });
+  return true;
+}
 
 void write_op_json(std::ostream& os, const op_snapshot& s) {
   os << "{\"op\":\"" << op_name(s.o) << "\",\"calls\":" << s.calls
@@ -207,6 +215,8 @@ std::string_view op_name(op o) noexcept {
 namespace detail {
 
 void record(op o, std::uint64_t ns) noexcept {
+  // Registered on the first recorded call, once the program is running.
+  [[maybe_unused]] static const bool exit_dump = register_exit_dump();
   op_slot& s = slot(o);
   s.calls.fetch_add(1, std::memory_order_relaxed);
   s.total_ns.fetch_add(ns, std::memory_order_relaxed);

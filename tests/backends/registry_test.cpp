@@ -23,27 +23,21 @@ TEST(BackendRegistry, ParallelExcludesSeq) {
   EXPECT_EQ(parallel_backends().size() + 1, all_backends().size());
 }
 
-TEST(BackendRegistry, WithPolicyDispatchesEveryBackend) {
+TEST(BackendRegistry, MakePolicyDispatchesEveryBackend) {
   std::vector<double> v(10000);
   std::iota(v.begin(), v.end(), 1.0);
   const double expected = 10000.0 * 10001.0 / 2.0;
   for (backend_id id : all_backends()) {
-    const double sum = with_policy(id, 4, [&](auto policy) {
-      return pstlb::reduce(policy, v.begin(), v.end(), 0.0);
-    });
-    EXPECT_DOUBLE_EQ(sum, expected) << name_of(id);
+    const exec::policy policy = exec::make_policy(id, 4);
+    EXPECT_EQ(policy.backend, id);
+    EXPECT_DOUBLE_EQ(pstlb::reduce(policy, v.begin(), v.end(), 0.0), expected)
+        << name_of(id);
   }
 }
 
 TEST(BackendRegistry, ZeroThreadsMeansEnvironmentDefault) {
-  const unsigned result = with_policy(backend_id::steal, 0, [](auto policy) {
-    if constexpr (exec::ParallelPolicy<decltype(policy)>) {
-      return policy.threads;
-    } else {
-      return 1u;
-    }
-  });
-  EXPECT_GE(result, 1u);
+  EXPECT_EQ(exec::make_policy(backend_id::steal, 0).threads, exec::default_threads());
+  EXPECT_EQ(exec::make_policy(backend_id::steal, 3).threads, 3u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Skeleton tests over every backend type: parallel_for coverage,
+// Skeleton tests over every backend: parallel_for coverage,
 // parallel_reduce correctness, parallel_find first-match semantics,
 // parallel_scan prefix identity, parallel_pack stability, and the
 // single-pass decoupled-lookback scan/pack (correctness, non-commutative
@@ -16,33 +16,13 @@
 #include <thread>
 #include <vector>
 
-#include "backends/fork_join.hpp"
-#include "backends/omp_dynamic.hpp"
 #include "backends/scan_lookback.hpp"
-#include "backends/seq.hpp"
-#include "backends/steal.hpp"
-#include "backends/task_futures.hpp"
+#include "support/policies.hpp"
 
 namespace pstlb::backends {
 namespace {
 
-template <class B>
-class SkeletonTest : public ::testing::Test {
- public:
-  B make() { return B(4); }
-};
-
-template <>
-seq_backend SkeletonTest<seq_backend>::make() {
-  return {};
-}
-
-using BackendTypes =
-    ::testing::Types<seq_backend, fork_join_backend, omp_dynamic_backend,
-                     steal_backend, task_futures_backend>;
-TYPED_TEST_SUITE(SkeletonTest, BackendTypes);
-
-TYPED_TEST(SkeletonTest, ForCoversRangeOnce) {
+PSTLB_SKELETON_TEST(SkeletonTest, ForCoversRangeOnce) {
   auto backend = this->make();
   for (index_t n : {index_t{0}, index_t{1}, index_t{17}, index_t{1000}, index_t{65536}}) {
     std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
@@ -55,7 +35,7 @@ TYPED_TEST(SkeletonTest, ForCoversRangeOnce) {
   }
 }
 
-TYPED_TEST(SkeletonTest, ForTidStaysBelowSlots) {
+PSTLB_SKELETON_TEST(SkeletonTest, ForTidStaysBelowSlots) {
   auto backend = this->make();
   const unsigned slots = backend.slots();
   std::atomic<bool> bad{false};
@@ -66,7 +46,7 @@ TYPED_TEST(SkeletonTest, ForTidStaysBelowSlots) {
   EXPECT_FALSE(bad.load());
 }
 
-TYPED_TEST(SkeletonTest, ReduceSumsExactly) {
+PSTLB_SKELETON_TEST(SkeletonTest, ReduceSumsExactly) {
   auto backend = this->make();
   for (index_t n : {index_t{0}, index_t{1}, index_t{1000}, index_t{99991}}) {
     const long long expected = static_cast<long long>(n) * (n - 1) / 2;
@@ -82,7 +62,7 @@ TYPED_TEST(SkeletonTest, ReduceSumsExactly) {
   }
 }
 
-TYPED_TEST(SkeletonTest, ReduceWithNonCommutativeSlotOrderStillAssociates) {
+PSTLB_SKELETON_TEST(SkeletonTest, ReduceWithNonCommutativeSlotOrderStillAssociates) {
   // String concatenation is associative but not commutative; per-slot
   // partials may group differently, but the multiset of characters and the
   // relative order within each contiguous block is preserved. We check the
@@ -107,7 +87,7 @@ TYPED_TEST(SkeletonTest, ReduceWithNonCommutativeSlotOrderStillAssociates) {
   }
 }
 
-TYPED_TEST(SkeletonTest, FindReturnsFirstMatch) {
+PSTLB_SKELETON_TEST(SkeletonTest, FindReturnsFirstMatch) {
   auto backend = this->make();
   const index_t n = 100000;
   std::vector<int> data(static_cast<std::size_t>(n), 0);
@@ -123,7 +103,7 @@ TYPED_TEST(SkeletonTest, FindReturnsFirstMatch) {
   EXPECT_EQ(hit, 70001);
 }
 
-TYPED_TEST(SkeletonTest, FindMissReturnsN) {
+PSTLB_SKELETON_TEST(SkeletonTest, FindMissReturnsN) {
   auto backend = this->make();
   const index_t n = 5000;
   const index_t hit =
@@ -131,13 +111,13 @@ TYPED_TEST(SkeletonTest, FindMissReturnsN) {
   EXPECT_EQ(hit, n);
 }
 
-TYPED_TEST(SkeletonTest, ScanMatchesSequentialPrefix) {
+PSTLB_SKELETON_TEST(SkeletonTest, ScanMatchesSequentialPrefix) {
   auto backend = this->make();
   for (index_t n : {index_t{1}, index_t{5}, index_t{4096}, index_t{100000}}) {
     std::vector<long long> input(static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) { input[static_cast<std::size_t>(i)] = i % 97 + 1; }
     std::vector<long long> output(static_cast<std::size_t>(n));
-    parallel_scan<TypeParam, long long>(
+    parallel_scan<long long>(
         backend, n, std::plus<>{},
         [&](index_t b, index_t e) {
           long long acc = 0;
@@ -159,7 +139,7 @@ TYPED_TEST(SkeletonTest, ScanMatchesSequentialPrefix) {
   }
 }
 
-TYPED_TEST(SkeletonTest, PackKeepsOrderAndCount) {
+PSTLB_SKELETON_TEST(SkeletonTest, PackKeepsOrderAndCount) {
   auto backend = this->make();
   const index_t n = 50000;
   std::vector<int> input(static_cast<std::size_t>(n));
@@ -186,7 +166,7 @@ TYPED_TEST(SkeletonTest, PackKeepsOrderAndCount) {
   }
 }
 
-TYPED_TEST(SkeletonTest, Scan1pMatchesSequentialPrefix) {
+PSTLB_SKELETON_TEST(SkeletonTest, Scan1pMatchesSequentialPrefix) {
   auto backend = this->make();
   // Tiny min_chunk forces many chunks so the lookback protocol actually
   // chains (with the default 2048 floor most test sizes collapse to the
@@ -195,7 +175,7 @@ TYPED_TEST(SkeletonTest, Scan1pMatchesSequentialPrefix) {
     std::vector<long long> input(static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) { input[static_cast<std::size_t>(i)] = i % 97 + 1; }
     std::vector<long long> output(static_cast<std::size_t>(n));
-    parallel_scan_1p<TypeParam, long long>(
+    parallel_scan_1p<long long>(
         backend, n, std::plus<>{},
         [&](index_t b, index_t e) {
           long long acc = 0;
@@ -218,7 +198,7 @@ TYPED_TEST(SkeletonTest, Scan1pMatchesSequentialPrefix) {
   }
 }
 
-TYPED_TEST(SkeletonTest, Scan1pNonCommutativeStringConcat) {
+PSTLB_SKELETON_TEST(SkeletonTest, Scan1pNonCommutativeStringConcat) {
   // String concatenation is associative but not commutative: any combine
   // applied out of sequence order produces a detectably wrong prefix. The
   // lookback accumulates aggregates right-to-left, which must preserve it.
@@ -226,7 +206,7 @@ TYPED_TEST(SkeletonTest, Scan1pNonCommutativeStringConcat) {
   const index_t n = 512;
   auto letter = [](index_t i) { return static_cast<char>('a' + i % 26); };
   std::vector<std::string> output(static_cast<std::size_t>(n));
-  parallel_scan_1p<TypeParam, std::string>(
+  parallel_scan_1p<std::string>(
       backend, n, [](std::string a, std::string b) { return std::move(a) + b; },
       [&](index_t b, index_t e) {
         std::string s;
@@ -248,7 +228,7 @@ TYPED_TEST(SkeletonTest, Scan1pNonCommutativeStringConcat) {
   }
 }
 
-TYPED_TEST(SkeletonTest, Scan1pAdversarialCompletionOrder) {
+PSTLB_SKELETON_TEST(SkeletonTest, Scan1pAdversarialCompletionOrder) {
   // Stall selected chunks inside reduce_block so successors publish their
   // aggregates first and lookbacks must chain across long AGGREGATE runs
   // and spin on EMPTY descriptors. Chunk 0 is the slowest, which delays the
@@ -259,7 +239,7 @@ TYPED_TEST(SkeletonTest, Scan1pAdversarialCompletionOrder) {
   std::vector<long long> input(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) { input[static_cast<std::size_t>(i)] = (i * 7) % 31; }
   std::vector<long long> output(static_cast<std::size_t>(n), -1);
-  parallel_scan_1p<TypeParam, long long>(
+  parallel_scan_1p<long long>(
       backend, n, std::plus<>{},
       [&](index_t b, index_t e) {
         const index_t c = b / chunk;
@@ -287,7 +267,7 @@ TYPED_TEST(SkeletonTest, Scan1pAdversarialCompletionOrder) {
   }
 }
 
-TYPED_TEST(SkeletonTest, Pack1pKeepsOrderCountAndTotal) {
+PSTLB_SKELETON_TEST(SkeletonTest, Pack1pKeepsOrderCountAndTotal) {
   auto backend = this->make();
   for (index_t n : {index_t{1}, index_t{100}, index_t{50000}}) {
     std::vector<int> input(static_cast<std::size_t>(n));
@@ -340,12 +320,12 @@ TEST(TwoPassScan, CarryLoopMovesInsteadOfCopying) {
   // chunk (carry[c] = running, which is genuinely used twice); everything
   // else — folding sums into the running prefix and handing carries to the
   // rescan — must move. A heavy T would otherwise pay 2-3 copies per chunk.
-  fork_join_backend backend(4);
+  const backend be = fork_join_backend(4);
   const index_t n = 100000;
   move_counter::copies.store(0);
   std::vector<long long> output(static_cast<std::size_t>(n));
-  parallel_scan<fork_join_backend, move_counter>(
-      backend, n,
+  parallel_scan<move_counter>(
+      be, n,
       [](move_counter a, move_counter b) { return move_counter(a.value + b.value); },
       [&](index_t b, index_t e) { return move_counter(e - b); },
       [&](index_t b, index_t e, move_counter carry, bool has_carry) {
@@ -357,7 +337,7 @@ TEST(TwoPassScan, CarryLoopMovesInsteadOfCopying) {
   for (index_t i = 0; i < n; ++i) {
     ASSERT_EQ(output[static_cast<std::size_t>(i)], i + 1);
   }
-  const chunk_table chunks(n, backend.slots());
+  const chunk_table chunks(n, be.slots());
   EXPECT_LE(move_counter::copies.load(), static_cast<int>(chunks.count));
 }
 
@@ -393,10 +373,11 @@ TEST(LookbackChunkSize, RespectsFloorAndCacheCap) {
 }
 
 TEST(Nesting, NestedLoopsFallBackSequentially) {
-  fork_join_backend outer(4);
+  const backend outer = fork_join_backend(4);
   std::atomic<int> count{0};
   parallel_for(outer, index_t{8}, index_t{1}, [&](index_t b, index_t e, unsigned) {
-    fork_join_backend inner(4);  // would deadlock if it re-entered the pool
+    // Would deadlock if it re-entered the pool.
+    const backend inner = fork_join_backend(4);
     for (index_t i = b; i < e; ++i) {
       parallel_for(inner, index_t{100}, index_t{10},
                    [&](index_t ib, index_t ie, unsigned) {
@@ -405,6 +386,93 @@ TEST(Nesting, NestedLoopsFallBackSequentially) {
     }
   });
   EXPECT_EQ(count.load(), 800);
+}
+
+TEST(FitGrain, KeepsEveryLoopWithinThirtyTwoBitChunkIds) {
+  // 2^32 - 1 chunks still fit; 2^32 and 2^32 + 5 one-element chunks raise
+  // the grain just enough. Only the arithmetic runs — no loop iterates.
+  const index_t fits = max_chunks;
+  EXPECT_EQ(fit_grain(fits, 1), 1);
+  EXPECT_EQ(fit_grain(fits + 1, 1), 2);
+  EXPECT_EQ(fit_grain(fits + 6, 1), 2);
+  EXPECT_EQ(fit_grain(3 * (fits + 1), 3), 4);
+  for (index_t n : {fits, fits + 1, fits + 6, 3 * (fits + 1)}) {
+    EXPECT_LE(ceil_div(n, fit_grain(n, 1)), max_chunks) << n;
+  }
+  EXPECT_EQ(fit_grain(100, 0), 1);
+  EXPECT_EQ(fit_grain(100, 7), 7);
+}
+
+TEST(StaticClaimRule, SharesDifferByAtMostOneChunk) {
+  // 25 one-element chunks on 4 participants: 7, 6, 6, 6 — participant t owns
+  // its share of the chunk ids, so the counts are exact.
+  for (const backend_id id : {backend_id::fork_join, backend_id::omp_static}) {
+    std::array<std::atomic<int>, 4> per_tid{};
+    parallel_for(backend(id, 4), index_t{25}, index_t{1},
+                 [&](index_t b, index_t e, unsigned tid) {
+                   per_tid[tid].fetch_add(static_cast<int>(e - b));
+                 });
+    EXPECT_EQ(per_tid[0].load(), 7) << name_of(id);
+    for (unsigned t = 1; t < 4; ++t) { EXPECT_EQ(per_tid[t].load(), 6) << name_of(id); }
+  }
+}
+
+TEST(StaticClaimRule, CoarseGrainStillGivesEveryParticipantASlice) {
+  // A grain of n/2 on 4 participants: every participant still runs one
+  // quarter, as a slice of ceil(n / threads) elements.
+  std::array<std::atomic<index_t>, 4> per_tid{};
+  std::atomic<int> blocks{0};
+  parallel_for(fork_join_backend(4), index_t{100}, index_t{50},
+               [&](index_t b, index_t e, unsigned tid) {
+                 per_tid[tid].fetch_add(e - b);
+                 blocks.fetch_add(1);
+               });
+  EXPECT_EQ(blocks.load(), 4);
+  for (unsigned t = 0; t < 4; ++t) { EXPECT_EQ(per_tid[t].load(), 25) << t; }
+}
+
+TEST(TaskFutures, ConcurrentCallersOfDifferentWidthsStayBelowTheirSlots) {
+  // A narrow caller sizes its scratch, then a wider caller grows the shared
+  // task pool while the narrow one keeps running: every tid must stay below
+  // its own backend's slots and be held by one chunk at a time, whichever
+  // pool worker runs it.
+  std::atomic<int> bad{0};
+  std::atomic<bool> sized{false};
+  std::atomic<bool> grown{false};
+  const auto rounds = [&bad](unsigned width, auto&& keep_going) {
+    const backend be = task_futures_backend(width);
+    std::vector<std::atomic<int>> occupancy(be.slots());
+    keep_going(0);
+    for (int round = 1; keep_going(round); ++round) {
+      parallel_for(be, index_t{2048}, index_t{16}, [&](index_t, index_t, unsigned tid) {
+        if (tid >= occupancy.size() || occupancy[tid].fetch_add(1) != 0) {
+          bad.fetch_add(1);
+          return;
+        }
+        std::atomic<int> spin{0};
+        while (spin.fetch_add(1, std::memory_order_relaxed) < 50) {}
+        occupancy[tid].fetch_sub(1);
+      });
+    }
+  };
+  std::thread narrow([&] {
+    int after_growth = 0;
+    rounds(2, [&](int round) {
+      if (round == 0) { sized.store(true); }
+      if (grown.load()) { ++after_growth; }
+      return after_growth <= 20;
+    });
+  });
+  std::thread wide([&] {
+    while (!sized.load()) { std::this_thread::yield(); }
+    rounds(8, [&](int round) {
+      if (round > 1) { grown.store(true); }
+      return round <= 20;
+    });
+  });
+  narrow.join();
+  wide.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(DefaultGrain, ProducesReasonableChunkCounts) {

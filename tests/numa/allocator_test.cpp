@@ -44,7 +44,7 @@ TEST(FirstTouchAllocator, RegistersParallelPlacement) {
 }
 
 TEST(FirstTouchAllocator, SeqPolicyRecordsSequentialPlacement) {
-  first_touch_allocator<double, exec::seq_policy> alloc;
+  first_touch_allocator<double, exec::policy> alloc{exec::seq};
   double* p = alloc.allocate(4096);
   const auto info = page_registry::instance().lookup(p);
   ASSERT_TRUE(info.has_value());

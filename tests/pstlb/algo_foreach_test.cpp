@@ -23,15 +23,7 @@ std::vector<double> make_input(index_t n) {
   return v;
 }
 
-template <class P>
-class ForeachAlgos : public ::testing::Test {
- protected:
-  P pol = pstlb::test::make_eager<P>();
-};
-
-TYPED_TEST_SUITE(ForeachAlgos, PstlbPolicyTypes);
-
-TYPED_TEST(ForeachAlgos, ForEachAppliesToAll) {
+PSTLB_POLICY_TEST(ForeachAlgos, ForEachAppliesToAll) {
   for (index_t n : pstlb::test::test_sizes()) {
     auto v = make_input(n);
     auto expected = v;
@@ -41,7 +33,7 @@ TYPED_TEST(ForeachAlgos, ForEachAppliesToAll) {
   }
 }
 
-TYPED_TEST(ForeachAlgos, ForEachNReturnsEnd) {
+PSTLB_POLICY_TEST(ForeachAlgos, ForEachNReturnsEnd) {
   auto v = make_input(1000);
   auto end = pstlb::for_each_n(this->pol, v.begin(), 600, [](double& x) { x = -x; });
   EXPECT_EQ(end, v.begin() + 600);
@@ -49,7 +41,7 @@ TYPED_TEST(ForeachAlgos, ForEachNReturnsEnd) {
   EXPECT_GT(v[600], 0);
 }
 
-TYPED_TEST(ForeachAlgos, TransformUnary) {
+PSTLB_POLICY_TEST(ForeachAlgos, TransformUnary) {
   for (index_t n : pstlb::test::test_sizes()) {
     const auto v = make_input(n);
     std::vector<double> out(v.size()), expected(v.size());
@@ -61,7 +53,7 @@ TYPED_TEST(ForeachAlgos, TransformUnary) {
   }
 }
 
-TYPED_TEST(ForeachAlgos, TransformBinary) {
+PSTLB_POLICY_TEST(ForeachAlgos, TransformBinary) {
   const index_t n = 12345;
   const auto a = make_input(n);
   auto b = make_input(n);
@@ -72,7 +64,7 @@ TYPED_TEST(ForeachAlgos, TransformBinary) {
   ASSERT_EQ(out, expected);
 }
 
-TYPED_TEST(ForeachAlgos, FillAndFillN) {
+PSTLB_POLICY_TEST(ForeachAlgos, FillAndFillN) {
   for (index_t n : pstlb::test::test_sizes()) {
     std::vector<double> v(static_cast<std::size_t>(n), 0.0);
     pstlb::fill(this->pol, v.begin(), v.end(), 3.5);
@@ -84,7 +76,7 @@ TYPED_TEST(ForeachAlgos, FillAndFillN) {
   EXPECT_EQ(std::count(v.begin(), v.end(), 1.0), 60);
 }
 
-TYPED_TEST(ForeachAlgos, GenerateIsStatelesslyCorrect) {
+PSTLB_POLICY_TEST(ForeachAlgos, GenerateIsStatelesslyCorrect) {
   std::vector<double> v(10000, 0.0);
   pstlb::generate(this->pol, v.begin(), v.end(), [] { return 7.0; });
   EXPECT_TRUE(std::all_of(v.begin(), v.end(), [](double x) { return x == 7.0; }));
@@ -93,7 +85,7 @@ TYPED_TEST(ForeachAlgos, GenerateIsStatelesslyCorrect) {
   EXPECT_EQ(std::count(v.begin(), v.end(), 9.0), 5000);
 }
 
-TYPED_TEST(ForeachAlgos, CopyAndCopyN) {
+PSTLB_POLICY_TEST(ForeachAlgos, CopyAndCopyN) {
   for (index_t n : pstlb::test::test_sizes()) {
     const auto v = make_input(n);
     std::vector<double> out(v.size(), -1.0);
@@ -108,7 +100,7 @@ TYPED_TEST(ForeachAlgos, CopyAndCopyN) {
   EXPECT_EQ(out[500], -1.0);
 }
 
-TYPED_TEST(ForeachAlgos, MoveMovesValues) {
+PSTLB_POLICY_TEST(ForeachAlgos, MoveMovesValues) {
   std::vector<std::string> src;
   for (int i = 0; i < 5000; ++i) { src.push_back("value-" + std::to_string(i)); }
   auto expected = src;
@@ -117,7 +109,7 @@ TYPED_TEST(ForeachAlgos, MoveMovesValues) {
   ASSERT_EQ(out, expected);
 }
 
-TYPED_TEST(ForeachAlgos, SwapRanges) {
+PSTLB_POLICY_TEST(ForeachAlgos, SwapRanges) {
   auto a = make_input(9999);
   auto b = make_input(9999);
   std::for_each(b.begin(), b.end(), [](double& x) { x += 1e6; });
@@ -128,7 +120,7 @@ TYPED_TEST(ForeachAlgos, SwapRanges) {
   EXPECT_EQ(b, a0);
 }
 
-TYPED_TEST(ForeachAlgos, ReplaceFamily) {
+PSTLB_POLICY_TEST(ForeachAlgos, ReplaceFamily) {
   auto v = make_input(10000);
   auto expected = v;
   std::replace(expected.begin(), expected.end(), 11.0, -1.0);
@@ -145,7 +137,7 @@ TYPED_TEST(ForeachAlgos, ReplaceFamily) {
   ASSERT_EQ(out, out_expected);
 }
 
-TYPED_TEST(ForeachAlgos, ReverseOddAndEven) {
+PSTLB_POLICY_TEST(ForeachAlgos, ReverseOddAndEven) {
   for (index_t n : {index_t{0}, index_t{1}, index_t{2}, index_t{9}, index_t{10},
                     index_t{10001}}) {
     auto v = make_input(n);
@@ -156,7 +148,7 @@ TYPED_TEST(ForeachAlgos, ReverseOddAndEven) {
   }
 }
 
-TYPED_TEST(ForeachAlgos, ReverseCopy) {
+PSTLB_POLICY_TEST(ForeachAlgos, ReverseCopy) {
   const auto v = make_input(8191);
   std::vector<double> out(v.size()), expected(v.size());
   std::reverse_copy(v.begin(), v.end(), expected.begin());
@@ -164,7 +156,7 @@ TYPED_TEST(ForeachAlgos, ReverseCopy) {
   ASSERT_EQ(out, expected);
 }
 
-TYPED_TEST(ForeachAlgos, RotateAndRotateCopy) {
+PSTLB_POLICY_TEST(ForeachAlgos, RotateAndRotateCopy) {
   for (index_t shift : {index_t{0}, index_t{1}, index_t{1000}, index_t{9999},
                         index_t{10000}}) {
     auto v = make_input(10000);
@@ -181,7 +173,7 @@ TYPED_TEST(ForeachAlgos, RotateAndRotateCopy) {
   ASSERT_EQ(out, expected);
 }
 
-TYPED_TEST(ForeachAlgos, ShiftLeftAndRight) {
+PSTLB_POLICY_TEST(ForeachAlgos, ShiftLeftAndRight) {
   for (index_t shift : {index_t{0}, index_t{1}, index_t{777}, index_t{9999},
                         index_t{10000}, index_t{20000}}) {
     auto v = make_input(10000);
@@ -200,7 +192,7 @@ TYPED_TEST(ForeachAlgos, ShiftLeftAndRight) {
   }
 }
 
-TYPED_TEST(ForeachAlgos, AdjacentDifference) {
+PSTLB_POLICY_TEST(ForeachAlgos, AdjacentDifference) {
   for (index_t n : {index_t{1}, index_t{2}, index_t{10000}}) {
     const auto v = make_input(n);
     std::vector<double> out(v.size()), expected(v.size());
@@ -210,7 +202,7 @@ TYPED_TEST(ForeachAlgos, AdjacentDifference) {
   }
 }
 
-TYPED_TEST(ForeachAlgos, UninitializedFamily) {
+PSTLB_POLICY_TEST(ForeachAlgos, UninitializedFamily) {
   const std::size_t n = 4096;
   std::allocator<std::string> alloc;
   std::string* raw = alloc.allocate(n);

@@ -20,15 +20,7 @@ std::vector<long long> make_ints(index_t n) {
   return v;
 }
 
-template <class P>
-class ReduceAlgos : public ::testing::Test {
- protected:
-  P pol = pstlb::test::make_eager<P>();
-};
-
-TYPED_TEST_SUITE(ReduceAlgos, PstlbPolicyTypes);
-
-TYPED_TEST(ReduceAlgos, ReduceMatchesStd) {
+PSTLB_POLICY_TEST(ReduceAlgos, ReduceMatchesStd) {
   for (index_t n : pstlb::test::test_sizes()) {
     const auto v = make_ints(n);
     EXPECT_EQ(pstlb::reduce(this->pol, v.begin(), v.end()),
@@ -43,7 +35,7 @@ TYPED_TEST(ReduceAlgos, ReduceMatchesStd) {
   }
 }
 
-TYPED_TEST(ReduceAlgos, TransformReduceForms) {
+PSTLB_POLICY_TEST(ReduceAlgos, TransformReduceForms) {
   const auto a = make_ints(10007);
   const auto b = make_ints(10007);
   EXPECT_EQ(pstlb::transform_reduce(this->pol, a.begin(), a.end(), b.begin(), 0LL),
@@ -59,7 +51,7 @@ TYPED_TEST(ReduceAlgos, TransformReduceForms) {
                                   [](long long x, long long y) { return x ^ y; }));
 }
 
-TYPED_TEST(ReduceAlgos, CountAndCountIf) {
+PSTLB_POLICY_TEST(ReduceAlgos, CountAndCountIf) {
   for (index_t n : pstlb::test::test_sizes()) {
     const auto v = make_ints(n);
     EXPECT_EQ(pstlb::count(this->pol, v.begin(), v.end(), 17LL),
@@ -71,7 +63,7 @@ TYPED_TEST(ReduceAlgos, CountAndCountIf) {
   }
 }
 
-TYPED_TEST(ReduceAlgos, MinMaxElementsIncludingTies) {
+PSTLB_POLICY_TEST(ReduceAlgos, MinMaxElementsIncludingTies) {
   // Duplicated extrema check tie-breaking: min/max keep the first, the max
   // of minmax_element keeps the last.
   std::vector<int> v{5, 1, 9, 1, 9, 3, 1, 9, 2};
@@ -98,7 +90,7 @@ TYPED_TEST(ReduceAlgos, MinMaxElementsIncludingTies) {
   }
 }
 
-TYPED_TEST(ReduceAlgos, FindFamilyReturnsFirstOccurrence) {
+PSTLB_POLICY_TEST(ReduceAlgos, FindFamilyReturnsFirstOccurrence) {
   auto v = make_ints(65536);
   v[60000] = -5;
   v[60001] = -5;
@@ -114,7 +106,7 @@ TYPED_TEST(ReduceAlgos, FindFamilyReturnsFirstOccurrence) {
   EXPECT_EQ(pstlb::find(this->pol, v.begin(), v.end(), -999LL), v.end());
 }
 
-TYPED_TEST(ReduceAlgos, AnyAllNoneOf) {
+PSTLB_POLICY_TEST(ReduceAlgos, AnyAllNoneOf) {
   const auto v = make_ints(20000);
   EXPECT_TRUE(pstlb::all_of(this->pol, v.begin(), v.end(),
                             [](long long x) { return x >= 0; }));
@@ -129,7 +121,7 @@ TYPED_TEST(ReduceAlgos, AnyAllNoneOf) {
                              [](long long) { return true; }));
 }
 
-TYPED_TEST(ReduceAlgos, AdjacentFind) {
+PSTLB_POLICY_TEST(ReduceAlgos, AdjacentFind) {
   auto v = make_ints(50000);
   // Make sure no accidental neighbors exist, then plant one pair.
   for (std::size_t i = 1; i < v.size(); ++i) {
@@ -140,7 +132,7 @@ TYPED_TEST(ReduceAlgos, AdjacentFind) {
   EXPECT_EQ(pstlb::adjacent_find(this->pol, v.begin(), v.end()) - v.begin(), 29999);
 }
 
-TYPED_TEST(ReduceAlgos, MismatchAndEqual) {
+PSTLB_POLICY_TEST(ReduceAlgos, MismatchAndEqual) {
   const auto a = make_ints(30000);
   auto b = a;
   EXPECT_TRUE(pstlb::equal(this->pol, a.begin(), a.end(), b.begin()));
@@ -155,7 +147,7 @@ TYPED_TEST(ReduceAlgos, MismatchAndEqual) {
   EXPECT_EQ(mm.first - a.begin(), 20000);
 }
 
-TYPED_TEST(ReduceAlgos, SortednessChecks) {
+PSTLB_POLICY_TEST(ReduceAlgos, SortednessChecks) {
   std::vector<int> sorted(40000);
   std::iota(sorted.begin(), sorted.end(), 0);
   EXPECT_TRUE(pstlb::is_sorted(this->pol, sorted.begin(), sorted.end()));
@@ -169,7 +161,7 @@ TYPED_TEST(ReduceAlgos, SortednessChecks) {
             std::is_sorted_until(broken.begin(), broken.end()) - broken.begin());
 }
 
-TYPED_TEST(ReduceAlgos, HeapChecks) {
+PSTLB_POLICY_TEST(ReduceAlgos, HeapChecks) {
   std::vector<int> v = [] {
     std::vector<int> data;
     for (int i = 0; i < 30000; ++i) { data.push_back((i * 7919) % 100000); }
@@ -186,7 +178,7 @@ TYPED_TEST(ReduceAlgos, HeapChecks) {
             std::is_heap_until(broken.begin(), broken.end()) - broken.begin());
 }
 
-TYPED_TEST(ReduceAlgos, IsPartitioned) {
+PSTLB_POLICY_TEST(ReduceAlgos, IsPartitioned) {
   std::vector<int> v(10000);
   std::iota(v.begin(), v.end(), 0);
   auto is_small = [](int x) { return x < 5000; };
@@ -195,7 +187,7 @@ TYPED_TEST(ReduceAlgos, IsPartitioned) {
   EXPECT_FALSE(pstlb::is_partitioned(this->pol, v.begin(), v.end(), is_small));
 }
 
-TYPED_TEST(ReduceAlgos, LexicographicalCompare) {
+PSTLB_POLICY_TEST(ReduceAlgos, LexicographicalCompare) {
   const auto a = make_ints(20000);
   auto b = a;
   EXPECT_FALSE(pstlb::lexicographical_compare(this->pol, a.begin(), a.end(), b.begin(),
@@ -210,7 +202,7 @@ TYPED_TEST(ReduceAlgos, LexicographicalCompare) {
                                              a.begin(), a.end()));
 }
 
-TYPED_TEST(ReduceAlgos, SearchFamily) {
+PSTLB_POLICY_TEST(ReduceAlgos, SearchFamily) {
   const auto v = make_ints(50000);
   const std::vector<long long> needle(v.begin() + 33000, v.begin() + 33010);
   EXPECT_EQ(pstlb::search(this->pol, v.begin(), v.end(), needle.begin(), needle.end()) -
@@ -230,7 +222,7 @@ TYPED_TEST(ReduceAlgos, SearchFamily) {
   EXPECT_EQ(pstlb::search_n(this->pol, rep.begin(), rep.end(), 4, 1), rep.end());
 }
 
-TYPED_TEST(ReduceAlgos, FindEndAndFindFirstOf) {
+PSTLB_POLICY_TEST(ReduceAlgos, FindEndAndFindFirstOf) {
   std::vector<int> v(40000, 0);
   const std::vector<int> pat{1, 2, 1};
   auto plant = [&](std::size_t at) {
@@ -253,7 +245,7 @@ TYPED_TEST(ReduceAlgos, FindEndAndFindFirstOf) {
 
 TEST(ReduceFloating, ReduceIsAccurateWithinTolerance) {
   std::vector<double> v(1 << 18, 0.1);
-  auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   const double sum = pstlb::reduce(pol, v.begin(), v.end());
   EXPECT_NEAR(sum, 0.1 * (1 << 18), 1e-6);
 }

@@ -26,15 +26,7 @@ std::vector<long long> make_ints(index_t n) {
   return v;
 }
 
-template <class P>
-class ScanAlgos : public ::testing::Test {
- protected:
-  P pol = pstlb::test::make_eager<P>();
-};
-
-TYPED_TEST_SUITE(ScanAlgos, PstlbPolicyTypes);
-
-TYPED_TEST(ScanAlgos, InclusiveScanAllForms) {
+PSTLB_POLICY_TEST(ScanAlgos, InclusiveScanAllForms) {
   for (index_t n : pstlb::test::test_sizes()) {
     const auto v = make_ints(n);
     std::vector<long long> out(v.size()), expected(v.size());
@@ -55,7 +47,7 @@ TYPED_TEST(ScanAlgos, InclusiveScanAllForms) {
   }
 }
 
-TYPED_TEST(ScanAlgos, ExclusiveScan) {
+PSTLB_POLICY_TEST(ScanAlgos, ExclusiveScan) {
   for (index_t n : pstlb::test::test_sizes()) {
     const auto v = make_ints(n);
     std::vector<long long> out(v.size()), expected(v.size());
@@ -72,7 +64,7 @@ TYPED_TEST(ScanAlgos, ExclusiveScan) {
   }
 }
 
-TYPED_TEST(ScanAlgos, TransformScans) {
+PSTLB_POLICY_TEST(ScanAlgos, TransformScans) {
   const auto v = make_ints(30000);
   std::vector<long long> out(v.size()), expected(v.size());
   auto square = [](long long x) { return x * x; };
@@ -96,7 +88,7 @@ TYPED_TEST(ScanAlgos, TransformScans) {
   ASSERT_EQ(out, expected);
 }
 
-TYPED_TEST(ScanAlgos, CopyIfKeepsOrder) {
+PSTLB_POLICY_TEST(ScanAlgos, CopyIfKeepsOrder) {
   for (index_t n : pstlb::test::test_sizes()) {
     const auto v = make_ints(n);
     std::vector<long long> out(v.size(), -99), expected(v.size(), -99);
@@ -108,7 +100,7 @@ TYPED_TEST(ScanAlgos, CopyIfKeepsOrder) {
   }
 }
 
-TYPED_TEST(ScanAlgos, RemoveCopyFamily) {
+PSTLB_POLICY_TEST(ScanAlgos, RemoveCopyFamily) {
   const auto v = make_ints(20000);
   std::vector<long long> out(v.size()), expected(v.size());
   auto e1 = std::remove_copy(v.begin(), v.end(), expected.begin(), 17LL);
@@ -123,7 +115,7 @@ TYPED_TEST(ScanAlgos, RemoveCopyFamily) {
   EXPECT_EQ(out, expected);
 }
 
-TYPED_TEST(ScanAlgos, PartitionCopySplitsBoth) {
+PSTLB_POLICY_TEST(ScanAlgos, PartitionCopySplitsBoth) {
   const auto v = make_ints(30000);
   auto pred = [](long long x) { return x % 2 == 0; };
   std::vector<long long> t_out(v.size()), f_out(v.size()), t_exp(v.size()),
@@ -137,7 +129,7 @@ TYPED_TEST(ScanAlgos, PartitionCopySplitsBoth) {
   EXPECT_EQ(f_out, f_exp);
 }
 
-TYPED_TEST(ScanAlgos, UniqueFamilies) {
+PSTLB_POLICY_TEST(ScanAlgos, UniqueFamilies) {
   for (index_t n : {index_t{0}, index_t{1}, index_t{2}, index_t{10000}}) {
     auto v = make_ints(n);
     std::sort(v.begin(), v.end());  // create long equal runs
@@ -156,7 +148,7 @@ TYPED_TEST(ScanAlgos, UniqueFamilies) {
   }
 }
 
-TYPED_TEST(ScanAlgos, RemoveInPlace) {
+PSTLB_POLICY_TEST(ScanAlgos, RemoveInPlace) {
   auto v = make_ints(20000);
   auto expected = v;
   auto e = std::remove_if(expected.begin(), expected.end(),
@@ -190,7 +182,7 @@ struct mat2 {
   friend bool operator==(const mat2& a, const mat2& b) { return a.m == b.m; }
 };
 
-TYPED_TEST(ScanAlgos, InclusiveScanNonCommutativeStrings) {
+PSTLB_POLICY_TEST(ScanAlgos, InclusiveScanNonCommutativeStrings) {
   // Large enough that the lookback path engages (n >= 2^12) with many
   // chunks; a commutativity violation anywhere scrambles character order.
   const index_t n = 6000;
@@ -205,7 +197,7 @@ TYPED_TEST(ScanAlgos, InclusiveScanNonCommutativeStrings) {
   ASSERT_EQ(out, expected);
 }
 
-TYPED_TEST(ScanAlgos, ScansNonCommutativeMatrixCompose) {
+PSTLB_POLICY_TEST(ScanAlgos, ScansNonCommutativeMatrixCompose) {
   const index_t n = 20000;
   std::vector<mat2> v(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) {
@@ -222,7 +214,7 @@ TYPED_TEST(ScanAlgos, ScansNonCommutativeMatrixCompose) {
   ASSERT_EQ(out, expected);
 }
 
-TYPED_TEST(ScanAlgos, BothSkeletonsMatchAcrossThreadSweep) {
+PSTLB_POLICY_TEST(ScanAlgos, BothSkeletonsMatchAcrossThreadSweep) {
   // Stress the scan and pack paths while pinning 1..N threads, under both
   // skeleton selections. Covers the "one worker drains every ticket" and
   // "more workers than chunks" ends of the lookback protocol.
@@ -238,7 +230,7 @@ TYPED_TEST(ScanAlgos, BothSkeletonsMatchAcrossThreadSweep) {
     for (pstlb::exec::scan_skeleton skeleton :
          {pstlb::exec::scan_skeleton::two_pass,
           pstlb::exec::scan_skeleton::single_pass}) {
-      auto swept = pstlb::test::make_eager<TypeParam>(threads);
+      auto swept = pstlb::test::make_eager(this->id, threads);
       swept.scan = skeleton;
       std::vector<long long> out(v.size());
       pstlb::inclusive_scan(swept, v.begin(), v.end(), out.begin());
@@ -262,7 +254,7 @@ TEST(ScanCounters, LookbackHalvesInputBytesRead) {
   const auto v = make_ints(n);
   std::vector<long long> out(v.size());
   auto measure = [&](pstlb::exec::scan_skeleton skeleton) {
-    auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+    auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
     pol.scan = skeleton;
     pstlb::counters::region r("scan_traffic");
     pstlb::inclusive_scan(pol, v.begin(), v.end(), out.begin());
@@ -290,13 +282,13 @@ TEST(ScanPolicyDefaults, NvcOmpProfileStaysTwoPass) {
   EXPECT_EQ(pstlb::exec::omp_dynamic_policy{}.scan,
             pstlb::exec::scan_skeleton::single_pass);
   // Tiny inputs always fall back to two-pass machinery.
-  pstlb::exec::steal_policy eager = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  pstlb::exec::policy eager = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   EXPECT_FALSE(pstlb::exec::use_lookback_scan(eager, 100));
   EXPECT_TRUE(pstlb::exec::use_lookback_scan(eager, 1 << 16));
 }
 
 TEST(ScanProperty, ScanThenAdjacentDifferenceIsIdentity) {
-  auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   const auto v = make_ints(50000);
   std::vector<long long> scanned(v.size()), recovered(v.size());
   pstlb::inclusive_scan(pol, v.begin(), v.end(), scanned.begin());

@@ -22,15 +22,7 @@ std::vector<int> sorted_multiset(index_t n, int run, int offset) {
   return v;
 }
 
-template <class P>
-class SetAlgos : public ::testing::Test {
- protected:
-  P pol = pstlb::test::make_eager<P>();
-};
-
-TYPED_TEST_SUITE(SetAlgos, PstlbPolicyTypes);
-
-TYPED_TEST(SetAlgos, UnionMatchesStd) {
+PSTLB_POLICY_TEST(SetAlgos, UnionMatchesStd) {
   for (auto [na, nb] : {std::pair<index_t, index_t>{0, 0}, {0, 100}, {100, 0},
                         {50000, 30000}, {9973, 9973}}) {
     const auto a = sorted_multiset(na, 7, 0);
@@ -44,7 +36,7 @@ TYPED_TEST(SetAlgos, UnionMatchesStd) {
   }
 }
 
-TYPED_TEST(SetAlgos, IntersectionMatchesStd) {
+PSTLB_POLICY_TEST(SetAlgos, IntersectionMatchesStd) {
   const auto a = sorted_multiset(60000, 5, 0);
   const auto b = sorted_multiset(40000, 2, 3000);
   std::vector<int> out(a.size()), expected(a.size());
@@ -56,7 +48,7 @@ TYPED_TEST(SetAlgos, IntersectionMatchesStd) {
   ASSERT_TRUE(std::equal(out.begin(), o, expected.begin()));
 }
 
-TYPED_TEST(SetAlgos, DifferenceMatchesStd) {
+PSTLB_POLICY_TEST(SetAlgos, DifferenceMatchesStd) {
   const auto a = sorted_multiset(60000, 4, 0);
   const auto b = sorted_multiset(30000, 6, 2000);
   std::vector<int> out(a.size()), expected(a.size());
@@ -67,7 +59,7 @@ TYPED_TEST(SetAlgos, DifferenceMatchesStd) {
   ASSERT_TRUE(std::equal(out.begin(), o, expected.begin()));
 }
 
-TYPED_TEST(SetAlgos, SymmetricDifferenceMatchesStd) {
+PSTLB_POLICY_TEST(SetAlgos, SymmetricDifferenceMatchesStd) {
   const auto a = sorted_multiset(50000, 3, 0);
   const auto b = sorted_multiset(50000, 5, 1000);
   std::vector<int> out(a.size() + b.size()), expected(a.size() + b.size());
@@ -79,7 +71,7 @@ TYPED_TEST(SetAlgos, SymmetricDifferenceMatchesStd) {
   ASSERT_TRUE(std::equal(out.begin(), o, expected.begin()));
 }
 
-TYPED_TEST(SetAlgos, IncludesMultisetSemantics) {
+PSTLB_POLICY_TEST(SetAlgos, IncludesMultisetSemantics) {
   const auto hay = sorted_multiset(100000, 4, 0);  // each value 4 times
   auto needle = sorted_multiset(20000, 2, 1000);   // each value twice, subset range
   EXPECT_TRUE(
@@ -101,7 +93,7 @@ TYPED_TEST(SetAlgos, IncludesMultisetSemantics) {
             std::includes(hay.begin(), hay.end(), outside.begin(), outside.end()));
 }
 
-TYPED_TEST(SetAlgos, CustomComparator) {
+PSTLB_POLICY_TEST(SetAlgos, CustomComparator) {
   auto a = sorted_multiset(30000, 3, 0);
   auto b = sorted_multiset(20000, 2, 500);
   std::reverse(a.begin(), a.end());

@@ -25,15 +25,7 @@ std::vector<int> make_shuffled(index_t n, unsigned seed = 1) {
   return v;
 }
 
-template <class P>
-class SortAlgos : public ::testing::Test {
- protected:
-  P pol = pstlb::test::make_eager<P>();
-};
-
-TYPED_TEST_SUITE(SortAlgos, PstlbPolicyTypes);
-
-TYPED_TEST(SortAlgos, SortsPermutation) {
+PSTLB_POLICY_TEST(SortAlgos, SortsPermutation) {
   for (index_t n : pstlb::test::test_sizes()) {
     auto v = make_shuffled(n);
     pstlb::sort(this->pol, v.begin(), v.end());
@@ -45,13 +37,13 @@ TYPED_TEST(SortAlgos, SortsPermutation) {
   }
 }
 
-TYPED_TEST(SortAlgos, SortWithComparator) {
+PSTLB_POLICY_TEST(SortAlgos, SortWithComparator) {
   auto v = make_shuffled(100000);
   pstlb::sort(this->pol, v.begin(), v.end(), std::greater<>{});
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end(), std::greater<>{}));
 }
 
-TYPED_TEST(SortAlgos, SortWithDuplicates) {
+PSTLB_POLICY_TEST(SortAlgos, SortWithDuplicates) {
   std::vector<int> v(131071);
   for (std::size_t i = 0; i < v.size(); ++i) { v[i] = static_cast<int>(i % 37); }
   auto expected = v;
@@ -60,7 +52,7 @@ TYPED_TEST(SortAlgos, SortWithDuplicates) {
   EXPECT_EQ(v, expected);
 }
 
-TYPED_TEST(SortAlgos, StableSortPreservesEqualOrder) {
+PSTLB_POLICY_TEST(SortAlgos, StableSortPreservesEqualOrder) {
   struct item {
     int key;
     int seq;
@@ -79,7 +71,7 @@ TYPED_TEST(SortAlgos, StableSortPreservesEqualOrder) {
   }
 }
 
-TYPED_TEST(SortAlgos, MergeTwoSortedRanges) {
+PSTLB_POLICY_TEST(SortAlgos, MergeTwoSortedRanges) {
   for (index_t na : {index_t{0}, index_t{1}, index_t{999}, index_t{50000}}) {
     for (index_t nb : {index_t{0}, index_t{1}, index_t{30000}}) {
       std::vector<int> a(static_cast<std::size_t>(na)), b(static_cast<std::size_t>(nb));
@@ -95,7 +87,7 @@ TYPED_TEST(SortAlgos, MergeTwoSortedRanges) {
   }
 }
 
-TYPED_TEST(SortAlgos, MergeIsStable) {
+PSTLB_POLICY_TEST(SortAlgos, MergeIsStable) {
   // Equal keys: all of A's must precede B's.
   std::vector<std::pair<int, int>> a, b;
   for (int i = 0; i < 20000; ++i) { a.push_back({i / 4, 0}); }
@@ -111,7 +103,7 @@ TYPED_TEST(SortAlgos, MergeIsStable) {
   }
 }
 
-TYPED_TEST(SortAlgos, InplaceMerge) {
+PSTLB_POLICY_TEST(SortAlgos, InplaceMerge) {
   auto v = make_shuffled(80000);
   const auto middle = v.begin() + 35000;
   std::sort(v.begin(), middle);
@@ -122,7 +114,7 @@ TYPED_TEST(SortAlgos, InplaceMerge) {
   EXPECT_EQ(v, expected);
 }
 
-TYPED_TEST(SortAlgos, StablePartitionKeepsRelativeOrder) {
+PSTLB_POLICY_TEST(SortAlgos, StablePartitionKeepsRelativeOrder) {
   auto v = make_shuffled(70000);
   auto expected = v;
   auto pred = [](int x) { return x % 3 == 0; };
@@ -132,7 +124,7 @@ TYPED_TEST(SortAlgos, StablePartitionKeepsRelativeOrder) {
   EXPECT_EQ(v, expected);
 }
 
-TYPED_TEST(SortAlgos, PartitionSatisfiesPostcondition) {
+PSTLB_POLICY_TEST(SortAlgos, PartitionSatisfiesPostcondition) {
   auto v = make_shuffled(50000);
   auto pred = [](int x) { return x < 10000; };
   auto boundary = pstlb::partition(this->pol, v.begin(), v.end(), pred);
@@ -141,7 +133,7 @@ TYPED_TEST(SortAlgos, PartitionSatisfiesPostcondition) {
   EXPECT_EQ(boundary - v.begin(), 10000);
 }
 
-TYPED_TEST(SortAlgos, NthElement) {
+PSTLB_POLICY_TEST(SortAlgos, NthElement) {
   auto v = make_shuffled(60000);
   const auto nth = v.begin() + 12345;
   pstlb::nth_element(this->pol, v.begin(), nth, v.end());
@@ -150,13 +142,13 @@ TYPED_TEST(SortAlgos, NthElement) {
   EXPECT_TRUE(std::all_of(nth, v.end(), [&](int x) { return x >= *nth; }));
 }
 
-TYPED_TEST(SortAlgos, PartialSort) {
+PSTLB_POLICY_TEST(SortAlgos, PartialSort) {
   auto v = make_shuffled(60000);
   pstlb::partial_sort(this->pol, v.begin(), v.begin() + 500, v.end());
   for (int i = 0; i < 500; ++i) { ASSERT_EQ(v[static_cast<std::size_t>(i)], i); }
 }
 
-TYPED_TEST(SortAlgos, PartialSortCopy) {
+PSTLB_POLICY_TEST(SortAlgos, PartialSortCopy) {
   const auto v = make_shuffled(60000);
   std::vector<int> out(100, -1);
   auto end = pstlb::partial_sort_copy(this->pol, v.begin(), v.end(), out.begin(),

@@ -35,8 +35,7 @@ arena::config arena_cfg(const char* name, unsigned cap,
 
 /// One caller's workload: a kernel mix whose expected values are computed
 /// sequentially up front. Returns the number of wrong results.
-template <class Policy>
-int run_mix(Policy policy, unsigned seed) {
+int run_mix(const pstlb::exec::policy& policy, unsigned seed) {
   int failures = 0;
   std::vector<long long> v(4096);
   for (std::size_t i = 0; i < v.size(); ++i) {
@@ -84,19 +83,19 @@ int hammer(arena& a, unsigned callers, int rounds) {
             break;
           case 1:
             failures += run_mix(
-                pstlb::test::make_eager<pstlb::exec::steal_policy>(), seed);
+                pstlb::test::make_eager(pstlb::backends::backend_id::steal), seed);
             break;
           case 2:
             failures += run_mix(
-                pstlb::test::make_eager<pstlb::exec::fork_join_policy>(), seed);
+                pstlb::test::make_eager(pstlb::backends::backend_id::fork_join), seed);
             break;
           case 3:
             failures += run_mix(
-                pstlb::test::make_eager<pstlb::exec::task_policy>(), seed);
+                pstlb::test::make_eager(pstlb::backends::backend_id::task_futures), seed);
             break;
           default:
             failures += run_mix(
-                pstlb::test::make_eager<pstlb::exec::omp_dynamic_policy>(),
+                pstlb::test::make_eager(pstlb::backends::backend_id::omp_dynamic),
                 seed);
             break;
         }
@@ -149,27 +148,25 @@ TEST_F(ArenaStress, DeadlineBoundsAdmissionWait) {
 
 TEST_F(ArenaStress, SpawnFailureShedsGracefullyWithObservableCounter) {
   // An oversized grant forces pool growth; with PSTLB_FAULT=spawnfail every
-  // growth attempt fails, so each parallel leg must shed to sequential —
-  // correct results, no exception, and a visible shed counter.
+  // growth attempt fails, so each parallel leg on every backend must shed to
+  // sequential — correct results, no exception, and a visible shed counter.
   arena a(arena_cfg("spawn", 4096, /*max_pending=*/64));
   fault::set("spawnfail");
-  std::atomic<int> failures{0};
-  std::vector<std::thread> users;
-  for (unsigned u = 0; u < 8; ++u) {
-    users.emplace_back([&a, u, &failures] {
-      arena::scoped_bind bind(&a);
-      pstlb::exec::steal_policy steal{512};
-      steal.seq_threshold = 0;
-      failures += run_mix(steal, u);
-      pstlb::exec::fork_join_policy fork{512};
-      fork.seq_threshold = 0;
-      failures += run_mix(fork, u);
-    });
+  for (pstlb::backends::backend_id id : pstlb::backends::parallel_backends()) {
+    const std::uint64_t shed_before = a.snapshot().shed_spawnfail;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> users;
+    for (unsigned u = 0; u < 8; ++u) {
+      users.emplace_back([&a, id, u, &failures] {
+        arena::scoped_bind bind(&a);
+        failures += run_mix(pstlb::test::make_eager(id, 512), u);
+      });
+    }
+    for (auto& user : users) { user.join(); }
+    EXPECT_EQ(failures.load(), 0) << pstlb::backends::name_of(id);
+    EXPECT_GT(a.snapshot().shed_spawnfail, shed_before) << pstlb::backends::name_of(id);
   }
-  for (auto& user : users) { user.join(); }
   fault::set(fault::spec{});
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(a.snapshot().shed_spawnfail, 0u);
 }
 
 TEST_F(ArenaStress, SortOomFallsThroughTheWholeDegradationLadder) {
@@ -180,7 +177,7 @@ TEST_F(ArenaStress, SortOomFallsThroughTheWholeDegradationLadder) {
   arena a(arena_cfg("oom", 8));
   fault::set("oom:1");
   arena::scoped_bind bind(&a);
-  auto policy = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto policy = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   policy.sample_sort_min = 0;  // force the samplesort leg first
   std::vector<long long> v(1 << 15);
   for (std::size_t i = 0; i < v.size(); ++i) {
@@ -210,7 +207,7 @@ TEST_F(ArenaStress, ExactlyOneExceptionPerCallerUnderFault) {
       for (int round = 0; round < 3; ++round) {
         int seen = 0;
         try {
-          auto policy = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+          auto policy = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
           pstlb::for_each(policy, v.begin(), v.end(), [](long long& x) { ++x; });
         } catch (const fault::injected_fault&) {
           ++seen;
@@ -227,7 +224,7 @@ TEST_F(ArenaStress, ExactlyOneExceptionPerCallerUnderFault) {
 TEST_F(ArenaStress, DefaultArenaCoversUnboundCallers) {
   // No explicit binding: dispatch admits against the process default arena.
   const auto before = arena::default_arena().snapshot();
-  auto policy = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto policy = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   std::vector<long long> v(1 << 15);
   std::iota(v.begin(), v.end(), 0);
   const long long expected = std::accumulate(v.begin(), v.end(), 0LL);

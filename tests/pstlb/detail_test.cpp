@@ -7,7 +7,6 @@
 #include <numeric>
 #include <vector>
 
-#include "backends/seq.hpp"
 #include "backends/skeletons.hpp"
 #include "pstlb/algo_set.hpp"
 #include "pstlb/detail/merge.hpp"
@@ -134,7 +133,7 @@ TEST(MultiwayMerge, ParallelMatchesSortAndIsStable) {
     total += run.size();
   }
   std::vector<keyed> out(total);
-  pstlb::backends::steal_backend be(4);
+  const pstlb::backends::backend be = pstlb::backends::steal_backend(4);
   pstlb::detail::parallel_multiway_merge(
       be, runs, out.begin(),
       [](const keyed& a, const keyed& b) { return a.key < b.key; });
@@ -234,10 +233,12 @@ TEST(ChunkTable, RespectsMinChunk) {
 
 // --- dispatch rules ---------------------------------------------------------------
 
+using pstlb::backends::backend;
+
 TEST(Dispatch, SeqPolicyAlwaysSequential) {
   bool par_ran = false;
-  pstlb::exec::dispatch<double*>(
-      pstlb::exec::seq, 1 << 20, [] {}, [&](auto, index_t) { par_ran = true; });
+  pstlb::exec::dispatch(
+      pstlb::exec::seq, 1 << 20, [] {}, [&](const backend&, index_t) { par_ran = true; });
   EXPECT_FALSE(par_ran);
 }
 
@@ -245,11 +246,11 @@ TEST(Dispatch, ThresholdGovernsPath) {
   pstlb::exec::steal_policy pol{4};
   pol.seq_threshold = 1000;
   bool par_ran = false;
-  pstlb::exec::dispatch<double*>(
-      pol, 999, [] {}, [&](auto, index_t) { par_ran = true; });
+  pstlb::exec::dispatch(
+      pol, 999, [] {}, [&](const backend&, index_t) { par_ran = true; });
   EXPECT_FALSE(par_ran);
-  pstlb::exec::dispatch<double*>(
-      pol, 1000, [] {}, [&](auto, index_t) { par_ran = true; });
+  pstlb::exec::dispatch(
+      pol, 1000, [] {}, [&](const backend&, index_t) { par_ran = true; });
   EXPECT_TRUE(par_ran);
 }
 
@@ -257,8 +258,8 @@ TEST(Dispatch, SingleThreadPolicyStaysSequential) {
   pstlb::exec::steal_policy pol{1};
   pol.seq_threshold = 0;
   bool par_ran = false;
-  pstlb::exec::dispatch<double*>(
-      pol, 1 << 20, [] {}, [&](auto, index_t) { par_ran = true; });
+  pstlb::exec::dispatch(
+      pol, 1 << 20, [] {}, [&](const backend&, index_t) { par_ran = true; });
   EXPECT_FALSE(par_ran);
 }
 
@@ -267,8 +268,8 @@ TEST(Dispatch, ExplicitGrainIsForwarded) {
   pol.seq_threshold = 0;
   pol.grain = 12345;
   index_t seen = 0;
-  pstlb::exec::dispatch<double*>(
-      pol, 1 << 20, [] {}, [&](auto, index_t grain) { seen = grain; });
+  pstlb::exec::dispatch(
+      pol, 1 << 20, [] {}, [&](const backend&, index_t grain) { seen = grain; });
   EXPECT_EQ(seen, 12345);
 }
 
@@ -276,8 +277,8 @@ TEST(Dispatch, AutoGrainIsPositiveAndBounded) {
   pstlb::exec::steal_policy pol{4};
   pol.seq_threshold = 0;
   index_t seen = 0;
-  pstlb::exec::dispatch<double*>(
-      pol, 100000, [] {}, [&](auto, index_t grain) { seen = grain; });
+  pstlb::exec::dispatch(
+      pol, 100000, [] {}, [&](const backend&, index_t grain) { seen = grain; });
   EXPECT_GT(seen, 0);
   EXPECT_LE(seen, 100000);
 }
@@ -286,12 +287,11 @@ TEST(Dispatch, NestedRegionFallsBackToSeq) {
   pstlb::exec::steal_policy pol{4};
   pol.seq_threshold = 0;
   bool inner_par = false;
-  auto backend = pstlb::exec::policy_traits<pstlb::exec::steal_policy>::make(pol);
-  pstlb::backends::parallel_for(backend, index_t{4}, index_t{1},
+  pstlb::backends::parallel_for(pstlb::backends::steal_backend(4), index_t{4}, index_t{1},
                                 [&](index_t, index_t, unsigned) {
-                                  pstlb::exec::dispatch<double*>(
+                                  pstlb::exec::dispatch(
                                       pol, 1 << 20, [] {},
-                                      [&](auto, index_t) { inner_par = true; });
+                                      [&](const backend&, index_t) { inner_par = true; });
                                 });
   EXPECT_FALSE(inner_par);
 }

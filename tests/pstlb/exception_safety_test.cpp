@@ -33,13 +33,8 @@ index_t throw_position(index_t n, int trial) {
   return static_cast<index_t>(h % static_cast<std::uint64_t>(n));
 }
 
-template <class Policy>
-class ExceptionSafety : public ::testing::Test {};
-
-TYPED_TEST_SUITE(ExceptionSafety, PstlbPolicyTypes);
-
-TYPED_TEST(ExceptionSafety, ForEachDeliversExactlyOneException) {
-  auto policy = pstlb::test::make_eager<TypeParam>();
+PSTLB_POLICY_TEST(ExceptionSafety, ForEachDeliversExactlyOneException) {
+  auto policy = pstlb::test::make_eager(this->id);
   std::vector<long long> v(20000, 1);
   for (int trial = 0; trial < 8; ++trial) {
     const index_t bad = throw_position(static_cast<index_t>(v.size()), trial);
@@ -62,10 +57,10 @@ TYPED_TEST(ExceptionSafety, ForEachDeliversExactlyOneException) {
   EXPECT_EQ(pstlb::reduce(policy, w.begin(), w.end(), 0LL), 8192);
 }
 
-TYPED_TEST(ExceptionSafety, EveryChunkThrowingStillDeliversOne) {
+PSTLB_POLICY_TEST(ExceptionSafety, EveryChunkThrowingStillDeliversOne) {
   // All chunks throw concurrently: the single-winner capture must drop all
   // but one, and the barrier must still be met on every backend.
-  auto policy = pstlb::test::make_eager<TypeParam>();
+  auto policy = pstlb::test::make_eager(this->id);
   std::vector<int> v(8192, 0);
   int caught = 0;
   try {
@@ -77,8 +72,8 @@ TYPED_TEST(ExceptionSafety, EveryChunkThrowingStillDeliversOne) {
   EXPECT_EQ(caught, 1);
 }
 
-TYPED_TEST(ExceptionSafety, ReduceOperatorThrowPropagates) {
-  auto policy = pstlb::test::make_eager<TypeParam>();
+PSTLB_POLICY_TEST(ExceptionSafety, ReduceOperatorThrowPropagates) {
+  auto policy = pstlb::test::make_eager(this->id);
   std::vector<long long> v(16384, 1);
   EXPECT_THROW(
       (void)pstlb::reduce(policy, v.begin(), v.end(), 0LL,
@@ -90,8 +85,8 @@ TYPED_TEST(ExceptionSafety, ReduceOperatorThrowPropagates) {
   EXPECT_EQ(pstlb::reduce(policy, v.begin(), v.end(), 0LL), 16384);
 }
 
-TYPED_TEST(ExceptionSafety, TransformThrowLeavesOutputValid) {
-  auto policy = pstlb::test::make_eager<TypeParam>();
+PSTLB_POLICY_TEST(ExceptionSafety, TransformThrowLeavesOutputValid) {
+  auto policy = pstlb::test::make_eager(this->id);
   std::vector<int> in(20000);
   std::iota(in.begin(), in.end(), 0);
   std::vector<int> out(in.size(), -1);
@@ -109,13 +104,13 @@ TYPED_TEST(ExceptionSafety, TransformThrowLeavesOutputValid) {
   }
 }
 
-TYPED_TEST(ExceptionSafety, ScanCombineThrowMidLookback) {
+PSTLB_POLICY_TEST(ExceptionSafety, ScanCombineThrowMidLookback) {
   // Tiny chunks force deep lookback chains (~2^14 / 64 = 256 descriptors);
   // an element-level throw then lands while peers are actively spinning on
   // predecessor descriptors. The poisoned-descriptor protocol must unblock
   // every one of them or this test hangs.
   ::setenv("PSTLB_SCAN_CHUNK", "64", 1);
-  auto policy = pstlb::test::make_eager<TypeParam>();
+  auto policy = pstlb::test::make_eager(this->id);
   const index_t n = index_t{1} << 14;  // >= lookback_min_elements
   std::vector<long long> in(static_cast<std::size_t>(n), 1);
   std::vector<long long> out(in.size(), 0);
@@ -140,10 +135,10 @@ TYPED_TEST(ExceptionSafety, ScanCombineThrowMidLookback) {
   EXPECT_EQ(out.back(), static_cast<long long>(n));
 }
 
-TYPED_TEST(ExceptionSafety, RepeatedFailuresDoNotExhaustPools) {
+PSTLB_POLICY_TEST(ExceptionSafety, RepeatedFailuresDoNotExhaustPools) {
   // 50 consecutive failed regions: leaked job state, stuck epochs, or
   // un-reset cancel tokens would wedge one of these launches.
-  auto policy = pstlb::test::make_eager<TypeParam>();
+  auto policy = pstlb::test::make_eager(this->id);
   std::vector<int> v(4096, 1);
   for (int round = 0; round < 50; ++round) {
     EXPECT_THROW(pstlb::for_each(policy, v.begin(), v.end(),

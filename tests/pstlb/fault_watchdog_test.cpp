@@ -53,7 +53,7 @@ TEST_F(FaultWatchdog, ParseRejectsGarbageAsNone) {
 
 TEST_F(FaultWatchdog, InjectedThrowPropagatesAsInjectedFault) {
   fault::set("throw:1");
-  auto policy = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto policy = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   std::vector<int> v(8192, 1);
   EXPECT_THROW(
       pstlb::for_each(policy, v.begin(), v.end(), [](int& x) { x += 1; }),
@@ -108,7 +108,7 @@ TEST_F(FaultWatchdog, WatchdogCancelsAnInjectedStallWithinTwiceTheInterval) {
   watchdog::set_timeout_ms(interval_ms);
   fault::set("stall:30000");
   const std::uint64_t fired_before = watchdog::fired_count();
-  auto policy = pstlb::test::make_eager<pstlb::exec::steal_policy>(4, 128);
+  auto policy = pstlb::test::make_eager(pstlb::backends::backend_id::steal, 4, 128);
   std::vector<int> v(1024, 1);
   ::testing::internal::CaptureStderr();
   const auto t0 = std::chrono::steady_clock::now();
@@ -134,7 +134,7 @@ TEST_F(FaultWatchdog, WatchdogStaysQuietOnHealthyProgress) {
   // of progress would fire spuriously here (total run >> interval).
   watchdog::set_timeout_ms(200);
   const std::uint64_t fired_before = watchdog::fired_count();
-  auto policy = pstlb::test::make_eager<pstlb::exec::omp_dynamic_policy>(4, 8);
+  auto policy = pstlb::test::make_eager(pstlb::backends::backend_id::omp_dynamic, 4, 8);
   std::vector<int> v(512, 1);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(600);

@@ -33,13 +33,7 @@ class FuzzDifferential
  protected:
   template <class F>
   void with_policy(F&& f) const {
-    pstlb::backends::with_policy(std::get<1>(GetParam()), 4, [&](auto policy) {
-      if constexpr (pstlb::exec::ParallelPolicy<decltype(policy)>) {
-        policy.seq_threshold = 0;
-      }
-      f(policy);
-      return 0;
-    });
+    f(pstlb::test::make_eager(std::get<1>(GetParam()), 4));
   }
 
   std::vector<long long> input(rng& r, index_t max_size = 30000,
@@ -52,7 +46,7 @@ class FuzzDifferential
 
 TEST_P(FuzzDifferential, MapFamily) {
   rng r(std::get<0>(GetParam()) * 3 + 1);
-  with_policy([&](auto policy) {
+  with_policy([&](const pstlb::exec::policy& policy) {
     for (int round = 0; round < 8; ++round) {
       auto v = input(r);
       auto expected = v;
@@ -75,7 +69,7 @@ TEST_P(FuzzDifferential, MapFamily) {
 
 TEST_P(FuzzDifferential, ReduceFamily) {
   rng r(std::get<0>(GetParam()) * 5 + 2);
-  with_policy([&](auto policy) {
+  with_policy([&](const pstlb::exec::policy& policy) {
     for (int round = 0; round < 8; ++round) {
       const auto v = input(r);
       ASSERT_EQ(pstlb::reduce(policy, v.begin(), v.end(), 0LL),
@@ -95,7 +89,7 @@ TEST_P(FuzzDifferential, ReduceFamily) {
 
 TEST_P(FuzzDifferential, ScanAndPackFamily) {
   rng r(std::get<0>(GetParam()) * 7 + 3);
-  with_policy([&](auto policy) {
+  with_policy([&](const pstlb::exec::policy& policy) {
     for (int round = 0; round < 6; ++round) {
       const auto v = input(r);
       std::vector<long long> out(v.size()), expected(v.size());
@@ -116,7 +110,7 @@ TEST_P(FuzzDifferential, ScanAndPackFamily) {
 
 TEST_P(FuzzDifferential, SortMergePartitionFamily) {
   rng r(std::get<0>(GetParam()) * 11 + 4);
-  with_policy([&](auto policy) {
+  with_policy([&](const pstlb::exec::policy& policy) {
     for (int round = 0; round < 4; ++round) {
       // Adversarial duplicate density: mod in {2, 10, big}.
       const long long mods[]{2, 10, 100000};
@@ -154,10 +148,8 @@ TEST_P(FuzzDifferential, SamplesortPipeline) {
   // pipeline (the size-threshold default would route these small fuzz
   // inputs to mergesort and never exercise it).
   rng r(std::get<0>(GetParam()) * 17 + 6);
-  with_policy([&](auto policy) {
-    if constexpr (pstlb::exec::ParallelPolicy<decltype(policy)>) {
-      policy.sort = pstlb::exec::sort_path::sample;
-    }
+  with_policy([&](pstlb::exec::policy policy) {
+    policy.sort = pstlb::exec::sort_path::sample;
     for (int round = 0; round < 4; ++round) {
       const long long mods[]{2, 10, 100000};
       auto v = input(r, 20000, mods[static_cast<std::size_t>(round) % 3]);
@@ -184,7 +176,7 @@ TEST_P(FuzzDifferential, SamplesortPipeline) {
 
 TEST_P(FuzzDifferential, SetFamily) {
   rng r(std::get<0>(GetParam()) * 13 + 5);
-  with_policy([&](auto policy) {
+  with_policy([&](const pstlb::exec::policy& policy) {
     for (int round = 0; round < 4; ++round) {
       auto a = input(r, 8000, 200);  // heavy duplicates
       auto b = input(r, 8000, 200);

@@ -44,13 +44,8 @@ class PropertySweep : public ::testing::TestWithParam<sweep_param> {
   template <class F>
   auto with_policy(F&& f) const {
     const auto p = GetParam();
-    return pstlb::backends::with_policy(p.backend, 4, [&](auto policy) {
-      if constexpr (pstlb::exec::ParallelPolicy<decltype(policy)>) {
-        policy.seq_threshold = 0;
-        policy.grain = p.grain;
-      }
-      return f(policy);
-    });
+    pstlb::exec::policy policy = pstlb::test::make_eager(p.backend, 4, p.grain);
+    return f(policy);
   }
 };
 
@@ -59,7 +54,7 @@ TEST_P(PropertySweep, SortProducesSortedPermutation) {
   auto v = seeded_values(p.n, 11);
   auto sorted_ref = v;
   std::sort(sorted_ref.begin(), sorted_ref.end());
-  with_policy([&](auto policy) {
+  with_policy([&](const pstlb::exec::policy& policy) {
     pstlb::sort(policy, v.begin(), v.end());
     return 0;
   });
@@ -70,7 +65,7 @@ TEST_P(PropertySweep, ReduceEqualsSequentialSum) {
   const auto p = GetParam();
   const auto v = seeded_values(p.n, 23);
   const long long expected = std::accumulate(v.begin(), v.end(), 0LL);
-  const long long got = with_policy([&](auto policy) {
+  const long long got = with_policy([&](const pstlb::exec::policy& policy) {
     return pstlb::reduce(policy, v.begin(), v.end(), 0LL);
   });
   ASSERT_EQ(got, expected);
@@ -81,7 +76,7 @@ TEST_P(PropertySweep, ScanLastElementEqualsReduce) {
   if (p.n == 0) { GTEST_SKIP(); }
   const auto v = seeded_values(p.n, 31);
   std::vector<long long> out(v.size());
-  const long long total = with_policy([&](auto policy) {
+  const long long total = with_policy([&](const pstlb::exec::policy& policy) {
     pstlb::inclusive_scan(policy, v.begin(), v.end(), out.begin());
     return pstlb::reduce(policy, v.begin(), v.end(), 0LL);
   });
@@ -97,7 +92,7 @@ TEST_P(PropertySweep, ExclusivePlusElementEqualsInclusive) {
   if (p.n == 0) { GTEST_SKIP(); }
   const auto v = seeded_values(p.n, 37);
   std::vector<long long> inc(v.size()), exc(v.size());
-  with_policy([&](auto policy) {
+  with_policy([&](const pstlb::exec::policy& policy) {
     pstlb::inclusive_scan(policy, v.begin(), v.end(), inc.begin());
     pstlb::exclusive_scan(policy, v.begin(), v.end(), exc.begin(), 0LL);
     return 0;
@@ -115,7 +110,7 @@ TEST_P(PropertySweep, FindAgreesWithStdFind) {
   const index_t pos = (p.n * 7) / 11;
   v[static_cast<std::size_t>(pos)] = -42;
   const auto expected = std::find(v.begin(), v.end(), -42LL) - v.begin();
-  const auto got = with_policy([&](auto policy) {
+  const auto got = with_policy([&](const pstlb::exec::policy& policy) {
     return pstlb::find(policy, v.begin(), v.end(), -42LL) - v.begin();
   });
   ASSERT_EQ(got, expected);
@@ -128,7 +123,7 @@ TEST_P(PropertySweep, CopyIfPlusRemoveCopyIfPartitionsInput) {
   std::vector<long long> kept(v.size()), dropped(v.size());
   index_t nk = 0;
   index_t nd = 0;
-  with_policy([&](auto policy) {
+  with_policy([&](const pstlb::exec::policy& policy) {
     nk = pstlb::copy_if(policy, v.begin(), v.end(), kept.begin(), pred) - kept.begin();
     nd = pstlb::remove_copy_if(policy, v.begin(), v.end(), dropped.begin(), pred) -
          dropped.begin();
@@ -143,7 +138,7 @@ TEST_P(PropertySweep, MinMaxElementsBoundTheRange) {
   const auto p = GetParam();
   if (p.n == 0) { GTEST_SKIP(); }
   const auto v = seeded_values(p.n, 47);
-  with_policy([&](auto policy) {
+  with_policy([&](const pstlb::exec::policy& policy) {
     const auto mn = pstlb::min_element(policy, v.begin(), v.end());
     const auto mx = pstlb::max_element(policy, v.begin(), v.end());
     EXPECT_EQ(*mn, *std::min_element(v.begin(), v.end()));
@@ -160,7 +155,7 @@ TEST_P(PropertySweep, SortThenUniqueEqualsSetSemantics) {
   std::sort(expected.begin(), expected.end());
   expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
   index_t count = 0;
-  with_policy([&](auto policy) {
+  with_policy([&](const pstlb::exec::policy& policy) {
     pstlb::sort(policy, v.begin(), v.end());
     count = pstlb::unique(policy, v.begin(), v.end()) - v.begin();
     return 0;

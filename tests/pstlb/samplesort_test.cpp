@@ -35,9 +35,10 @@ class EnvVar {
 };
 
 /// A policy pinned to the samplesort pipeline regardless of input size.
-template <class P>
-P sample_policy(unsigned threads = pstlb::test::kTestThreads) {
-  P policy = pstlb::test::make_eager<P>(threads);
+pstlb::exec::policy sample_policy(
+    pstlb::backends::backend_id id = pstlb::backends::backend_id::steal,
+    unsigned threads = pstlb::test::kTestThreads) {
+  pstlb::exec::policy policy = pstlb::test::make_eager(id, threads);
   policy.sort = pstlb::exec::sort_path::sample;
   return policy;
 }
@@ -53,12 +54,8 @@ std::vector<long long> zipf_input(index_t n, std::uint64_t seed) {
   return v;
 }
 
-template <class P>
-class SamplesortPolicies : public ::testing::Test {};
-TYPED_TEST_SUITE(SamplesortPolicies, PstlbPolicyTypes);
-
-TYPED_TEST(SamplesortPolicies, SortsRandomInputOnEveryBackend) {
-  auto pol = sample_policy<TypeParam>();
+PSTLB_POLICY_TEST(SamplesortPolicies, SortsRandomInputOnEveryBackend) {
+  pol = sample_policy(id);
   std::mt19937_64 rng(17);
   std::vector<long long> v(1 << 17);
   for (auto& x : v) { x = static_cast<long long>(rng()); }
@@ -68,12 +65,12 @@ TYPED_TEST(SamplesortPolicies, SortsRandomInputOnEveryBackend) {
   EXPECT_EQ(v, expected);
 }
 
-TYPED_TEST(SamplesortPolicies, StableSortKeepsEqualKeyOrder) {
+PSTLB_POLICY_TEST(SamplesortPolicies, StableSortKeepsEqualKeyOrder) {
   struct kv {
     int key = 0;
     int seq = 0;
   };
-  auto pol = sample_policy<TypeParam>();
+  pol = sample_policy(id);
   std::mt19937_64 rng(23);
   std::vector<kv> v(1 << 16);
   for (int i = 0; i < static_cast<int>(v.size()); ++i) {
@@ -88,14 +85,14 @@ TYPED_TEST(SamplesortPolicies, StableSortKeepsEqualKeyOrder) {
 }
 
 TEST(Samplesort, AllEqualKeys) {
-  auto pol = sample_policy<pstlb::exec::steal_policy>();
+  auto pol = sample_policy();
   std::vector<double> v(1 << 17, 42.0);
   pstlb::sort(pol, v.begin(), v.end());
   EXPECT_TRUE(std::all_of(v.begin(), v.end(), [](double x) { return x == 42.0; }));
 }
 
 TEST(Samplesort, PresortedAndReverse) {
-  auto pol = sample_policy<pstlb::exec::steal_policy>();
+  auto pol = sample_policy();
   std::vector<long long> v(1 << 17);
   std::iota(v.begin(), v.end(), 0LL);
   auto expected = v;
@@ -108,7 +105,7 @@ TEST(Samplesort, PresortedAndReverse) {
 }
 
 TEST(Samplesort, DuplicateHeavyZipf) {
-  auto pol = sample_policy<pstlb::exec::steal_policy>();
+  auto pol = sample_policy();
   auto v = zipf_input(1 << 17, 5);
   auto expected = v;
   std::sort(expected.begin(), expected.end());
@@ -122,7 +119,7 @@ TEST(Samplesort, TinyBucketCapForcesRecursion) {
   // all-equal escape inside oversized buckets.
   EnvVar cap("PSTLB_SORT_BUCKET_CAP", "32");
   EnvVar over("PSTLB_SORT_OVERSAMPLE", "4");
-  auto pol = sample_policy<pstlb::exec::steal_policy>();
+  auto pol = sample_policy();
   auto v = zipf_input(1 << 16, 11);
   auto expected = v;
   std::sort(expected.begin(), expected.end());
@@ -138,14 +135,14 @@ TEST(Samplesort, ThreadSweepRegression) {
   std::sort(expected.begin(), expected.end());
   for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
     auto v = base;
-    auto pol = sample_policy<pstlb::exec::steal_policy>(threads);
+    auto pol = sample_policy(pstlb::backends::backend_id::steal, threads);
     pstlb::sort(pol, v.begin(), v.end());
     EXPECT_EQ(v, expected) << "threads=" << threads;
   }
 }
 
 TEST(Samplesort, BoundarySizes) {
-  auto pol = sample_policy<pstlb::exec::steal_policy>();
+  auto pol = sample_policy();
   for (index_t n : pstlb::test::test_sizes()) {
     std::mt19937_64 rng(static_cast<std::uint64_t>(n) + 1);
     std::vector<long long> v(static_cast<std::size_t>(n));
@@ -164,7 +161,7 @@ TEST(Samplesort, EnvOverrideSelectsPipeline) {
   for (auto& x : v) { x = static_cast<double>(rng() % 1000); }
   {
     EnvVar mode("PSTLB_SORT", "sample");
-    auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+    auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
     pol.sort = pstlb::exec::sort_path::merge;
     auto w = v;
     pstlb::sort(pol, w.begin(), w.end());
@@ -173,7 +170,7 @@ TEST(Samplesort, EnvOverrideSelectsPipeline) {
   }
   {
     EnvVar mode("PSTLB_SORT", "merge");
-    auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+    auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
     pol.sort = pstlb::exec::sort_path::sample;
     auto w = v;
     pstlb::sort(pol, w.begin(), w.end());
@@ -183,7 +180,7 @@ TEST(Samplesort, EnvOverrideSelectsPipeline) {
 }
 
 TEST(Samplesort, AutomaticThresholdRoutesBySize) {
-  auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   ASSERT_EQ(pol.sort, pstlb::exec::sort_path::automatic);
   std::mt19937_64 rng(43);
   std::vector<double> v(static_cast<std::size_t>(pol.sample_sort_min));
@@ -199,7 +196,7 @@ TEST(Samplesort, AutomaticThresholdRoutesBySize) {
 }
 
 TEST(Samplesort, TrafficSnapshotShowsConstantPasses) {
-  auto pol = sample_policy<pstlb::exec::steal_policy>();
+  auto pol = sample_policy();
   std::mt19937_64 rng(47);
   std::vector<double> v(1 << 18);
   for (auto& x : v) { x = static_cast<double>(rng()); }
@@ -214,7 +211,7 @@ TEST(Samplesort, TrafficSnapshotShowsConstantPasses) {
   EXPECT_NEAR(st.write_passes(), 2.0, 0.01);
 
   // Mergesort's pass count grows with the round count instead.
-  auto merge_pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto merge_pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   merge_pol.sort = pstlb::exec::sort_path::merge;
   pstlb::sort(merge_pol, v.begin(), v.end());
   const auto& mt = pstlb::detail::last_sort_traffic();
@@ -251,7 +248,7 @@ TEST(Samplesort, NodeAffineScatterMatchesStdSort) {
   auto expected = base;
   std::sort(expected.begin(), expected.end());
 
-  auto pol = sample_policy<pstlb::exec::steal_policy>();
+  auto pol = sample_policy();
   {
     EnvVar scatter("PSTLB_NUMA_SCATTER", "1");
     auto v = base;
@@ -273,7 +270,7 @@ TEST(Samplesort, NodeAffineScatterStableSortKeepsOrder) {
     int seq = 0;
   };
   EnvVar topo("PSTLB_TOPOLOGY", "2x2x2");
-  auto pol = sample_policy<pstlb::exec::steal_policy>();
+  auto pol = sample_policy();
   std::mt19937_64 rng(67);
   std::vector<kv> v(1 << 16);
   for (int i = 0; i < static_cast<int>(v.size()); ++i) {
@@ -289,7 +286,7 @@ TEST(Samplesort, NodeAffineScatterStableSortKeepsOrder) {
 
 TEST(Samplesort, NodeAffineFaultStillSingleException) {
   EnvVar topo("PSTLB_TOPOLOGY", "2x1x2");
-  auto pol = sample_policy<pstlb::exec::steal_policy>();
+  auto pol = sample_policy();
   std::vector<double> v(1 << 16);
   std::mt19937_64 rng(71);
   for (auto& x : v) { x = static_cast<double>(rng()); }
@@ -306,11 +303,11 @@ TEST(Samplesort, NodeAffineFaultStillSingleException) {
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
 }
 
-TYPED_TEST(SamplesortPolicies, InjectedFaultPropagatesExactlyOneException) {
+PSTLB_POLICY_TEST(SamplesortPolicies, InjectedFaultPropagatesExactlyOneException) {
   // throw:1 fires in the first classification chunk on every worker; the
   // pool's cancellation protocol must surface exactly one injected_fault and
   // leave no peer stranded (the test completing at all proves the latter).
-  auto pol = sample_policy<TypeParam>();
+  pol = sample_policy(id);
   std::vector<double> v(1 << 16);
   std::mt19937_64 rng(53);
   for (auto& x : v) { x = static_cast<double>(rng()); }
@@ -330,11 +327,11 @@ TYPED_TEST(SamplesortPolicies, InjectedFaultPropagatesExactlyOneException) {
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
 }
 
-TYPED_TEST(SamplesortPolicies, LowProbabilityFaultStillSingleException) {
+PSTLB_POLICY_TEST(SamplesortPolicies, LowProbabilityFaultStillSingleException) {
   // throw:0.05 lands mid-pipeline (classification on some chunks, scatter or
   // bucket sort on others, depending on the hash) — whichever phase throws,
   // at most one exception crosses the API per call.
-  auto pol = sample_policy<TypeParam>();
+  pol = sample_policy(id);
   pstlb::fault::spec s = pstlb::fault::parse("throw:0.05", 99);
   std::vector<double> v(1 << 16);
   std::mt19937_64 rng(59);

@@ -40,10 +40,10 @@ TEST(Stress, ConcurrentCallersOnAllBackends) {
           pstlb::sort(policy, copy.begin(), copy.end());
           if (!std::is_sorted(copy.begin(), copy.end())) { failures.fetch_add(1); }
         };
-        run_round(pstlb::test::make_eager<pstlb::exec::steal_policy>());
-        run_round(pstlb::test::make_eager<pstlb::exec::fork_join_policy>());
-        run_round(pstlb::test::make_eager<pstlb::exec::task_policy>());
-        run_round(pstlb::test::make_eager<pstlb::exec::omp_dynamic_policy>());
+        run_round(pstlb::test::make_eager(pstlb::backends::backend_id::steal));
+        run_round(pstlb::test::make_eager(pstlb::backends::backend_id::fork_join));
+        run_round(pstlb::test::make_eager(pstlb::backends::backend_id::task_futures));
+        run_round(pstlb::test::make_eager(pstlb::backends::backend_id::omp_dynamic));
       }
     });
   }
@@ -54,7 +54,7 @@ TEST(Stress, ConcurrentCallersOnAllBackends) {
 TEST(Stress, ManySmallDispatchesReusePools) {
   // 2000 tiny parallel loops: pool threads must be reused, not recreated
   // (CP.41); wrong lifetime management would deadlock or leak visibly here.
-  auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>(4, 8);
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal, 4, 8);
   std::vector<int> v(64);
   long long total = 0;
   for (int round = 0; round < 2000; ++round) {
@@ -121,18 +121,12 @@ TEST(Stress, AlternatingThreadCounts) {
 TEST(Stress, LargeSortAllBackends) {
   const index_t n = 1 << 19;
   for (pstlb::backends::backend_id id : pstlb::backends::parallel_backends()) {
-    pstlb::backends::with_policy(id, 4, [&](auto policy) {
-      if constexpr (pstlb::exec::ParallelPolicy<decltype(policy)>) {
-        policy.seq_threshold = 0;
-      }
-      auto v = pstlb::bench::shuffled_permutation(n, 99);
-      pstlb::sort(policy, v.begin(), v.end());
-      EXPECT_TRUE(std::is_sorted(v.begin(), v.end()))
-          << pstlb::backends::name_of(id);
-      EXPECT_EQ(v.front(), 1.0);
-      EXPECT_EQ(v.back(), static_cast<double>(n));
-      return 0;
-    });
+    const pstlb::exec::policy policy = pstlb::test::make_eager(id);
+    auto v = pstlb::bench::shuffled_permutation(n, 99);
+    pstlb::sort(policy, v.begin(), v.end());
+    EXPECT_TRUE(std::is_sorted(v.begin(), v.end())) << pstlb::backends::name_of(id);
+    EXPECT_EQ(v.front(), 1.0);
+    EXPECT_EQ(v.back(), static_cast<double>(n));
   }
 }
 

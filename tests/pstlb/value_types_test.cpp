@@ -35,7 +35,7 @@ using ElementTypes = ::testing::Types<float, double, std::int32_t, std::int64_t,
 TYPED_TEST_SUITE(NumericTypes, ElementTypes);
 
 TYPED_TEST(NumericTypes, ReduceSortScanRoundTrip) {
-  auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   auto v = numeric_input<TypeParam>(20000);
 
   const auto expected_sum = std::accumulate(v.begin(), v.end(), TypeParam{});
@@ -50,7 +50,7 @@ TYPED_TEST(NumericTypes, ReduceSortScanRoundTrip) {
 }
 
 TYPED_TEST(NumericTypes, FindAndCount) {
-  auto pol = pstlb::test::make_eager<pstlb::exec::omp_dynamic_policy>();
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::omp_dynamic);
   auto v = numeric_input<TypeParam>(30000);
   v[12345] = TypeParam{998};
   EXPECT_EQ(pstlb::find(pol, v.begin(), v.end(), TypeParam{998}) - v.begin(), 12345);
@@ -58,7 +58,7 @@ TYPED_TEST(NumericTypes, FindAndCount) {
 }
 
 TEST(StringValues, SortAndUnique) {
-  auto pol = pstlb::test::make_eager<pstlb::exec::task_policy>();
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::task_futures);
   std::vector<std::string> v;
   for (int i = 0; i < 10000; ++i) {
     v.push_back("key-" + std::to_string((i * 7919) % 500));
@@ -80,7 +80,7 @@ struct account {
 };
 
 TEST(AggregateValues, TransformReducePartition) {
-  auto pol = pstlb::test::make_eager<pstlb::exec::fork_join_policy>();
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::fork_join);
   std::vector<account> accounts;
   for (int i = 0; i < 25000; ++i) {
     accounts.push_back({i, static_cast<double>((i * 31) % 1000) - 200.0});
@@ -117,7 +117,7 @@ TEST(MoveOnlyish, SortOfHeavyValuesMovesNotCopies) {
     std::string payload;
     int key = 0;
   };
-  auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   std::vector<heavy> v;
   for (int i = 0; i < 5000; ++i) {
     v.push_back({std::string(50, static_cast<char>('a' + i % 26)), (i * 733) % 5000});
@@ -143,7 +143,7 @@ TEST(MoveOnly, SortFallsBackToMergesortPipeline) {
     move_only(move_only&&) = default;
     move_only& operator=(move_only&&) = default;
   };
-  auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   pol.sort = pstlb::exec::sort_path::sample;
   std::vector<move_only> v;
   for (int i = 0; i < 20000; ++i) { v.emplace_back((i * 733) % 9973); }
@@ -175,7 +175,7 @@ struct flaky {
 TEST(ThrowingCopy, SamplesortSurvivesSplitterCopyThrow) {
   // Splitter sampling copies elements; a copy constructor that throws must
   // propagate as exactly one exception, not hang or crash the pipeline.
-  auto pol = pstlb::test::make_eager<pstlb::exec::steal_policy>();
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
   pol.sort = pstlb::exec::sort_path::sample;
   std::vector<flaky> v;
   for (int i = 0; i < 30000; ++i) { v.emplace_back((i * 419) % 10007); }

@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "backends/fork_join.hpp"
+#include "backends/backend.hpp"
 #include "counters/counters.hpp"
 #include "pstlb/pstlb.hpp"
 #include "sched/steal_pool.hpp"
@@ -50,7 +50,7 @@ TEST_F(TracedTest, StealPoolReportsStealsUnderForcedImbalance) {
 }
 
 TEST_F(TracedTest, StaticForkJoinRunHasZeroSteals) {
-  backends::fork_join_backend be(4);
+  const backends::backend be = backends::fork_join_backend(4);
   std::vector<double> data(1 << 14, 1.0);
   be.for_blocks(static_cast<index_t>(data.size()), 1 << 10, nullptr,
                 [&](index_t b, index_t e, unsigned) {
@@ -92,7 +92,7 @@ TEST_F(TracedTest, StealBackendSplitsRangesInsteadOfSpawning) {
 
 TEST_F(TracedTest, RegionCapturesSchedDelta) {
   counters::marker_registry::instance().reset();
-  backends::fork_join_backend be(4);
+  const backends::backend be = backends::fork_join_backend(4);
   std::vector<double> data(1 << 14, 1.0);
   {
     counters::region r("traced-region");
@@ -113,7 +113,7 @@ TEST_F(TracedTest, RegionCapturesSchedDelta) {
 
 TEST_F(TracedTest, FoldIntoMarkersPublishesSchedColumns) {
   counters::marker_registry::instance().reset();
-  backends::fork_join_backend be(2);
+  const backends::backend be = backends::fork_join_backend(2);
   std::vector<double> data(1 << 13, 1.0);
   be.for_blocks(static_cast<index_t>(data.size()), 1 << 12, nullptr,
                 [&](index_t b, index_t e, unsigned) {

@@ -84,9 +84,9 @@ TEST_F(StatsTest, NestedCallsRecordOnlyTheOutermostOp) {
 TEST_F(StatsTest, FrontEndCallsLandUnderTheirOpName) {
   set_enabled(true);
   std::vector<double> v(1 << 12, 1.0);
-  const double sum = pstlb::reduce(exec::seq_policy{}, v.begin(), v.end(), 0.0);
+  const double sum = pstlb::reduce(exec::seq, v.begin(), v.end(), 0.0);
   EXPECT_DOUBLE_EQ(sum, static_cast<double>(v.size()));
-  pstlb::for_each(exec::seq_policy{}, v.begin(), v.end(),
+  pstlb::for_each(exec::seq, v.begin(), v.end(),
                   [](double& x) { x += 1; });
   EXPECT_EQ(calls_of(op::reduce), 1u);
   EXPECT_EQ(calls_of(op::for_each), 1u);

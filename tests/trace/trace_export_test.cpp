@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "backends/fork_join.hpp"
+#include "backends/backend.hpp"
 #include "trace/sched_metrics.hpp"
 #include "trace/trace.hpp"
 
@@ -144,7 +144,7 @@ constexpr index_t kN = index_t{1} << 16;
 constexpr index_t kGrain = index_t{1} << 12;
 
 void run_fork_join() {
-  backends::fork_join_backend be(kThreads);
+  const backends::backend be = backends::fork_join_backend(kThreads);
   std::vector<double> data(static_cast<std::size_t>(kN), 1.0);
   be.for_blocks(kN, kGrain, nullptr,
                 [&](index_t b, index_t e, unsigned) {
