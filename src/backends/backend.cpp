@@ -40,8 +40,8 @@ void run_sequential(const sched::loop_context& ctx) {
   }
 }
 
-/// What the steal, task and nested pools execute per chunk: they run each
-/// chunk on whichever thread claims it, so the chunk itself is marked as
+/// What the steal, task and nested rules execute per chunk: they run each
+/// chunk on whichever participant claims it, so the chunk itself is marked as
 /// running inside a region (a parallel call it makes takes the nested path)
 /// and bound to the caller's arena (so that call and the watchdog attribute
 /// to it).

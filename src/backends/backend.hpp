@@ -17,11 +17,12 @@
 // for a parallel call made inside a chunk: its chunks become that arena's
 // tasks instead of a second pool region.
 //
-// Every loop reaches the pools through one non-template function:
-// for_blocks only type-erases the body into a sched::loop_context, and
-// backends::run owns the rest — the sequential short-circuit, the nesting
-// guard, the caller's arena binding, the spawn/allocation failure ladder and
-// each model's claim rule.
+// Every loop reaches the one worker pool (sched::thread_pool) through one
+// non-template function: for_blocks only type-erases the body into a
+// sched::loop_context, and backends::run owns the rest — the sequential
+// short-circuit, the nesting guard, the caller's arena binding, the
+// spawn/allocation failure ladder and each model's claim rule, which runs on
+// the worker team the region claimed.
 #pragma once
 
 #include <atomic>
@@ -78,8 +79,9 @@ class backend {
   /// Participants a parallel loop may use.
   unsigned threads() const noexcept { return threads_; }
   /// Exclusive accumulator slots: every `tid` a loop body sees is below this.
-  /// Every pool hands a run's chunks tids below its participants; nested
-  /// helpers claim slots 1..63 of the run's slot mask however many show up.
+  /// Every claim rule hands a chunk the tid of the team participant running
+  /// it, and a team is never wider than threads(); nested helpers claim
+  /// slots 1..63 of the run's slot mask however many show up.
   unsigned slots() const noexcept { return nested_ != nullptr ? 64 : threads_; }
 
   /// Runs body(begin, end, tid) over grain-sized blocks covering [0, n).

@@ -1,6 +1,7 @@
 #include "pstlb/fault.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -47,8 +48,7 @@ void load_from_env() {
   std::call_once(g_env_once, [] {
     const std::string text = env::string_or("PSTLB_FAULT", "");
     if (text.empty()) { return; }
-    const std::uint64_t seed = env::unsigned_or("PSTLB_FAULT_SEED", 1);
-    const spec parsed = parse(text, seed);
+    const spec parsed = parse(text, env_seed(1));
     if (parsed.mode == kind::none) {
       std::fprintf(stderr, "pstlb: ignoring malformed PSTLB_FAULT=%s\n",
                    text.c_str());
@@ -103,6 +103,14 @@ void set(const spec& s) {
 }
 
 void set(std::string_view text) { set(parse(text)); }
+
+std::uint64_t env_seed(std::uint64_t fallback) {
+  const std::string text = env::string_or("PSTLB_FAULT_SEED", "");
+  std::uint64_t seed = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, seed);
+  return ec == std::errc() && ptr == end ? seed : fallback;
+}
 
 const spec& active() noexcept {
   load_from_env();

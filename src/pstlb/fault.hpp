@@ -55,6 +55,11 @@ void set(std::string_view text);
 /// The active spec (first call parses PSTLB_FAULT / PSTLB_FAULT_SEED).
 const spec& active() noexcept;
 
+/// PSTLB_FAULT_SEED as a full 64-bit decimal value (0 included), or
+/// `fallback` when unset or not a number that fits. Fault injection and the
+/// steal victim RNG both seed from it.
+std::uint64_t env_seed(std::uint64_t fallback);
+
 namespace detail {
 extern std::atomic<bool> g_armed;
 }

@@ -8,6 +8,7 @@
 
 #include "pstlb/env.hpp"
 #include "sched/loop_context.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace pstlb::sched {
 namespace {
@@ -440,16 +441,13 @@ arena& arena::default_arena() {
   static arena* instance = [] {
     config cfg;
     cfg.name = "default";
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned env_threads =
-        std::max(env::unsigned_or("PSTL_NUM_THREADS", 0),
-                 env::unsigned_or("OMP_NUM_THREADS", 0));
     const unsigned cap_env = env::unsigned_or("PSTLB_ARENA_CAP", 0);
     // No explicit cap: elastic, so a lone caller keeps the exact width its
     // policy requested (pre-arena behaviour on any host size) and only
-    // concurrent callers contend for the hw-derived token pool. An explicit
-    // PSTLB_ARENA_CAP is a hard limit the operator asked for.
-    cfg.cap = cap_env != 0 ? cap_env : std::max(hw, env_threads);
+    // concurrent callers contend for the token pool the global thread_pool
+    // is sized for. An explicit PSTLB_ARENA_CAP is a hard limit the operator
+    // asked for.
+    cfg.cap = cap_env != 0 ? cap_env : default_width();
     cfg.elastic = cap_env == 0;
     cfg.max_pending = env::unsigned_or("PSTLB_ARENA_MAX_PENDING", 64);
     cfg.deadline_ms = env::unsigned_or("PSTLB_ARENA_DEADLINE_MS", 0);

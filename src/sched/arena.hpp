@@ -3,9 +3,11 @@
 //
 // The paper benchmarks one algorithm call owning the whole machine; a
 // production process serves many concurrent `pstlb::` callers. Without
-// arbitration those callers oversubscribe the pools (every region asks for
-// every core), convoy on the per-pool region mutexes, and turn the watchdog
-// into a false-positive machine. The arena layer is that arbitration, in the
+// arbitration those callers oversubscribe the machine (every region asks for
+// every core) and turn the watchdog into a false-positive machine. The pool
+// does not arbitrate: a region that finds workers busy gets fewer of them,
+// down to its caller alone, instead of queueing (sched/thread_pool.hpp). The
+// arena layer is the arbitration, and the only place a call waits, in the
 // spirit of TBB's task_arena/market split:
 //
 //   - an arena is an admission domain with a max-concurrency cap: each
@@ -204,8 +206,8 @@ class arena {
     arena* prev_;
   };
 
-  /// The process-wide default arena: cap from PSTLB_ARENA_CAP (default: the
-  /// pool sizing formula max(hardware, PSTL_NUM_THREADS, OMP_NUM_THREADS)),
+  /// The process-wide default arena: cap from PSTLB_ARENA_CAP (default:
+  /// sched::default_width(), the width the global thread_pool is sized for),
   /// queue bound from PSTLB_ARENA_MAX_PENDING, deadline from
   /// PSTLB_ARENA_DEADLINE_MS. Intentionally leaked (late references during
   /// static destruction).

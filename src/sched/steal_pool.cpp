@@ -1,21 +1,24 @@
 #include "sched/steal_pool.hpp"
 
-#include <algorithm>
+#include <memory>
 #include <thread>
+#include <vector>
 
-#include "pstlb/env.hpp"
+#include "pstlb/fault.hpp"
 #include "sched/arena.hpp"
-#include "sched/watchdog.hpp"
+#include "sched/chase_lev_deque.hpp"
+#include "sched/thread_pool.hpp"
 #include "trace/trace.hpp"
 
 namespace pstlb::sched {
 
 namespace {
 
-/// splitmix64 (Steele, Lea & Flood): the per-thread victim RNG. Each worker
-/// owns an independent stream keyed by (seed, tid), so victim choices are
-/// uncorrelated across workers yet reproducible run-to-run under
-/// PSTLB_FAULT_SEED — the same knob that makes fault injection replayable.
+/// splitmix64 (Steele, Lea & Flood): the per-thread victim RNG. Each
+/// participant owns an independent stream keyed by (seed, tid), so victim
+/// choices are uncorrelated across participants yet reproducible run-to-run
+/// under PSTLB_FAULT_SEED — the same knob that makes fault injection
+/// replayable.
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ull;
   std::uint64_t z = state;
@@ -24,117 +27,57 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t steal_seed_base() {
-  // Re-read per call (once per worker per run) so harnesses that flip the
-  // seed mid-process see the new value, matching PSTLB_STEAL_LOCALITY and
-  // PSTLB_TOPOLOGY semantics.
-  return env::unsigned_or("PSTLB_FAULT_SEED", 0x9E3779B9u);
-}
+using deque = chase_lev_deque<packed_chunks>;
 
-}  // namespace
+/// One run's state, on its caller's stack and shared by its team. The caller
+/// (tid 0) fills in `plan`, `deques` and `remaining` once it knows the team
+/// size; the other participants wait for `ready` before touching them.
+struct steal_run {
+  const loop_context* ctx = nullptr;
+  std::uint64_t seed = 0;  // victim RNG seed, read once by the caller
+  // The caller's arena: thieves out of loop work drain its pending nested
+  // tasks (arena::try_help_nested) instead of spinning.
+  arena* help = nullptr;
+  // The multi-node topology to plan for; null = uniform stealing.
+  const numa::topology_tree* topo = nullptr;
+  const locality_plan* plan = nullptr;  // null = uniform stealing
+  std::vector<std::unique_ptr<deque>> deques;  // one per participant
+  alignas(cache_line_size) std::atomic<index_t> remaining{0};
+  std::atomic<bool> ready{false};
+};
 
-steal_pool::steal_pool(unsigned workers)
-    : pool_(workers, "steal", trace::pool_id::steal) {
-  ensure_deques(workers + 1);
-}
-
-void steal_pool::ensure_deques(unsigned participants) {
-  while (deques_.size() < participants) {
-    deques_.push_back(std::make_unique<chase_lev_deque<packed_chunks>>());
-  }
-}
-
-const locality_plan* steal_pool::plan_for(unsigned participants) {
-  if (!steal_locality_enabled()) { return nullptr; }
-  const numa::topology_tree& topo = numa::tree();
-  if (topo.flat()) { return nullptr; }
-  const auto key = std::make_pair(&topo, participants);
-  auto it = plans_.find(key);
-  if (it == plans_.end()) {
-    it = plans_.emplace(key, make_locality_plan(topo, participants)).first;
-  }
-  return it->second.active() ? &it->second : nullptr;
-}
-
-void steal_pool::run(unsigned participants, const loop_context& ctx) {
-  PSTLB_EXPECTS(participants >= 1);
-  PSTLB_EXPECTS(ctx.run != nullptr);
-  const index_t chunks = ctx.num_chunks();
-  if (chunks == 0) { return; }
-
-  // Per-run fault channel: the first throwing chunk captures its exception
-  // here, the rest of the loop drains, and the caller rethrows after the
-  // join. An already-installed source (nested dispatch) is respected.
-  cancel_source errors;
-  loop_context run_ctx = ctx;
-  if (run_ctx.errors == nullptr) { run_ctx.errors = &errors; }
-  run_ctx.name = "steal";
-
-  if (participants == 1 || chunks == 1) {
-    watchdog::scope monitor(*run_ctx.errors, "steal");
-    for (index_t c = 0; c < chunks; ++c) { run_ctx.execute_chunk(c, 0); }
-    run_ctx.errors->rethrow();
-    return;
-  }
-
-  // The lock must be held before plan_for touches the plans_ cache —
-  // concurrent submitters would otherwise race on the map. Placement
-  // planning still runs here on the calling thread (not handed off to
-  // workers), so the TLS data/chunk-home hints it reads stay visible.
-  std::lock_guard guard(run_mutex_);
-  const locality_plan* plan = plan_for(participants);
+/// The caller's share of setup: plans the seeds for the `nthreads` team it
+/// claimed and fills one deque per participant. Runs before anything is
+/// published, so a throw here leaves `remaining` at 0 and no work behind.
+void seed_team(steal_run& run, const locality_plan* plan, unsigned nthreads) {
+  const auto chunks = run.ctx->num_chunks();
   std::vector<chunk_seed> seeds;
   if (plan != nullptr) {
-    seeds = plan_chunk_seeds(run_ctx, *plan, chunks);
+    seeds = plan_chunk_seeds(*run.ctx, *plan, chunks);
   } else {
     seeds.push_back(chunk_seed{0, 0, static_cast<std::uint32_t>(chunks)});
   }
-
-  watchdog::scope monitor(*run_ctx.errors, "steal");
-  // Everything that can throw (deque growth, worker spawn, closure
-  // allocation) happens before the ranges are seeded — and a failed push
-  // mid-seeding drains what was already pushed — so a failed setup leaves
-  // no stale work behind for the next run.
-  ensure_deques(participants);
-  pool_.ensure(participants);
-  const thread_pool::region_fn work_fn = [this](unsigned tid, unsigned nthreads) {
-    work(tid, nthreads);
-  };
-  ctx_ = &run_ctx;
-  active_plan_ = plan;
-  active_arena_ = arena::current();
-  remaining_.store(chunks, std::memory_order_release);
-  // Seed each planned range into its node leader's deque (one root range in
-  // the caller's deque on flat topologies); the splitting trees unfold from
-  // there (TBB auto_partitioner style).
-  std::size_t seeded = 0;
-  try {
-    for (const chunk_seed& s : seeds) {
-      PSTLB_EXPECTS(s.tid < participants && s.begin < s.end);
-      deques_[s.tid]->push(pack_chunks(s.begin, s.end));
-      ++seeded;
-    }
-  } catch (...) {
-    for (std::size_t i = 0; i < seeded; ++i) { deques_[seeds[i].tid]->pop(); }
-    remaining_.store(0, std::memory_order_release);
-    ctx_ = nullptr;
-    active_plan_ = nullptr;
-    active_arena_ = nullptr;
-    throw;
+  // A deque holds at most its seeds plus one split chain (<= 32 halves of a
+  // 32-bit chunk range), so these capacities never grow mid-run.
+  run.deques.reserve(nthreads);
+  for (unsigned t = 0; t < nthreads; ++t) {
+    run.deques.push_back(std::make_unique<deque>(seeds.size() + 64));
   }
-
-  pool_.run(participants, work_fn);
-  ctx_ = nullptr;
-  active_plan_ = nullptr;
-  active_arena_ = nullptr;
-  run_ctx.errors->rethrow();
+  for (const chunk_seed& s : seeds) {
+    PSTLB_EXPECTS(s.tid < nthreads && s.begin < s.end);
+    run.deques[s.tid]->push(pack_chunks(s.begin, s.end));
+  }
+  run.plan = plan;
+  run.remaining.store(chunks, std::memory_order_relaxed);
 }
 
-void steal_pool::work(unsigned tid, unsigned nthreads) {
-  const loop_context& ctx = *ctx_;
-  const locality_plan* plan = active_plan_;
-  auto& mine = *deques_[tid];
-  std::uint64_t rng = steal_seed_base() ^ (0xD1B54A32D192ED03ull * (tid + 1));
+void work(steal_run& run, unsigned tid, unsigned nthreads) {
+  // Zero here means the caller's setup failed or the loop already drained.
+  if (run.remaining.load(std::memory_order_acquire) == 0) { return; }
+  const loop_context& ctx = *run.ctx;
+  const locality_plan* plan = run.plan;
+  deque& mine = *run.deques[tid];
+  std::uint64_t rng = run.seed ^ (0xD1B54A32D192ED03ull * (tid + 1));
   // Locality-first probing: walk the victim order once (nearest first), then
   // take one uniform random probe before restarting the sweep. The random
   // probe keeps every deque reachable even when the ordered sweep races with
@@ -148,7 +91,7 @@ void steal_pool::work(unsigned tid, unsigned nthreads) {
   for (;;) {
     std::optional<packed_chunks> item = mine.pop();
     if (!item) {
-      if (remaining_.load(std::memory_order_acquire) == 0) {
+      if (run.remaining.load(std::memory_order_acquire) == 0) {
         trace::record_span(trace::pool_id::steal, trace::event_kind::idle,
                            idle_since);
         return;
@@ -166,7 +109,7 @@ void steal_pool::work(unsigned tid, unsigned nthreads) {
         victim = static_cast<unsigned>(splitmix64(rng) % nthreads);
       }
       if (victim != tid) {
-        item = deques_[victim]->steal();
+        item = run.deques[victim]->steal();
         const bool local =
             plan == nullptr || plan->node_of[victim] == plan->node_of[tid];
         // A successful steal links the stolen range so the span graph can
@@ -182,7 +125,7 @@ void steal_pool::work(unsigned tid, unsigned nthreads) {
         // Out of loop work: drain the arena's pending nested tasks (a
         // parallel call made inside one of this loop's chunks) before
         // falling back to idle spinning.
-        if (active_arena_ != nullptr && active_arena_->try_help_nested()) {
+        if (run.help != nullptr && run.help->try_help_nested()) {
           idle_spins = 0;
           continue;
         }
@@ -218,17 +161,74 @@ void steal_pool::work(unsigned tid, unsigned nthreads) {
     trace::record_span(trace::pool_id::steal, trace::event_kind::chunk, t0,
                        static_cast<std::uint64_t>(ee - eb),
                        trace::link_task(begin));
-    remaining_.fetch_sub(1, std::memory_order_release);
+    run.remaining.fetch_sub(1, std::memory_order_release);
   }
 }
 
+}  // namespace
+
+const locality_plan* steal_pool::plan_for(const numa::topology_tree& topo,
+                                          unsigned participants) {
+  const auto key = std::make_pair(&topo, participants);
+  std::lock_guard lock(plans_mutex_);
+  auto it = plans_.find(key);
+  if (it == plans_.end()) {
+    it = plans_.emplace(key, make_locality_plan(topo, participants)).first;
+  }
+  return it->second.active() ? &it->second : nullptr;
+}
+
+void steal_pool::run(unsigned participants, const loop_context& ctx) {
+  PSTLB_EXPECTS(participants >= 1);
+  PSTLB_EXPECTS(ctx.run != nullptr);
+  if (ctx.num_chunks() == 0) { return; }
+
+  // Per-run fault channel: the first throwing chunk captures its exception
+  // here, the rest of the loop drains, and the caller rethrows after the
+  // join. An already-installed source (nested dispatch) is respected.
+  cancel_source errors;
+  loop_context run_ctx = ctx;
+  if (run_ctx.errors == nullptr) { run_ctx.errors = &errors; }
+  run_ctx.name = "steal";
+
+  steal_run run;
+  run.ctx = &run_ctx;
+  run.seed = fault::env_seed(0x9E3779B9u);
+  run.help = arena::current();
+  // The knobs and the topology (discovered on first use) are read before
+  // the region starts; only the team-size-dependent plan is made inside it.
+  if (steal_locality_enabled()) {
+    const numa::topology_tree& tree = numa::tree();
+    if (!tree.flat()) { run.topo = &tree; }
+  }
+  thread_pool::global().run(
+      participants,
+      [&](unsigned tid, unsigned nthreads) {
+        if (tid == 0) {
+          // Placement planning runs here on the calling thread, so the TLS
+          // data/chunk-home hints it reads stay visible.
+          try {
+            const locality_plan* plan =
+                run.topo != nullptr ? plan_for(*run.topo, nthreads) : nullptr;
+            seed_team(run, plan, nthreads);
+          } catch (...) {
+            run.ready.store(true, std::memory_order_release);
+            throw;
+          }
+          run.ready.store(true, std::memory_order_release);
+        } else {
+          while (!run.ready.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        }
+        work(run, tid, nthreads);
+      },
+      run_ctx.errors);
+  run_ctx.errors->rethrow();
+}
+
 steal_pool& steal_pool::global() {
-  static steal_pool pool = [] {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned env = std::max(env_unsigned("PSTL_NUM_THREADS", 0),
-                                  env_unsigned("OMP_NUM_THREADS", 0));
-    return steal_pool(std::max({hw, env, 4u}) - 1);
-  }();
+  static steal_pool pool;
   return pool;
 }
 

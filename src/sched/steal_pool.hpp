@@ -1,70 +1,52 @@
-// Work-stealing loop scheduler (the TBB-like substrate).
+// Work-stealing claim rule (the TBB-like model) on the one thread_pool.
 //
 // Execution model mirrors TBB's auto_partitioner: the caller seeds root
 // ranges covering all chunks; participants lazily binary-split ranges from the
 // bottom of their own Chase–Lev deque and steal from victims when out of
 // local work. Loads balance through the splitting tree rather than a central
-// queue.
+// queue. Each run keeps its deques and counters to itself, so concurrent
+// runs share nothing but the worker set.
 //
 // Topology awareness (multi-node hosts or a PSTLB_TOPOLOGY override): the
 // iteration space is pre-partitioned by sched::plan_chunk_seeds — each NUMA
 // node's leader deque is seeded with the chunks whose pages its node owns —
 // and thieves probe victims in locality-first order (same LLC, same node,
 // then remote, with a uniform random probe between sweeps so no subset of
-// deques is ever unreachable). On flat topologies both mechanisms reduce to
-// the original single-root-seed + uniform-random-victim behaviour.
+// deques is ever unreachable). Both are planned for the team the run
+// actually claimed. On flat topologies both mechanisms reduce to the
+// original single-root-seed + uniform-random-victim behaviour.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <utility>
-#include <vector>
 
-#include "sched/chase_lev_deque.hpp"
 #include "sched/locality.hpp"
 #include "sched/loop_context.hpp"
-#include "sched/thread_pool.hpp"
 
 namespace pstlb::sched {
 
-class arena;
-
 class steal_pool {
  public:
-  explicit steal_pool(unsigned workers);
-
-  steal_pool(const steal_pool&) = delete;
-  steal_pool& operator=(const steal_pool&) = delete;
-
-  /// Runs `ctx` over [0, ctx.n) with `participants` threads (the caller
-  /// participates). Blocks until every chunk has executed or been cancelled.
-  /// Concurrent calls from different threads are serialized.
+  /// Runs `ctx` over [0, ctx.n) on a thread_pool::global() region of up to
+  /// `participants` threads (the caller participates). Blocks until every
+  /// chunk has executed or been cancelled; concurrent runs proceed side by
+  /// side on disjoint teams.
   void run(unsigned participants, const loop_context& ctx);
 
-  /// Process-wide pool shared by all steal policies.
+  /// Process-wide instance shared by all steal policies.
   static steal_pool& global();
 
  private:
-  void work(unsigned tid, unsigned nthreads);
-  void ensure_deques(unsigned participants);
-  const locality_plan* plan_for(unsigned participants);
+  /// The cached plan for `participants` on `topo`, or nullptr when it
+  /// spans a single node.
+  const locality_plan* plan_for(const numa::topology_tree& topo,
+                                unsigned participants);
 
-  thread_pool pool_;
-  std::mutex run_mutex_;
-  std::vector<std::unique_ptr<chase_lev_deque<packed_chunks>>> deques_;
-  const loop_context* ctx_ = nullptr;
-  std::atomic<index_t> remaining_{0};
-  // Arena of the active run (null = none). Written under run_mutex_ before
-  // workers start; idle workers offer the arena's pending nested tasks a
-  // hand through it (arena::try_help_nested) instead of spinning.
-  arena* active_arena_ = nullptr;
-  // Active run's locality plan (null = uniform stealing). Written under
-  // run_mutex_ before workers start, cleared after they join.
-  const locality_plan* active_plan_ = nullptr;
   // Plans are pure functions of (topology, participants); cached per pair
-  // since the tree reference is stable per PSTLB_TOPOLOGY spec. Guarded by
-  // run_mutex_: plan_for must only be called with the lock held.
+  // since the tree reference is stable per PSTLB_TOPOLOGY spec. Map nodes
+  // never move, so a returned plan stays valid after the lock is dropped.
+  std::mutex plans_mutex_;
   std::map<std::pair<const numa::topology_tree*, unsigned>, locality_plan>
       plans_;
 };

@@ -1,58 +1,69 @@
-// Fork-join thread pool with static worker identities.
+// The one worker set: a fork-join pool whose regions claim disjoint teams.
 //
-// This is the substrate for the `fork_join` backend (the GNU/OpenMP-like
-// static-scheduling model in the paper): a persistent set of workers that all
-// execute the same region function with (tid, nthreads) and synchronize on a
-// barrier at the end, exactly like an OpenMP `parallel` region.
+// Every parallel claim rule runs on this pool (backends/backend.cpp for the
+// static and dynamic rules, sched/steal_pool and sched/task_queue_pool for
+// stealing and tasks): a region executes one function on (tid, nthreads)
+// and joins on a barrier at the end, exactly like an OpenMP `parallel`
+// region.
+//
+// Concurrent regions never queue behind one another. A region claims up to
+// `threads - 1` idle workers under a lock held only while it claims or
+// returns them, and runs with the caller plus the workers it got. A region
+// that finds the pool busy simply runs narrower (on its caller alone when
+// every worker is taken); admission — how many regions run and how wide —
+// is the arena's job (sched/arena.hpp).
 //
 // Design follows C++ Core Guidelines CP.41 (minimize thread creation): the
-// pool is created once and reused; regions are dispatched by epoch counter.
+// pool is created once and reused.
 #pragma once
 
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "pstlb/common.hpp"
 #include "sched/cancel.hpp"
-#include "trace/trace.hpp"
 
 namespace pstlb::sched {
 
-/// A persistent fork-join pool.
-///
-/// `run(threads, fn)` executes `fn(tid, threads)` on `threads` participants:
-/// the calling thread acts as tid 0 and `threads - 1` pool workers take tids
-/// 1..threads-1. The call returns after every participant finished (implicit
-/// barrier). Regions must not be nested on the same pool.
+/// max(hardware_concurrency, PSTL_NUM_THREADS, OMP_NUM_THREADS): the width
+/// the process is sized for. The global pool starts with this many
+/// participants and the default arena's token cap is this value.
+unsigned default_width();
+
+/// A persistent fork-join pool whose concurrent regions run on disjoint
+/// worker teams.
 class thread_pool {
  public:
   using region_fn = std::function<void(unsigned tid, unsigned nthreads)>;
 
-  /// `name`/`pool` identify this pool in scheduler traces: worker tracks
-  /// are labelled "<name> worker <tid>" and idle/region spans carry `pool`.
-  /// Throws std::system_error when a worker thread cannot be spawned; the
-  /// already-started workers are shut down and joined first, so a failed
-  /// construction leaks nothing.
-  explicit thread_pool(unsigned workers, std::string name = "fork_join",
-                       trace::pool_id pool = trace::pool_id::fork_join);
+  /// Starts `workers` workers. `name` labels their trace tracks ("<name>
+  /// worker <i>") and the regions' watchdog entries. Throws
+  /// std::system_error when a worker cannot be spawned; the already-started
+  /// workers are shut down and joined first, so a failed construction leaks
+  /// nothing.
+  explicit thread_pool(unsigned workers, std::string name = "pool");
   ~thread_pool();
 
   thread_pool(const thread_pool&) = delete;
   thread_pool& operator=(const thread_pool&) = delete;
 
-  /// Number of pool workers (excludes the caller, which always participates).
-  unsigned worker_count() const noexcept { return static_cast<unsigned>(workers_.size()); }
+  /// Number of pool workers (excludes the callers, which always participate).
+  unsigned worker_count() const;
 
-  /// Grows the pool so that regions of `threads` participants are possible.
-  /// Strong guarantee on spawn failure: successfully-started workers stay in
-  /// the pool and the std::system_error propagates.
+  /// Grows the pool to `threads - 1` workers, so a region of `threads`
+  /// participants is possible when no other region holds workers. Strong
+  /// guarantee on spawn failure: successfully-started workers stay in the
+  /// pool and the std::system_error propagates.
   void ensure(unsigned threads);
 
-  /// Runs `fn(tid, threads)` on `threads` participants and waits for all.
+  /// Runs `fn(tid, nthreads)` on the caller (tid 0) plus the idle workers it
+  /// claims (tids 1..nthreads-1), and waits for all. `nthreads` is at most
+  /// `threads` and may be below it — down to 1 — when other regions hold
+  /// workers; the call never waits for another region to finish.
   /// `errors`, when given, is the region's fault channel: it is registered
   /// with the hang watchdog for the duration of the run, and an exception
   /// escaping `fn` on a worker thread is captured into it (first one wins)
@@ -62,30 +73,31 @@ class thread_pool {
   /// function does.
   void run(unsigned threads, const region_fn& fn, cancel_source* errors = nullptr);
 
-  /// Process-wide pool shared by all fork_join policies. Initial size is
-  /// max(hardware_concurrency, PSTL_NUM_THREADS, OMP_NUM_THREADS); it grows
-  /// on demand when a policy requests more participants.
+  /// The process-wide pool every backend runs on, started with
+  /// default_width() - 1 workers; it grows on demand when a policy requests
+  /// more participants.
   static thread_pool& global();
 
  private:
-  void worker_main(unsigned tid);
+  struct team;
+  struct worker;
+
+  void worker_main(worker& self, unsigned index);
   /// Stops and joins every started worker (constructor-failure cleanup and
   /// the destructor share this path).
   void shutdown_and_join() noexcept;
 
-  std::string name_;             // immutable after construction
-  trace::pool_id trace_pool_;    // immutable after construction
-  std::vector<std::thread> workers_;
-
-  std::mutex region_mutex_;  // serializes concurrent run() callers
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
+  const std::string name_;
+  // Guards the worker set, the idle stack and every worker's claim; held
+  // only to grow the pool and to claim or return a team — never while
+  // region code runs.
+  mutable std::mutex mutex_;
+  // Signalled by every worker that finishes its share (callers wait on it
+  // with mutex_ for their own team). Pool-owned, so it may be notified
+  // after the lock is dropped, when the team may already be gone.
   std::condition_variable done_cv_;
-  const region_fn* job_ = nullptr;   // guarded by mutex_
-  cancel_source* job_errors_ = nullptr;  // guarded by mutex_
-  unsigned job_threads_ = 0;         // participants for the current epoch
-  std::uint64_t epoch_ = 0;          // bumped per region
-  unsigned remaining_ = 0;           // workers still inside the region
+  std::vector<std::unique_ptr<worker>> workers_;
+  worker* idle_ = nullptr;  // stack of unclaimed workers, linked by next
   bool stopping_ = false;
 };
 

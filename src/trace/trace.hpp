@@ -256,7 +256,7 @@ inline void count_split(pool_id p, std::uint64_t link = 0) noexcept {
   detail::record_instant_slow(p, event_kind::split, 0, link);
 }
 
-/// Labels the calling thread's Perfetto track ("steal worker 3", ...).
+/// Labels the calling thread's Perfetto track ("pool worker 3", ...).
 /// First label wins; workers call this once at thread start.
 void set_thread_label(std::string_view label);
 

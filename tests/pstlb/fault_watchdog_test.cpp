@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "numa/first_touch_allocator.hpp"
@@ -49,6 +52,25 @@ TEST_F(FaultWatchdog, ParseRejectsGarbageAsNone) {
   EXPECT_EQ(fault::parse("stall:0").mode, fault::kind::none);
   EXPECT_EQ(fault::parse("stall:abc").mode, fault::kind::none);
   EXPECT_EQ(fault::parse("oom").mode, fault::kind::none);
+}
+
+TEST_F(FaultWatchdog, SeedKnobKeepsEvery64BitValue) {
+  const char* const saved = std::getenv("PSTLB_FAULT_SEED");
+  const std::string restore = saved != nullptr ? saved : "";
+  // Zero and values beyond the thread-count bound (2^20) are seeds too.
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, (std::uint64_t{1} << 20) + 1,
+        (std::uint64_t{1} << 32) + 5, ~std::uint64_t{0}}) {
+    ::setenv("PSTLB_FAULT_SEED", std::to_string(seed).c_str(), 1);
+    EXPECT_EQ(fault::env_seed(7), seed);
+  }
+  for (const char* garbage : {"", "abc", "-1", "12abc", "18446744073709551616"}) {
+    ::setenv("PSTLB_FAULT_SEED", garbage, 1);
+    EXPECT_EQ(fault::env_seed(7), 7u) << "'" << garbage << "'";
+  }
+  ::unsetenv("PSTLB_FAULT_SEED");
+  EXPECT_EQ(fault::env_seed(7), 7u);
+  if (saved != nullptr) { ::setenv("PSTLB_FAULT_SEED", restore.c_str(), 1); }
 }
 
 TEST_F(FaultWatchdog, InjectedThrowPropagatesAsInjectedFault) {

@@ -159,7 +159,7 @@ class StealLocalityEnv : public ::testing::Test {
 };
 
 TEST_F(StealLocalityEnv, CoverageWithLocalityPlan) {
-  steal_pool pool(3);
+  steal_pool& pool = steal_pool::global();
   const int n = 10000;
   std::vector<std::atomic<int>> hits(n);
   loop_context ctx;
@@ -186,7 +186,7 @@ TEST_F(StealLocalityEnv, CoverageWithLocalityPlan) {
 TEST_F(StealLocalityEnv, DisableKnobFallsBackToUniform) {
   ::setenv("PSTLB_STEAL_LOCALITY", "0", 1);
   EXPECT_FALSE(steal_locality_enabled());
-  steal_pool pool(3);
+  steal_pool& pool = steal_pool::global();
   std::atomic<long> sum{0};
   loop_context ctx;
   ctx.n = 1000;
@@ -202,7 +202,7 @@ TEST_F(StealLocalityEnv, DisableKnobFallsBackToUniform) {
 }
 
 TEST_F(StealLocalityEnv, ExactlyOneExceptionOnLocalityPath) {
-  steal_pool pool(3);
+  steal_pool& pool = steal_pool::global();
   std::atomic<int> throws{0};
   loop_context ctx;
   ctx.n = 10000;

@@ -9,7 +9,6 @@
 #include <system_error>
 
 #include "pstlb/fault.hpp"
-#include "sched/steal_pool.hpp"
 #include "sched/task_queue_pool.hpp"
 #include "sched/thread_pool.hpp"
 
@@ -31,19 +30,6 @@ TEST_F(SpawnFailure, ThreadPoolConstructorCleansUpAndThrows) {
   fault::set(fault::spec{});
   pstlb::sched::thread_pool pool(2, "spawn_test_ok");
   EXPECT_EQ(pool.worker_count(), 2u);
-}
-
-TEST_F(SpawnFailure, TaskQueuePoolConstructorCleansUpAndThrows) {
-  fault::set("spawnfail");
-  EXPECT_THROW(pstlb::sched::task_queue_pool(4), std::system_error);
-  fault::set(fault::spec{});
-  pstlb::sched::task_queue_pool pool(2);
-  EXPECT_EQ(pool.worker_count(), 2u);
-}
-
-TEST_F(SpawnFailure, StealPoolConstructorCleansUpAndThrows) {
-  fault::set("spawnfail");
-  EXPECT_THROW(pstlb::sched::steal_pool(4), std::system_error);
 }
 
 TEST_F(SpawnFailure, FailedEnsureLeavesThreadPoolUsable) {
@@ -83,9 +69,10 @@ TEST_F(SpawnFailure, SpawnfailCountParses) {
 }
 
 TEST_F(SpawnFailure, FailedEnsureLeavesTaskQueuePoolUsable) {
-  pstlb::sched::task_queue_pool pool(1);
+  auto& pool = pstlb::sched::task_queue_pool::global();
+  const unsigned workers = pstlb::sched::thread_pool::global().worker_count();
   fault::set("spawnfail");
-  EXPECT_THROW(pool.ensure(4), std::system_error);
+  EXPECT_THROW(pool.ensure(workers + 2), std::system_error);
   fault::set(fault::spec{});
   std::atomic<int> sum{0};
   loop_context ctx;

@@ -27,7 +27,7 @@ class SteamPoolCoverage : public ::testing::TestWithParam<std::tuple<int, int, i
 
 TEST_P(SteamPoolCoverage, EveryIndexExactlyOnce) {
   const auto [n, grain, threads] = GetParam();
-  steal_pool pool(threads - 1);
+  steal_pool& pool = steal_pool::global();
   std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
   const loop_context ctx = make_count_ctx(n, grain, hits);
   pool.run(static_cast<unsigned>(threads), ctx);
@@ -44,7 +44,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{100000, 1, 8}, std::tuple{9973, 64, 3}));
 
 TEST(StealPool, ReusableAcrossLoops) {
-  steal_pool pool(3);
+  steal_pool& pool = steal_pool::global();
   for (int round = 0; round < 50; ++round) {
     std::atomic<long> sum{0};
     loop_context ctx;
@@ -62,7 +62,7 @@ TEST(StealPool, ReusableAcrossLoops) {
 }
 
 TEST(StealPool, CancellationSkipsLaterChunks) {
-  steal_pool pool(3);
+  steal_pool& pool = steal_pool::global();
   std::atomic<index_t> cancel{1 << 20};
   std::atomic<long> executed{0};
 
@@ -89,7 +89,7 @@ TEST(StealPool, CancellationSkipsLaterChunks) {
 }
 
 TEST(StealPool, TidsAreWithinRange) {
-  steal_pool pool(3);
+  steal_pool& pool = steal_pool::global();
   std::atomic<unsigned> max_tid{0};
   loop_context ctx;
   ctx.n = 10000;

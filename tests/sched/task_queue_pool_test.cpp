@@ -5,27 +5,13 @@
 #include <atomic>
 #include <vector>
 
+#include "sched/thread_pool.hpp"
+
 namespace pstlb::sched {
 namespace {
 
-TEST(TaskQueuePool, SubmitAndWaitAll) {
-  task_queue_pool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { count.fetch_add(1); });
-  }
-  pool.wait_all();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(TaskQueuePool, WaitAllOnIdlePoolReturnsImmediately) {
-  task_queue_pool pool(2);
-  pool.wait_all();
-  SUCCEED();
-}
-
 TEST(TaskQueuePool, LoopCoversEveryIndexOnce) {
-  task_queue_pool pool(3);
+  task_queue_pool& pool = task_queue_pool::global();
   for (const index_t n : {index_t{0}, index_t{1}, index_t{17}, index_t{4096}}) {
     std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
     loop_context ctx;
@@ -44,11 +30,12 @@ TEST(TaskQueuePool, LoopCoversEveryIndexOnce) {
 }
 
 TEST(TaskQueuePool, SlotsAreUniquePerConcurrentWorker) {
-  task_queue_pool pool(3);
-  const unsigned slots = pool.slot_count();
-  // Track concurrent occupancy per slot: never two chunks in the same slot
-  // at the same time (the invariant reductions rely on).
-  std::vector<std::atomic<int>> occupancy(slots);
+  task_queue_pool& pool = task_queue_pool::global();
+  constexpr unsigned participants = 4;
+  // Track concurrent occupancy per tid: never two chunks under the same tid
+  // at the same time (the invariant reductions rely on), and every tid
+  // below the run's participants.
+  std::vector<std::atomic<int>> occupancy(participants);
   std::atomic<bool> collision{false};
 
   struct state_t {
@@ -62,18 +49,21 @@ TEST(TaskQueuePool, SlotsAreUniquePerConcurrentWorker) {
   ctx.state = &state;
   ctx.run = [](void* raw, index_t, index_t, unsigned tid) {
     auto& s = *static_cast<state_t*>(raw);
+    if (tid >= s.occupancy->size()) {
+      s.collision->store(true);
+      return;
+    }
     if ((*s.occupancy)[tid].fetch_add(1) != 0) { s.collision->store(true); }
     // small busy wait to widen the race window
     std::atomic<int> spin{0};
     while (spin.fetch_add(1, std::memory_order_relaxed) < 50) {}
     (*s.occupancy)[tid].fetch_sub(1);
   };
-  pool.run(4, ctx);
+  pool.run(participants, ctx);
   EXPECT_FALSE(collision.load());
 }
 
 TEST(TaskQueuePool, GrowsForMoreParticipants) {
-  task_queue_pool pool(1);
   std::atomic<int> count{0};
   loop_context ctx;
   ctx.n = 1000;
@@ -82,9 +72,9 @@ TEST(TaskQueuePool, GrowsForMoreParticipants) {
   ctx.run = [](void* state, index_t b, index_t e, unsigned) {
     static_cast<std::atomic<int>*>(state)->fetch_add(static_cast<int>(e - b));
   };
-  pool.run(6, ctx);
+  task_queue_pool::global().run(6, ctx);
   EXPECT_EQ(count.load(), 1000);
-  EXPECT_GE(pool.worker_count(), 5u);
+  EXPECT_GE(thread_pool::global().worker_count(), 5u);
 }
 
 }  // namespace

@@ -65,19 +65,32 @@ TEST(ThreadPool, VariableParticipantCounts) {
   }
 }
 
-TEST(ThreadPool, ConcurrentCallersSerialize) {
+TEST(ThreadPool, ConcurrentCallersRunDisjointTeams) {
+  // Four callers share three workers: each region gets whatever is idle and
+  // must still run every tid below its own nthreads exactly once.
   thread_pool pool(3);
-  std::atomic<long> total{0};
+  std::atomic<int> bad_regions{0};
   std::vector<std::thread> callers;
   for (int i = 0; i < 4; ++i) {
     callers.emplace_back([&] {
       for (int round = 0; round < 50; ++round) {
-        pool.run(4, [&](unsigned, unsigned) { total.fetch_add(1); });
+        std::vector<std::atomic<int>> hits(4);
+        std::atomic<unsigned> team{0};
+        pool.run(4, [&](unsigned tid, unsigned nthreads) {
+          team.store(nthreads);
+          if (tid < hits.size()) { hits[tid].fetch_add(1); }
+        });
+        const unsigned n = team.load();
+        bool ok = n >= 1 && n <= 4;
+        for (unsigned t = 0; t < hits.size(); ++t) {
+          ok = ok && hits[t].load() == (t < n ? 1 : 0);
+        }
+        if (!ok) { bad_regions.fetch_add(1); }
       }
     });
   }
   for (auto& caller : callers) { caller.join(); }
-  EXPECT_EQ(total.load(), 4 * 50 * 4);
+  EXPECT_EQ(bad_regions.load(), 0);
 }
 
 TEST(ThreadPool, GlobalPoolIsSingleton) {

@@ -32,7 +32,7 @@ class TracedTest : public ::testing::Test {
 // least one steal attempt; a perfectly static fork-join run must produce
 // exactly zero.
 TEST_F(TracedTest, StealPoolReportsStealsUnderForcedImbalance) {
-  sched::steal_pool pool(3);
+  sched::steal_pool& pool = sched::steal_pool::global();
   sched::loop_context ctx;
   ctx.n = 8;
   ctx.grain = 1;  // 8 chunks; chunk 0 is deliberately fat
