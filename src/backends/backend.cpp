@@ -4,7 +4,6 @@
 #include <new>
 #include <system_error>
 
-#include "backends/nesting.hpp"
 #include "pstlb/fault.hpp"
 #include "sched/arena.hpp"
 #include "sched/cancel.hpp"
@@ -17,9 +16,6 @@ namespace pstlb::backends {
 
 backend::backend(backend_id id, unsigned threads) noexcept
     : id_(id), threads_(id == backend_id::seq || threads == 0 ? 1 : threads) {}
-
-backend::backend(sched::arena* a) noexcept
-    : threads_(std::min(std::max(a->cap(), 2u), 64u)), nested_(a) {}
 
 namespace {
 
@@ -40,29 +36,10 @@ void run_sequential(const sched::loop_context& ctx) {
   }
 }
 
-/// What the steal, task and nested rules execute per chunk: they run each
-/// chunk on whichever participant claims it, so the chunk itself is marked as
-/// running inside a region (a parallel call it makes takes the nested path)
-/// and bound to the caller's arena (so that call and the watchdog attribute
-/// to it).
-struct guarded_body {
-  const sched::loop_context* loop;
-  sched::arena* arena;
-
-  static void run(void* state, index_t begin, index_t end, unsigned tid) {
-    const auto& self = *static_cast<const guarded_body*>(state);
-    region_guard guard;
-    sched::arena::scoped_bind bind(self.arena);
-    self.loop->run(self.loop->state, begin, end, tid);
-  }
-};
-
 /// fork_join, omp_static and omp_dynamic: one thread_pool region. Each
-/// participant enters the region and binds the caller's arena once, then
-/// claims chunks either as its even share of the chunk ids (static) or from
-/// one shared cursor (dynamic).
-void run_region(const sched::loop_context& ctx, unsigned threads, bool dynamic,
-                sched::arena* arena) {
+/// participant claims chunks either as its even share of the chunk ids
+/// (static) or from one shared cursor (dynamic).
+void run_region(const sched::loop_context& ctx, unsigned threads, bool dynamic) {
   const index_t chunks = ctx.num_chunks();
   alignas(cache_line_size) std::atomic<index_t> cursor{0};
   // False when the chunk was skipped, failed or the region was cancelled.
@@ -78,8 +55,6 @@ void run_region(const sched::loop_context& ctx, unsigned threads, bool dynamic,
     return true;
   };
   const auto region = [&](unsigned tid, unsigned nthreads) noexcept {
-    region_guard guard;
-    sched::arena::scoped_bind bind(arena);
     if (dynamic) {
       for (;;) {
         const index_t c = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -107,44 +82,32 @@ void run_region(const sched::loop_context& ctx, unsigned threads, bool dynamic,
 void run(const backend& be, const sched::loop_context& loop) {
   sched::loop_context ctx = loop;
   ctx.grain = fit_grain(ctx.n, ctx.grain);
-  const bool nested = be.nested_arena() != nullptr;
-  if (ctx.n <= ctx.grain ||
-      (!nested && (be.threads() <= 1 || in_parallel_region()))) {
+  if (ctx.n <= ctx.grain || be.threads() <= 1) {
     run_sequential(ctx);
     return;
   }
-  // The region's fault channel: the first throwing chunk captures its
-  // exception, the rest drain without running user code, and it is rethrown
-  // here after the join (TBB task_group_context semantics). Owning it here
-  // also tells setup failures, which leave it untouched, from user ones.
-  sched::cancel_source errors;
-  ctx.errors = &errors;
-  sched::arena* const arena = sched::arena::current();
-  guarded_body body{&loop, arena};
-  sched::loop_context guarded = ctx;
-  guarded.run = &guarded_body::run;
-  guarded.state = &body;
-  if (nested) {
-    guarded.name = "arena_nested";
-    be.nested_arena()->run_nested(guarded);
-    errors.rethrow();
-    return;
-  }
+  // The region's fault channel (the loop's own when it brings one, as the
+  // lookback scan does): the first throwing chunk captures its exception,
+  // the rest drain without running user code, and it is rethrown here after
+  // the join (TBB task_group_context semantics). Holding it here also tells
+  // setup failures, which leave it untouched, from user ones.
+  sched::cancel_source errors(sched::current_cancel());
+  if (ctx.errors == nullptr) { ctx.errors = &errors; }
   // Only a pool that failed to start before any chunk ran may re-run the
   // loop sequentially; a task submit failing mid-loop cancels the source,
   // so it rethrows instead.
   const auto shed = [&](sched::shed_reason reason) {
-    if (errors.has_error() || errors.cancelled()) { throw; }
+    if (ctx.errors->has_error() || ctx.errors->cancelled()) { throw; }
     sched::note_degradation(reason);
     run_sequential(ctx);
   };
   try {
     switch (be.id()) {
       case backend_id::steal:
-        sched::steal_pool::global().run(be.threads(), guarded);
+        sched::steal_pool::global().run(be.threads(), ctx);
         break;
       case backend_id::task_futures:
-        sched::task_queue_pool::global().run(be.threads(), guarded);
+        sched::task_queue_pool::global().run(be.threads(), ctx);
         break;
       default: {
         const bool dynamic = be.id() == backend_id::omp_dynamic;
@@ -153,7 +116,7 @@ void run(const backend& be, const sched::loop_context& loop) {
         // ceil(n / threads) elements, so a coarser grain cannot leave
         // participants idle.
         if (!dynamic) { ctx.grain = std::min(ctx.grain, ceil_div(ctx.n, be.threads())); }
-        run_region(ctx, be.threads(), dynamic, arena);
+        run_region(ctx, be.threads(), dynamic);
         break;
       }
     }
@@ -164,7 +127,7 @@ void run(const backend& be, const sched::loop_context& loop) {
     shed(sched::shed_reason::oom);
     return;
   }
-  errors.rethrow();
+  ctx.errors->rethrow();
 }
 
 }  // namespace pstlb::backends

@@ -13,26 +13,19 @@
 //   task_futures — HPX-style: one heap-allocated task per chunk through a
 //                  central queue
 //
-// A backend bound to an arena is the nested-call form exec::dispatch builds
-// for a parallel call made inside a chunk: its chunks become that arena's
-// tasks instead of a second pool region.
-//
 // Every loop reaches the one worker pool (sched::thread_pool) through one
 // non-template function: for_blocks only type-erases the body into a
 // sched::loop_context, and backends::run owns the rest — the sequential
-// short-circuit, the nesting guard, the caller's arena binding, the
-// spawn/allocation failure ladder and each model's claim rule, which runs on
-// the worker team the region claimed.
+// short-circuit, the spawn/allocation failure ladder and each model's claim
+// rule, which runs on the worker team the region claimed. A loop started
+// inside another loop's chunk is no different: it is one more region, on
+// the workers that are idle or on its caller alone.
 #pragma once
 
 #include <atomic>
 
 #include "pstlb/common.hpp"
 #include "sched/loop_context.hpp"
-
-namespace pstlb::sched {
-class arena;
-}
 
 namespace pstlb::backends {
 
@@ -41,9 +34,11 @@ enum class backend_id { seq, fork_join, omp_static, omp_dynamic, steal, task_fut
 class backend;
 
 /// Runs `ctx` on `be`. Blocks until every chunk ran or was skipped; the
-/// first exception a chunk throws is rethrown here, once. A pool that cannot
-/// start (worker spawn or scratch allocation failure before any chunk ran)
-/// sheds the loop to the sequential path and counts the shed.
+/// first exception a chunk throws is rethrown here, once. The loop's fault
+/// channel is `ctx.errors` when set, else a source of its own; either way
+/// it is linked to the enclosing region's (sched::current_cancel()). A pool
+/// that cannot start (worker spawn or scratch allocation failure before any
+/// chunk ran) sheds the loop to the sequential path and counts the shed.
 void run(const backend& be, const sched::loop_context& ctx);
 
 /// Type-erases a callable into a sched::loop_context (no allocation; the
@@ -69,20 +64,13 @@ class backend {
   backend() noexcept = default;
   /// Model `id` with `threads` participants (0 counts as 1; seq always has 1).
   backend(backend_id id, unsigned threads) noexcept;
-  /// Runs every loop as tasks of arena `a` (a parallel call nested inside a
-  /// chunk): the caller drains the chunks and idle workers help.
-  explicit backend(sched::arena* a) noexcept;
 
   backend_id id() const noexcept { return id_; }
-  /// The arena a nested backend publishes its chunks to, else nullptr.
-  sched::arena* nested_arena() const noexcept { return nested_; }
-  /// Participants a parallel loop may use.
+  /// Participants a parallel loop may use, and the bound on every `tid` a
+  /// loop body sees: each claim rule hands a chunk the tid of the team
+  /// participant running it, and a team is never wider than this. Bodies
+  /// size per-participant scratch from it.
   unsigned threads() const noexcept { return threads_; }
-  /// Exclusive accumulator slots: every `tid` a loop body sees is below this.
-  /// Every claim rule hands a chunk the tid of the team participant running
-  /// it, and a team is never wider than threads(); nested helpers claim
-  /// slots 1..63 of the run's slot mask however many show up.
-  unsigned slots() const noexcept { return nested_ != nullptr ? 64 : threads_; }
 
   /// Runs body(begin, end, tid) over grain-sized blocks covering [0, n).
   /// With `cancel`, blocks whose first index is >= *cancel are skipped; the
@@ -97,7 +85,6 @@ class backend {
  private:
   backend_id id_ = backend_id::seq;
   unsigned threads_ = 1;
-  sched::arena* nested_ = nullptr;
 };
 
 /// The paper's parallel models by name, `threads` participants each.

@@ -171,16 +171,16 @@ void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
       static_cast<std::size_t>(count));
   alignas(cache_line_size) std::atomic<index_t> ticket{0};
   const index_t workers = static_cast<index_t>(be.threads());
-  // Scan-level fault channel, distinct from the launching backend's: the
+  // Scan-level fault channel, handed to the region as its own: the
   // descriptor chain is shared state the backend knows nothing about, so a
   // throwing chunk must poison its descriptor HERE — a worker that merely
   // vanished (backend-level drain) would leave successors spinning forever
   // on its EMPTY flag. Every claimed ticket therefore publishes something:
-  // a value on success, POISONED on failure or drain.
-  sched::cancel_source src;
-  sched::watchdog::scope monitor(src, "scan");
-  be.for_blocks(workers, 1, nullptr, [&](index_t, index_t, unsigned tid) {
-    sched::cancel_binding bind(&src);
+  // a value on success, POISONED on failure or drain. As the region's
+  // source it is what the participants are bound to and what the watchdog
+  // watches, so every scan chunk's beat counts.
+  sched::cancel_source src(sched::current_cancel());
+  const auto body = [&](index_t, index_t, unsigned tid) {
     for (;;) {
       const index_t c = ticket.fetch_add(1, std::memory_order_relaxed);
       if (c >= count) { return; }
@@ -254,8 +254,13 @@ void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
         desc.flag.store(detail::chunk_poisoned, std::memory_order_release);
       }
     }
-  });
+  };
+  sched::loop_context region = make_loop_context(workers, 1, nullptr, body);
+  region.errors = &src;
+  run(be, region);
   // Rethrow before touching chunks.back(): a poisoned tail has no prefix.
+  // (run rethrows a captured error itself, except after shedding a region
+  // that failed to start to the sequential path.)
   src.rethrow();
   if (final_prefix != nullptr) {
     *final_prefix = std::move(chunks.back().prefix);

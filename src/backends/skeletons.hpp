@@ -46,7 +46,7 @@ template <class T, class BlockFn, class Combine>
 T parallel_reduce(const backend& be, index_t n, index_t grain, T init, BlockFn&& block,
                   Combine&& combine) {
   if (n <= 0) { return init; }
-  std::vector<detail::padded_slot<T>> slots(be.slots());
+  std::vector<detail::padded_slot<T>> slots(be.threads());
   be.for_blocks(n, grain, nullptr, [&](index_t b, index_t e, unsigned tid) {
     T value = block(b, e);
     auto& slot = slots[tid].value;
@@ -135,7 +135,7 @@ template <class T, class Combine, class ReduceBlock, class ScanBlock>
 void parallel_scan(const backend& be, index_t n, Combine&& combine,
                    ReduceBlock&& reduce_block, ScanBlock&& scan_block) {
   if (n <= 0) { return; }
-  const chunk_table chunks(n, be.slots());
+  const chunk_table chunks(n, be.threads());
   if (chunks.count <= 1 || be.threads() == 1) {
     scan_block(index_t{0}, n, T{}, false);
     return;
@@ -179,7 +179,7 @@ template <class CountBlock, class EmitBlock>
 index_t parallel_pack(const backend& be, index_t n, CountBlock&& count_block,
                       EmitBlock&& emit_block) {
   if (n <= 0) { return 0; }
-  const chunk_table chunks(n, be.slots());
+  const chunk_table chunks(n, be.threads());
   if (chunks.count <= 1 || be.threads() == 1) {
     const index_t total = count_block(index_t{0}, n);
     emit_block(index_t{0}, n, index_t{0}, total);

@@ -99,7 +99,7 @@ Out set_op_impl(const exec::policy& policy, It1 first1, It1 last1, It2 first2, I
   return exec::dispatch(
       policy, n1 + n2, [&] { return op(first1, last1, first2, last2, out); },
       [&](const backends::backend& be, index_t) {
-        const index_t parts = static_cast<index_t>(be.slots()) * 4;
+        const index_t parts = static_cast<index_t>(be.threads()) * 4;
         const auto chunks = make_set_chunks(first1, n1, first2, n2, parts, comp);
         const index_t nchunks = static_cast<index_t>(chunks.size());
         std::vector<index_t> offsets(chunks.size());
@@ -221,7 +221,7 @@ bool includes(const exec::policy& policy, It1 first1, It1 last1, It2 first2, It2
       policy, n1 + n2,
       [&] { return std::includes(first1, last1, first2, last2, comp); },
       [&](const backends::backend& be, index_t) {
-        const index_t parts = static_cast<index_t>(be.slots()) * 4;
+        const index_t parts = static_cast<index_t>(be.threads()) * 4;
         // Drive the cuts by the needle so each needle chunk is complete.
         const auto chunks = detail::make_set_chunks(first2, n2, first1, n1, parts, comp);
         return backends::parallel_reduce(

@@ -154,7 +154,7 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
   bool in_buffer = false;
 
   const index_t per_task = std::max<index_t>(
-      index_t{1}, ceil_div(n, static_cast<index_t>(be.slots()) * 4));
+      index_t{1}, ceil_div(n, static_cast<index_t>(be.threads()) * 4));
 
   auto do_round = [&](auto src, auto dst, index_t width) {
     std::vector<sub_merge> jobs;

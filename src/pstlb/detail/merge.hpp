@@ -69,7 +69,7 @@ void parallel_merge_into(const backends::backend& be, ItA a_first, index_t a_len
   const index_t total = a_len + b_len;
   if (total == 0) { return; }
   const index_t parts =
-      std::min<index_t>(static_cast<index_t>(be.slots()) * 4,
+      std::min<index_t>(static_cast<index_t>(be.threads()) * 4,
                         std::max<index_t>(1, total / 4096));
   if (parts <= 1 || be.threads() == 1) {
     std::merge(a_first, a_first + a_len, b_first, b_first + b_len, out, comp);

@@ -66,7 +66,7 @@ void parallel_multiway_merge(const backends::backend& be,
   if (total == 0) { return; }
 
   const index_t parts =
-      std::min<index_t>(static_cast<index_t>(be.slots()) * 2,
+      std::min<index_t>(static_cast<index_t>(be.threads()) * 2,
                         std::max<index_t>(1, total / 4096));
   if (parts <= 1 || be.threads() == 1 || r_count <= 1) {
     kway_merge_segments(runs, out, comp);

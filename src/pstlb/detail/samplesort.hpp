@@ -176,8 +176,9 @@ class sort_phase_span {
 
 /// Sorts [src, src + n) with [tmp, tmp + n) as scratch; the result ends in
 /// src. `depth` 0 is the parallel top-level call; overflowing buckets
-/// recurse exactly once at depth 1 on the sequential backend (they run
-/// inside a pool worker, so nesting a second pool launch is off the table).
+/// recurse exactly once at depth 1 on the sequential backend, by choice:
+/// they run inside the bucket loop, which already keeps its team busy, so a
+/// nested region would find no idle workers to claim.
 /// `stats` is non-null only at the top level — recursion traffic rides on
 /// the bucket phase's accounting.
 template <bool Stable, class SrcIt, class TmpIt, class Compare>
@@ -257,7 +258,7 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
   }
 
   // --- phase 1: per-chunk bucket histograms ---------------------------------
-  const backends::chunk_table chunks(n, be.slots());
+  const backends::chunk_table chunks(n, be.threads());
   const index_t chunk_count = chunks.count;
   // Bucket-major layout hist[b * chunk_count + c]: the offsets scan below
   // walks it contiguously in exactly scatter order.

@@ -1,18 +1,23 @@
 #include "pstlb/env.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
-
-#include "pstlb/common.hpp"
 
 extern "C" char** environ;
 
 namespace pstlb::env {
 
 unsigned unsigned_or(const char* name, unsigned fallback) {
-  return env_unsigned(name, fallback);
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) { return fallback; }
+  const char* const end = raw + std::strlen(raw);
+  unsigned value = 0;
+  const auto [ptr, ec] = std::from_chars(raw, end, value);
+  return ec == std::errc() && ptr == end && value > 0 ? value : fallback;
 }
 
 bool truthy(const char* name) {

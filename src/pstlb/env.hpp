@@ -16,7 +16,10 @@
 
 namespace pstlb::env {
 
-/// Positive-integer knob; `fallback` when unset, empty, or unparsable.
+/// Positive-integer knob: any decimal value from 1 to UINT_MAX; `fallback`
+/// when unset, empty, zero, negative, too large or not a number. (Thread
+/// counts read PSTL_NUM_THREADS/OMP_NUM_THREADS through env_unsigned, which
+/// keeps a 2^20 bound.)
 unsigned unsigned_or(const char* name, unsigned fallback);
 
 /// Boolean knob: set, non-empty, and not "0".

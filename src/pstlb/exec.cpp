@@ -1,15 +1,15 @@
 #include "pstlb/exec.hpp"
 
-#include "backends/nesting.hpp"
+#include "sched/cancel.hpp"
 
 namespace pstlb::exec {
 
 admission::admission(const policy& p, index_t n) {
-  if (backends::in_parallel_region()) {
-    sched::arena* a = sched::arena::current();
-    if (a == nullptr || a->cap() <= 1 || backends::region_depth() > 1) { return; }
-    backend_ = backends::backend(a);
-  } else if (sched::arena* a = sched::arena::admission_target(); a == nullptr) {
+  // A call inside a region rides the enclosing call's grant.
+  sched::arena* const a = sched::current_cancel() != nullptr
+                              ? nullptr
+                              : sched::arena::admission_target();
+  if (a == nullptr) {
     backend_ = backends::backend(p.backend, p.threads);
   } else {
     ticket_ = a->admit(p.threads);

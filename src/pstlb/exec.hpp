@@ -190,10 +190,10 @@ sched::scoped_data_hint data_hint(It first, index_t stride_elems = 1) {
 /// the call may run in parallel and on which backend, and holds the arena
 /// grant and the thread's arena binding until the call returns.
 ///
-///   - Inside another region the pools are off-limits (non-reentrant). A
-///     first-level nested call inside an arena becomes that arena's tasks,
-///     which the enclosing region's idle workers help drain; anything deeper
-///     — or any nested call outside an arena — runs sequentially.
+///   - Inside another region (sched::current_cancel() is set) the call
+///     rides the enclosing call's grant: it skips the arena and runs at the
+///     policy's width as a nested pool region, which gets whatever workers
+///     are idle and runs on its caller alone when none are.
 ///   - Otherwise the call asks its arena for concurrency tokens and runs at
 ///     the granted width, or sequentially when admission says no.
 ///     PSTLB_ARENA=0 skips admission (the policy's width, ungated).
@@ -218,7 +218,7 @@ class admission {
 };
 
 /// Central dispatch: runs `par_fn(backend, grain)` when the policy, input
-/// size, nesting situation and arena admission allow parallel execution,
+/// size and arena admission allow parallel execution,
 /// otherwise `seq_fn()`. Every algorithm front-end funnels through here, so
 /// the fallback rules live in exactly one place; a pool that fails to start
 /// sheds inside backends::run instead.

@@ -4,10 +4,8 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "pstlb/env.hpp"
-#include "sched/loop_context.hpp"
 #include "sched/thread_pool.hpp"
 
 namespace pstlb::sched {
@@ -89,17 +87,6 @@ struct arena::waiter {
   unsigned tokens = 0;   // pool tokens backing the grant (<= granted)
   bool done = false;
   std::condition_variable cv;
-};
-
-struct arena::nested_run {
-  const loop_context* ctx = nullptr;
-  index_t chunks = 0;
-  std::atomic<index_t> next{0};
-  std::atomic<index_t> unfinished{0};
-  /// Participant-slot ownership bits: slot 0 is the owner, helpers claim a
-  /// free bit so concurrent executors never share a tid (bodies size their
-  /// per-participant scratch from backend.slots()).
-  std::atomic<std::uint64_t> slot_mask{1};
 };
 
 arena::arena(config cfg)
@@ -310,90 +297,6 @@ void arena::count_shed(shed_reason reason) noexcept {
   }
 }
 
-void arena::run_nested(const loop_context& ctx) {
-  const index_t chunks = ctx.num_chunks();
-  if (chunks == 0) { return; }
-  nested_runs_.fetch_add(1, std::memory_order_relaxed);
-  nested_run run;
-  run.ctx = &ctx;
-  run.chunks = chunks;
-  run.unfinished.store(chunks, std::memory_order_relaxed);
-  // Publish for idle pool workers. Losing the CAS (another nested call is
-  // already published) is fine: this run simply drains on its own thread.
-  nested_run* expected = nullptr;
-  const bool published =
-      nested_.compare_exchange_strong(expected, &run,
-                                      std::memory_order_acq_rel);
-  cancel_source* outer = current_cancel();
-  for (;;) {
-    const index_t c = run.next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= chunks) { break; }
-    if (outer != nullptr && outer->cancelled() && ctx.errors != nullptr) {
-      ctx.errors->cancel();
-    }
-    ctx.execute_chunk(c, 0);
-    run.unfinished.fetch_sub(1, std::memory_order_acq_rel);
-    // Keep the *outer* region's heartbeat moving: a long nested loop beats
-    // its own cancel source inside execute_chunk, which the watchdog of the
-    // enclosing region cannot see.
-    if (outer != nullptr) { outer->beat(); }
-  }
-  while (run.unfinished.load(std::memory_order_acquire) > 0) {
-    if (outer != nullptr && outer->cancelled() && ctx.errors != nullptr) {
-      ctx.errors->cancel();
-    }
-    std::this_thread::yield();
-  }
-  if (published) {
-    nested_.store(nullptr, std::memory_order_release);
-    // run lives on this stack frame: wait out helpers that loaded the
-    // pointer before it was cleared.
-    while (nested_guard_.load(std::memory_order_acquire) > 0) {
-      std::this_thread::yield();
-    }
-  }
-}
-
-bool arena::try_help_nested() noexcept {
-  if (nested_.load(std::memory_order_acquire) == nullptr) { return false; }
-  nested_guard_.fetch_add(1, std::memory_order_acq_rel);
-  nested_run* run = nested_.load(std::memory_order_acquire);
-  if (run == nullptr) {
-    nested_guard_.fetch_sub(1, std::memory_order_release);
-    return false;
-  }
-  unsigned slot = 64;
-  std::uint64_t mask = run->slot_mask.load(std::memory_order_relaxed);
-  for (;;) {
-    const std::uint64_t free_bits = ~mask;
-    if (free_bits == 0) { break; }
-    const unsigned candidate =
-        static_cast<unsigned>(std::countr_zero(free_bits));
-    if (run->slot_mask.compare_exchange_weak(mask, mask | (1ull << candidate),
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed)) {
-      slot = candidate;
-      break;
-    }
-  }
-  if (slot >= 64) {
-    nested_guard_.fetch_sub(1, std::memory_order_release);
-    return false;
-  }
-  bool helped = false;
-  for (;;) {
-    const index_t c = run->next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= run->chunks) { break; }
-    run->ctx->execute_chunk(c, slot);
-    run->unfinished.fetch_sub(1, std::memory_order_acq_rel);
-    helped = true;
-  }
-  run->slot_mask.fetch_and(~(1ull << slot), std::memory_order_release);
-  nested_guard_.fetch_sub(1, std::memory_order_release);
-  if (helped) { nested_helps_.fetch_add(1, std::memory_order_relaxed); }
-  return helped;
-}
-
 arena_snapshot arena::snapshot() const {
   arena_snapshot s;
   s.name = name_;
@@ -406,8 +309,6 @@ arena_snapshot arena::snapshot() const {
   s.shed_spawnfail = shed_spawnfail_.load(std::memory_order_relaxed);
   s.shed_oom = shed_oom_.load(std::memory_order_relaxed);
   s.watchdog_fires = watchdog_fires_.load(std::memory_order_relaxed);
-  s.nested_runs = nested_runs_.load(std::memory_order_relaxed);
-  s.nested_helps = nested_helps_.load(std::memory_order_relaxed);
   s.peak_pending = peak_pending_.load(std::memory_order_relaxed);
   s.calls = calls_.load(std::memory_order_relaxed);
   for (std::size_t b = 0; b < arena_hist_buckets; ++b) {

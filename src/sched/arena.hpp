@@ -27,11 +27,10 @@
 //   - graceful degradation: worker-spawn failure (EAGAIN storms) and
 //     scratch-allocation failure (std::bad_alloc) inside a backend shed the
 //     call to the sequential path the same way (see note_degradation);
-//   - nested composition: a parallel call made from inside a chunk does not
-//     spawn a second pool region — it publishes its chunks as tasks in the
-//     caller's arena (run_nested), and idle workers of the executing pool
-//     help drain them (try_help_nested). This is the oneDPL "don't create a
-//     nested parallel region: just create tasks" idiom.
+//   - nested composition: a parallel call made from inside a chunk is not
+//     admitted again — it rides the enclosing call's grant and runs as one
+//     more pool region, on whatever workers are idle (or its caller alone),
+//     still bound to this arena for attribution.
 //
 // Every `pstlb::` front-end funnels through exec::dispatch, which performs
 // admission against arena::current() (a TLS binding installed by
@@ -50,8 +49,6 @@
 #include "pstlb/common.hpp"
 
 namespace pstlb::sched {
-
-struct loop_context;
 
 /// How an admission request resolved. Everything except `parallel` means the
 /// caller must take its sequential path.
@@ -81,8 +78,6 @@ struct arena_snapshot {
   std::uint64_t shed_spawnfail = 0;
   std::uint64_t shed_oom = 0;
   std::uint64_t watchdog_fires = 0;  // stalls attributed to this arena
-  std::uint64_t nested_runs = 0;     // nested regions converted to tasks
-  std::uint64_t nested_helps = 0;    // idle workers that drained nested tasks
   std::uint64_t peak_pending = 0;    // high-water mark of the wait queue
   std::uint64_t calls = 0;           // per-call latency samples below
   std::uint64_t call_hist[arena_hist_buckets] = {};
@@ -173,15 +168,6 @@ class arena {
   /// this arena fires.
   void note_watchdog_fire() noexcept { watchdog_fires_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Executes `ctx` as arena tasks: the calling thread drains chunks and
-  /// idle pool workers of the active region help via try_help_nested().
-  /// This is the nested-region path — it launches no pool region.
-  void run_nested(const loop_context& ctx);
-
-  /// Called by idle pool workers: drains chunks of the published nested run,
-  /// if any. Returns true when at least one chunk was executed.
-  bool try_help_nested() noexcept;
-
   arena_snapshot snapshot() const;
   /// Snapshots every live arena (stats-registry/bench export).
   static std::vector<arena_snapshot> snapshot_all();
@@ -191,8 +177,9 @@ class arena {
   static std::uint64_t global_shed_count() noexcept;
 
   /// The arena bound to this thread, or nullptr. Bound by exec::dispatch
-  /// around admitted regions (and propagated to workers by the backends) so
-  /// nested calls and the watchdog can attribute to it.
+  /// around admitted regions (and on every participant of a region by
+  /// thread_pool::run) so nested calls, sheds and the watchdog can attribute
+  /// to it.
   static arena* current() noexcept;
 
   class scoped_bind {
@@ -223,7 +210,6 @@ class arena {
 
  private:
   struct waiter;
-  struct nested_run;
 
   /// Fair grant width given current contention. Caller holds mutex_.
   unsigned fair_share_locked() const noexcept;
@@ -253,20 +239,11 @@ class arena {
   std::atomic<std::uint64_t> shed_spawnfail_{0};
   std::atomic<std::uint64_t> shed_oom_{0};
   std::atomic<std::uint64_t> watchdog_fires_{0};
-  std::atomic<std::uint64_t> nested_runs_{0};
-  std::atomic<std::uint64_t> nested_helps_{0};
   std::atomic<std::uint64_t> peak_pending_{0};
   std::atomic<std::uint64_t> calls_{0};
   std::atomic<std::uint64_t> call_hist_[arena_hist_buckets] = {};
   std::atomic<std::uint64_t> wait_hist_[arena_hist_buckets] = {};
   std::atomic<std::uint64_t> last_warn_ms_{0};
-
-  // Nested-task publication point: at most one nested run per arena at a
-  // time (a second concurrent nested call simply drains on its own thread).
-  // nested_guard_ counts helpers between pointer load and final release, so
-  // the owner can wait for them before its stack frame goes away.
-  std::atomic<nested_run*> nested_{nullptr};
-  std::atomic<unsigned> nested_guard_{0};
 };
 
 /// Degradation funnel for code that sheds outside admit() — backend setup

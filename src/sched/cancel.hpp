@@ -13,6 +13,13 @@
 // (sched/watchdog.hpp): chunks call beat() on completion, and a monitor that
 // sees no beats for PSTLB_WATCHDOG_MS cancels the region by capturing a
 // watchdog_timeout here.
+//
+// A region started inside another region's chunk (a nested call) links its
+// source to the enclosing one: every beat also counts for the parent, so a
+// long nested loop keeps the enclosing watchdog quiet, and a cancelled
+// parent makes the child read as cancelled, so an enclosing failure drains
+// the nested chunks. Each source still captures and rethrows only its own
+// first exception.
 #pragma once
 
 #include <atomic>
@@ -23,15 +30,19 @@ namespace pstlb::sched {
 
 class cancel_source {
  public:
-  cancel_source() = default;
+  /// `parent` is the enclosing region's source (current_cancel() where this
+  /// region starts), or nullptr for an outermost region.
+  explicit cancel_source(cancel_source* parent = nullptr) noexcept
+      : parent_(parent) {}
   cancel_source(const cancel_source&) = delete;
   cancel_source& operator=(const cancel_source&) = delete;
 
-  /// True once any chunk threw or the region was cancelled. Chunk-granular
-  /// check: bodies that can block (lookback spins, injected stalls) poll this
-  /// inside their wait loops too.
+  /// True once any chunk threw, the region was cancelled, or an enclosing
+  /// region was. Chunk-granular check: bodies that can block (lookback
+  /// spins, injected stalls) poll this inside their wait loops too.
   bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_acquire);
+    return cancelled_.load(std::memory_order_acquire) ||
+           (parent_ != nullptr && parent_->cancelled());
   }
 
   /// Captures `error` if no exception has been captured yet, then trips the
@@ -53,9 +64,13 @@ class cancel_source {
   /// Trips the token without an exception (drain-only cancellation).
   void cancel() noexcept { cancelled_.store(true, std::memory_order_release); }
 
-  /// Progress heartbeat: bumped once per completed chunk. The watchdog
-  /// declares a region hung when this stops moving.
-  void beat() noexcept { progress_.fetch_add(1, std::memory_order_relaxed); }
+  /// Progress heartbeat: bumped once per completed chunk, here and in every
+  /// enclosing source. The watchdog declares a region hung when this stops
+  /// moving.
+  void beat() noexcept {
+    progress_.fetch_add(1, std::memory_order_relaxed);
+    if (parent_ != nullptr) { parent_->beat(); }
+  }
   std::uint64_t progress() const noexcept {
     return progress_.load(std::memory_order_relaxed);
   }
@@ -83,6 +98,7 @@ class cancel_source {
   std::atomic<bool> error_ready_{false};
   std::atomic<std::uint64_t> progress_{0};
   std::exception_ptr error_;
+  cancel_source* const parent_;
 };
 
 namespace detail {
@@ -91,10 +107,13 @@ inline thread_local cancel_source* tls_cancel = nullptr;
 
 /// The cancel source of the innermost region executing on this thread, or
 /// nullptr outside any region. Lets leaf code with no plumbing to the region
-/// (fault injection stalls, long-running user loops) poll for cancellation.
+/// (fault injection stalls, long-running user loops) poll for cancellation,
+/// and is the one "inside a region" test: a parallel call made where it is
+/// set runs as a region nested in that one.
 inline cancel_source* current_cancel() noexcept { return detail::tls_cancel; }
 
-/// RAII binding of current_cancel() around one chunk's user code.
+/// RAII binding of current_cancel() around one participant's share of a
+/// region (thread_pool::run binds it, once per participant).
 class cancel_binding {
  public:
   explicit cancel_binding(cancel_source* src) noexcept

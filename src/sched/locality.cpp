@@ -165,13 +165,9 @@ std::vector<chunk_seed> plan_chunk_seeds(const loop_context& ctx,
   };
   if (!plan.active() || chunks <= 1) { return everything(); }
 
-  chunk_home_fn home = ctx.chunk_home;
-  const void* home_state = ctx.home_state;
+  chunk_home_fn home = current_chunk_home_fn();
+  const void* home_state = current_chunk_home_state();
   registry_home_state reg;
-  if (home == nullptr) {
-    home = current_chunk_home_fn();
-    home_state = current_chunk_home_state();
-  }
   if (home == nullptr) {
     const data_hint hint = current_data_hint();
     if (hint.base == nullptr || hint.bytes_per_index == 0) {

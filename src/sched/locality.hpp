@@ -112,8 +112,8 @@ unsigned home_node_of(const numa::allocation_info& info, std::size_t offset,
                       const locality_plan& plan);
 
 /// Plans the initial seeding of `chunks` chunks across the plan's node
-/// leaders: consults ctx.chunk_home first, then the calling thread's data
-/// hint resolved through numa::page_registry, and groups contiguous
+/// leaders: consults the calling thread's chunk-home map first, then its
+/// data hint resolved through numa::page_registry, and groups contiguous
 /// same-node runs into one seed each. Falls back to a single {tid 0} seed
 /// covering everything when no placement information is available. The
 /// returned seeds always cover [0, chunks) exactly once, in order.

@@ -30,19 +30,12 @@ struct loop_context {
   /// for lowering the value (fetch-min) when it finds a match.
   std::atomic<index_t>* cancel_before = nullptr;
   /// Exception propagation + cooperative cancellation for this loop. The
-  /// pools install their per-run source before dispatch and rethrow after the
-  /// join; a null source restores the legacy std::terminate behaviour.
+  /// pools install their per-run source before dispatch (unless the loop
+  /// brings one) and rethrow after the join; execute_chunk requires it.
   cancel_source* errors = nullptr;
   /// Pool label for watchdog diagnostics ("steal", "task_queue", ...).
   /// Must be a string literal.
   const char* name = "loop";
-  /// Optional placement map for locality-aware pools: chunk `c`'s data is
-  /// expected on NUMA node `chunk_home(home_state, c)`. Consulted at seed
-  /// time only — execution stays work-stealing, so a wrong map costs
-  /// locality, never correctness. Null means "derive from the caller's
-  /// sched::data_hint, or seed everything to the caller".
-  unsigned (*chunk_home)(const void* state, index_t chunk) = nullptr;
-  const void* home_state = nullptr;
 
   index_t num_chunks() const noexcept {
     return n == 0 ? 0 : ceil_div(n, grain);
@@ -58,7 +51,9 @@ struct loop_context {
   /// noexcept on purpose: an exception from user code is captured into
   /// `errors` (first one wins, token trips, later chunks drain without
   /// running user code) instead of escaping into the pool's completion
-  /// accounting — the launching thread rethrows it after the join.
+  /// accounting — the launching thread rethrows it after the join. Binds
+  /// nothing: the participant running it is already bound to the region
+  /// (thread_pool::run).
   bool execute_chunk(index_t c, unsigned tid) const noexcept {
     index_t begin = 0;
     index_t end = 0;
@@ -67,12 +62,7 @@ struct loop_context {
         begin >= cancel_before->load(std::memory_order_relaxed)) {
       return false;
     }
-    if (errors == nullptr) {
-      run(state, begin, end, tid);
-      return true;
-    }
     if (errors->cancelled()) { return false; }
-    cancel_binding bind(errors);
     watchdog::chunk_mark mark(name, tid, begin, end);
     try {
       if (fault::armed()) { fault::on_chunk(begin); }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "pstlb/fault.hpp"
-#include "sched/arena.hpp"
 #include "sched/chase_lev_deque.hpp"
 #include "sched/thread_pool.hpp"
 #include "trace/trace.hpp"
@@ -35,9 +34,6 @@ using deque = chase_lev_deque<packed_chunks>;
 struct steal_run {
   const loop_context* ctx = nullptr;
   std::uint64_t seed = 0;  // victim RNG seed, read once by the caller
-  // The caller's arena: thieves out of loop work drain its pending nested
-  // tasks (arena::try_help_nested) instead of spinning.
-  arena* help = nullptr;
   // The multi-node topology to plan for; null = uniform stealing.
   const numa::topology_tree* topo = nullptr;
   const locality_plan* plan = nullptr;  // null = uniform stealing
@@ -122,13 +118,6 @@ void work(steal_run& run, unsigned tid, unsigned nthreads) {
                                : 0);
       }
       if (!item) {
-        // Out of loop work: drain the arena's pending nested tasks (a
-        // parallel call made inside one of this loop's chunks) before
-        // falling back to idle spinning.
-        if (run.help != nullptr && run.help->try_help_nested()) {
-          idle_spins = 0;
-          continue;
-        }
         if (idle_since == 0) { idle_since = trace::span_begin(); }
         if (++idle_spins >= 64) {
           std::this_thread::yield();
@@ -185,8 +174,8 @@ void steal_pool::run(unsigned participants, const loop_context& ctx) {
 
   // Per-run fault channel: the first throwing chunk captures its exception
   // here, the rest of the loop drains, and the caller rethrows after the
-  // join. An already-installed source (nested dispatch) is respected.
-  cancel_source errors;
+  // join. An already-installed source (backends::run's) is respected.
+  cancel_source errors(current_cancel());
   loop_context run_ctx = ctx;
   if (run_ctx.errors == nullptr) { run_ctx.errors = &errors; }
   run_ctx.name = "steal";
@@ -194,7 +183,6 @@ void steal_pool::run(unsigned participants, const loop_context& ctx) {
   steal_run run;
   run.ctx = &run_ctx;
   run.seed = fault::env_seed(0x9E3779B9u);
-  run.help = arena::current();
   // The knobs and the topology (discovered on first use) are read before
   // the region starts; only the team-size-dependent plan is made inside it.
   if (steal_locality_enabled()) {

@@ -84,8 +84,9 @@ void task_queue_pool::run(unsigned participants, const loop_context& ctx) {
   if (chunks == 0) { return; }
 
   // Per-run fault channel (see sched/cancel.hpp): first throwing chunk wins,
-  // the rest drain, the caller rethrows after the queue empties.
-  cancel_source errors;
+  // the rest drain, the caller rethrows after the queue empties. An
+  // already-installed source (backends::run's) is respected.
+  cancel_source errors(current_cancel());
   loop_context run_ctx = ctx;
   if (run_ctx.errors == nullptr) { run_ctx.errors = &errors; }
   run_ctx.name = "task_queue";

@@ -7,6 +7,7 @@
 
 #include "counters/provider.hpp"
 #include "pstlb/fault.hpp"
+#include "sched/arena.hpp"
 #include "sched/spawn_retry.hpp"
 #include "sched/watchdog.hpp"
 #include "trace/trace.hpp"
@@ -17,6 +18,7 @@ namespace pstlb::sched {
 struct thread_pool::team {
   const region_fn* fn = nullptr;
   cancel_source* errors = nullptr;
+  arena* home = nullptr;  // the caller's arena, bound on each worker for its share
   unsigned nthreads = 1;
   unsigned running = 0;       // guarded by mutex_: workers still inside fn
   worker* members = nullptr;  // the claimed workers, linked by next
@@ -94,6 +96,7 @@ void thread_pool::ensure(unsigned threads) {
 void thread_pool::run(unsigned threads, const region_fn& fn, cancel_source* errors) {
   PSTLB_EXPECTS(threads >= 1);
   if (threads == 1) {
+    const cancel_binding bind(errors);
     fn(0, 1);
     return;
   }
@@ -101,6 +104,7 @@ void thread_pool::run(unsigned threads, const region_fn& fn, cancel_source* erro
   team t;
   t.fn = &fn;
   t.errors = errors;
+  t.home = arena::current();
   {
     std::lock_guard lock(mutex_);
     while (t.nthreads < threads && idle_ != nullptr) {
@@ -125,6 +129,7 @@ void thread_pool::run(unsigned threads, const region_fn& fn, cancel_source* erro
       // Watchdog coverage starts with the team, right before the caller's
       // own share, so stalled chunks are timed against the region's clock.
       if (errors != nullptr) { monitor.emplace(*errors, name_.c_str()); }
+      const cancel_binding bind(errors);
       fn(0, t.nthreads);
     } catch (...) {
       // Still must meet the barrier: the workers hold references into `t`.
@@ -164,6 +169,10 @@ void thread_pool::worker_main(worker& self, unsigned index) {
     trace::record_span(trace::pool_id::fork_join, trace::event_kind::idle, idle0);
     const std::uint64_t t0 = trace::span_begin();
     try {
+      // The share runs bound to its region (see run()): a parallel call it
+      // makes is a region nested in this one.
+      const cancel_binding bind_errors(t.errors);
+      const arena::scoped_bind bind_arena(t.home);
       (*t.fn)(tid, t.nthreads);
     } catch (...) {
       // With a fault channel the exception joins the region's single-winner

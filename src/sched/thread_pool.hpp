@@ -63,7 +63,12 @@ class thread_pool {
   /// Runs `fn(tid, nthreads)` on the caller (tid 0) plus the idle workers it
   /// claims (tids 1..nthreads-1), and waits for all. `nthreads` is at most
   /// `threads` and may be below it — down to 1 — when other regions hold
-  /// workers; the call never waits for another region to finish.
+  /// workers; the call never waits for another region to finish. A region
+  /// started from inside another one's share is no different: it claims
+  /// the workers that are idle, or runs on its caller alone.
+  /// Every participant, the caller included, runs its share bound to the
+  /// region: `errors` as current_cancel() and the caller's arena as
+  /// arena::current().
   /// `errors`, when given, is the region's fault channel: it is registered
   /// with the hang watchdog for the duration of the run, and an exception
   /// escaping `fn` on a worker thread is captured into it (first one wins)

@@ -116,8 +116,6 @@ void write_arena_json(std::ostream& os, const sched::arena_snapshot& s) {
      << ",\"shed_spawnfail\":" << s.shed_spawnfail
      << ",\"shed_oom\":" << s.shed_oom
      << ",\"watchdog_fires\":" << s.watchdog_fires
-     << ",\"nested_runs\":" << s.nested_runs
-     << ",\"nested_helps\":" << s.nested_helps
      << ",\"peak_pending\":" << s.peak_pending << ",\"calls\":" << s.calls
      << ",\"p50_ns\":" << s.p50_ns() << ",\"p95_ns\":" << s.p95_ns()
      << ",\"p99_ns\":" << s.p99_ns() << "}";

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -29,7 +30,15 @@ std::uint64_t epoch_ns() {
 
 std::size_t configured_capacity() {
   static const std::size_t capacity = [] {
+    // Every thread allocates a ring of this many events, so a typo must not
+    // size a multi-gigabyte allocation per thread: 2^20 events is the cap.
+    constexpr unsigned max_events = 1u << 20;
     const unsigned raw = env::unsigned_or("PSTLB_TRACE_RING", 0);
+    if (raw > max_events) {
+      std::fprintf(stderr, "pstlb: PSTLB_TRACE_RING=%u clamped to %u events\n", raw,
+                   max_events);
+      return std::size_t{max_events};
+    }
     return raw == 0 ? std::size_t{1} << 14 : static_cast<std::size_t>(raw);
   }();
   return capacity;

@@ -37,7 +37,7 @@ PSTLB_SKELETON_TEST(SkeletonTest, ForCoversRangeOnce) {
 
 PSTLB_SKELETON_TEST(SkeletonTest, ForTidStaysBelowSlots) {
   auto backend = this->make();
-  const unsigned slots = backend.slots();
+  const unsigned slots = backend.threads();
   std::atomic<bool> bad{false};
   parallel_for(backend, index_t{10000}, index_t{16},
                [&](index_t, index_t, unsigned tid) {
@@ -337,7 +337,7 @@ TEST(TwoPassScan, CarryLoopMovesInsteadOfCopying) {
   for (index_t i = 0; i < n; ++i) {
     ASSERT_EQ(output[static_cast<std::size_t>(i)], i + 1);
   }
-  const chunk_table chunks(n, be.slots());
+  const chunk_table chunks(n, be.threads());
   EXPECT_LE(move_counter::copies.load(), static_cast<int>(chunks.count));
 }
 
@@ -372,20 +372,25 @@ TEST(LookbackChunkSize, RespectsFloorAndCacheCap) {
   EXPECT_EQ(lookback_chunk_size(1 << 20, 8, 512), 2048);  // n / (threads * 64)
 }
 
-TEST(Nesting, NestedLoopsFallBackSequentially) {
+TEST(Nesting, NestedLoopsRunAsPoolRegions) {
+  // Each inner loop is a region of its own on the one pool: the outer loop
+  // holds the workers it claimed, so the inner ones get whatever is idle or
+  // run on their caller alone — never deadlocking, never losing a block.
   const backend outer = fork_join_backend(4);
   std::atomic<int> count{0};
+  std::atomic<int> wide_tids{0};
   parallel_for(outer, index_t{8}, index_t{1}, [&](index_t b, index_t e, unsigned) {
-    // Would deadlock if it re-entered the pool.
     const backend inner = fork_join_backend(4);
     for (index_t i = b; i < e; ++i) {
       parallel_for(inner, index_t{100}, index_t{10},
-                   [&](index_t ib, index_t ie, unsigned) {
+                   [&](index_t ib, index_t ie, unsigned tid) {
                      count.fetch_add(static_cast<int>(ie - ib));
+                     if (tid >= inner.threads()) { wide_tids.fetch_add(1); }
                    });
     }
   });
   EXPECT_EQ(count.load(), 800);
+  EXPECT_EQ(wide_tids.load(), 0);
 }
 
 TEST(FitGrain, KeepsEveryLoopWithinThirtyTwoBitChunkIds) {
@@ -441,7 +446,7 @@ TEST(TaskFutures, ConcurrentCallersOfDifferentWidthsStayBelowTheirSlots) {
   std::atomic<bool> grown{false};
   const auto rounds = [&bad](unsigned width, auto&& keep_going) {
     const backend be = task_futures_backend(width);
-    std::vector<std::atomic<int>> occupancy(be.slots());
+    std::vector<std::atomic<int>> occupancy(be.threads());
     keep_going(0);
     for (int round = 1; keep_going(round); ++round) {
       parallel_for(be, index_t{2048}, index_t{16}, [&](index_t, index_t, unsigned tid) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <vector>
 
@@ -283,17 +284,29 @@ TEST(Dispatch, AutoGrainIsPositiveAndBounded) {
   EXPECT_LE(seen, 100000);
 }
 
-TEST(Dispatch, NestedRegionFallsBackToSeq) {
+TEST(Dispatch, NestedRegionTakesTheParallelPath) {
+  // A call inside a region skips admission and gets the policy's own width:
+  // it runs as a nested region on whatever workers are idle.
   pstlb::exec::steal_policy pol{4};
   pol.seq_threshold = 0;
-  bool inner_par = false;
-  pstlb::backends::parallel_for(pstlb::backends::steal_backend(4), index_t{4}, index_t{1},
-                                [&](index_t, index_t, unsigned) {
-                                  pstlb::exec::dispatch(
-                                      pol, 1 << 20, [] {},
-                                      [&](const backend&, index_t) { inner_par = true; });
-                                });
-  EXPECT_FALSE(inner_par);
+  std::atomic<int> parallel{0};
+  std::atomic<int> sequential{0};
+  std::atomic<int> wrong_backend{0};
+  pstlb::backends::parallel_for(
+      pstlb::backends::steal_backend(4), index_t{4}, index_t{1},
+      [&](index_t, index_t, unsigned) {
+        pstlb::exec::dispatch(
+            pol, 1 << 20, [&] { sequential.fetch_add(1); },
+            [&](const backend& be, index_t) {
+              parallel.fetch_add(1);
+              if (be.id() != pstlb::backends::backend_id::steal || be.threads() != 4) {
+                wrong_backend.fetch_add(1);
+              }
+            });
+      });
+  EXPECT_EQ(parallel.load(), 4);
+  EXPECT_EQ(sequential.load(), 0);
+  EXPECT_EQ(wrong_backend.load(), 0);
 }
 
 }  // namespace

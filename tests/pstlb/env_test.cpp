@@ -37,6 +37,16 @@ TEST(EnvAccessors, UnsignedOr) {
     EnvVar v("PSTLB_TEST_U", "banana");
     EXPECT_EQ(unsigned_or("PSTLB_TEST_U", 7u), 7u);
   }
+  // Knobs are not thread counts: every value that fits in unsigned counts,
+  // anything larger or negative falls back.
+  for (const char* value : {"1048577", "2097152", "4294967295"}) {
+    EnvVar v("PSTLB_TEST_U", value);
+    EXPECT_EQ(unsigned_or("PSTLB_TEST_U", 7u), std::stoul(value)) << value;
+  }
+  for (const char* value : {"4294967296", "-1"}) {
+    EnvVar v("PSTLB_TEST_U", value);
+    EXPECT_EQ(unsigned_or("PSTLB_TEST_U", 7u), 7u) << value;
+  }
 }
 
 TEST(EnvAccessors, Truthy) {

@@ -10,11 +10,13 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "numa/first_touch_allocator.hpp"
 #include "pstlb/fault.hpp"
 #include "pstlb/pstlb.hpp"
+#include "sched/cancel.hpp"
 #include "sched/watchdog.hpp"
 #include "support/policies.hpp"
 
@@ -166,6 +168,73 @@ TEST_F(FaultWatchdog, WatchdogStaysQuietOnHealthyProgress) {
   }
   EXPECT_GT(total, 0);
   EXPECT_EQ(watchdog::fired_count(), fired_before);
+}
+
+TEST_F(FaultWatchdog, LongNestedLoopOfShortChunksKeepsTheEnclosingRegionQuiet) {
+  // Outer chunk 0 runs one nested loop of 1 ms chunks for 4x the interval.
+  // The outer region completes nothing meanwhile; its heartbeat moves only
+  // because every nested chunk's beat also counts for the enclosing source.
+  constexpr unsigned interval_ms = 200;
+  watchdog::set_timeout_ms(interval_ms);
+  const std::uint64_t fired_before = watchdog::fired_count();
+  const auto outer = pstlb::test::make_eager(pstlb::backends::backend_id::fork_join, 2, 1);
+  const auto inner = pstlb::test::make_eager(pstlb::backends::backend_id::omp_dynamic, 4, 1);
+  std::vector<int> rows(2, 0);
+  std::vector<int> cells(100000, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto until = t0 + std::chrono::milliseconds(4 * interval_ms);
+  pstlb::for_each(outer, rows.begin(), rows.end(), [&](int& row) {
+    if (&row != &rows[0]) { return; }
+    pstlb::for_each(inner, cells.begin(), cells.end(), [&](int&) {
+      if (std::chrono::steady_clock::now() < until) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(4 * interval_ms));
+  EXPECT_EQ(watchdog::fired_count(), fired_before);
+}
+
+TEST_F(FaultWatchdog, StalledNestedChunkGivesTheOutermostCallerOneTimeout) {
+  // One nested chunk stalls (polling its region's cancel token) for at most
+  // 6x the interval — under the 8x hard-exit rung. The watchdog cancels the
+  // stalled nesting, and the outermost caller gets exactly one
+  // watchdog_timeout.
+  constexpr unsigned interval_ms = 200;
+  watchdog::set_timeout_ms(interval_ms);
+  const std::uint64_t fired_before = watchdog::fired_count();
+  const auto outer = pstlb::test::make_eager(pstlb::backends::backend_id::fork_join, 2, 1);
+  const auto inner = pstlb::test::make_eager(pstlb::backends::backend_id::steal, 4, 1);
+  std::vector<int> rows(2, 0);
+  std::vector<int> cells(64, 0);
+  ::testing::internal::CaptureStderr();
+  int timeouts = 0;
+  int others = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    pstlb::for_each(outer, rows.begin(), rows.end(), [&](int& row) {
+      if (&row != &rows[0]) { return; }
+      pstlb::for_each(inner, cells.begin(), cells.end(), [&](int& cell) {
+        if (&cell != &cells[0]) { return; }
+        const auto limit = std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(6 * interval_ms);
+        while (!pstlb::sched::current_cancel()->cancelled() &&
+               std::chrono::steady_clock::now() < limit) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+    });
+  } catch (const pstlb::sched::watchdog_timeout&) {
+    ++timeouts;
+  } catch (...) {
+    ++others;
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  const std::string dump = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(timeouts, 1) << dump;
+  EXPECT_EQ(others, 0);
+  EXPECT_GT(watchdog::fired_count(), fired_before);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(6 * interval_ms)) << "the stall was not cancelled";
 }
 
 }  // namespace

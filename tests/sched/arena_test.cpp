@@ -1,8 +1,7 @@
 // Arena admission-control unit tests: grant clamping, the cap<=1 sequential
 // floor, bounded-queue saturation shedding, soft-deadline shedding, token
-// conservation under concurrent admits, re-entrant admission on the holding
-// thread, and the nested-run task protocol (owner drains, helpers assist,
-// every chunk exactly once).
+// conservation under concurrent admits, and re-entrant admission on the
+// holding thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,14 +9,11 @@
 #include <vector>
 
 #include "sched/arena.hpp"
-#include "sched/loop_context.hpp"
 
 namespace {
 
-using pstlb::index_t;
 using pstlb::sched::admit_outcome;
 using pstlb::sched::arena;
-using pstlb::sched::loop_context;
 using pstlb::sched::shed_reason;
 
 arena::config cfg(unsigned cap, unsigned max_pending = 64,
@@ -180,54 +176,6 @@ TEST(Arena, ReentrantAdmitOnHoldingThreadCannotDeadlock) {
   // Inner release must not return the outer's tokens.
   const auto s = a.snapshot();
   EXPECT_EQ(s.completed, 0u);
-}
-
-TEST(Arena, NestedRunExecutesEveryChunkExactlyOnce) {
-  arena a(cfg(8));
-  const index_t n = 1000;
-  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-  loop_context ctx;
-  ctx.n = n;
-  ctx.grain = 7;
-  ctx.state = &hits;
-  ctx.run = [](void* state, index_t b, index_t e, unsigned) {
-    auto& h = *static_cast<std::vector<std::atomic<int>>*>(state);
-    for (index_t i = b; i < e; ++i) {
-      h[static_cast<std::size_t>(i)].fetch_add(1);
-    }
-  };
-  a.run_nested(ctx);
-  for (const auto& h : hits) { ASSERT_EQ(h.load(), 1); }
-  EXPECT_EQ(a.snapshot().nested_runs, 1u);
-}
-
-TEST(Arena, HelpersDrainNestedChunksWithoutDuplication) {
-  arena a(cfg(8));
-  const index_t n = 200000;
-  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-  loop_context ctx;
-  ctx.n = n;
-  ctx.grain = 64;
-  ctx.state = &hits;
-  ctx.run = [](void* state, index_t b, index_t e, unsigned) {
-    auto& h = *static_cast<std::vector<std::atomic<int>>*>(state);
-    for (index_t i = b; i < e; ++i) {
-      h[static_cast<std::size_t>(i)].fetch_add(1);
-    }
-  };
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> helpers;
-  for (int i = 0; i < 4; ++i) {
-    helpers.emplace_back([&] {
-      while (!stop.load()) {
-        if (!a.try_help_nested()) { std::this_thread::yield(); }
-      }
-    });
-  }
-  a.run_nested(ctx);
-  stop.store(true);
-  for (auto& h : helpers) { h.join(); }
-  for (const auto& h : hits) { ASSERT_EQ(h.load(), 1); }
 }
 
 TEST(Arena, NoteDegradationAttributesToBoundArena) {

@@ -78,11 +78,9 @@ loop_context make_ctx(index_t n, index_t grain) {
 
 TEST(ChunkSeeds, ExplicitHomeMapGroupsRuns) {
   const auto plan = make_locality_plan(spec("2x2x2"), 4);  // leaders {0, 2}
-  loop_context ctx = make_ctx(80, 10);  // 8 chunks
-  ctx.chunk_home = [](const void*, index_t c) -> unsigned {
-    return c < 4 ? 0u : 1u;
-  };
-  const auto seeds = plan_chunk_seeds(ctx, plan, 8);
+  const scoped_chunk_home home(
+      [](const void*, index_t c) -> unsigned { return c < 4 ? 0u : 1u; }, nullptr);
+  const auto seeds = plan_chunk_seeds(make_ctx(80, 10), plan, 8);  // 8 chunks
   ASSERT_EQ(seeds.size(), 2u);
   EXPECT_EQ(seeds[0].tid, 0u);
   EXPECT_EQ(seeds[0].begin, 0u);
@@ -94,9 +92,9 @@ TEST(ChunkSeeds, ExplicitHomeMapGroupsRuns) {
 
 TEST(ChunkSeeds, UnknownNodeFallsBackToCallerGroup) {
   const auto plan = make_locality_plan(spec("2x2x2"), 4);
-  loop_context ctx = make_ctx(40, 10);
-  ctx.chunk_home = [](const void*, index_t) -> unsigned { return 99u; };
-  const auto seeds = plan_chunk_seeds(ctx, plan, 4);
+  const scoped_chunk_home home([](const void*, index_t) -> unsigned { return 99u; },
+                               nullptr);
+  const auto seeds = plan_chunk_seeds(make_ctx(40, 10), plan, 4);
   ASSERT_EQ(seeds.size(), 1u);
   EXPECT_EQ(seeds[0].tid, 0u);
   EXPECT_EQ(seeds[0].end, 4u);
@@ -171,9 +169,8 @@ TEST_F(StealLocalityEnv, CoverageWithLocalityPlan) {
     for (index_t i = b; i < e; ++i) { h[static_cast<std::size_t>(i)].fetch_add(1); }
   };
   // Explicit home map: split the index space across both nodes.
-  ctx.chunk_home = [](const void*, index_t c) -> unsigned {
-    return c % 2 == 0 ? 0u : 1u;
-  };
+  const scoped_chunk_home home(
+      [](const void*, index_t c) -> unsigned { return c % 2 == 0 ? 0u : 1u; }, nullptr);
   for (int round = 0; round < 10; ++round) {
     pool.run(4, ctx);
     for (int i = 0; i < n; ++i) {
@@ -216,9 +213,8 @@ TEST_F(StealLocalityEnv, ExactlyOneExceptionOnLocalityPath) {
       }
     }
   };
-  ctx.chunk_home = [](const void*, index_t c) -> unsigned {
-    return c % 2 == 0 ? 0u : 1u;
-  };
+  const scoped_chunk_home home(
+      [](const void*, index_t c) -> unsigned { return c % 2 == 0 ? 0u : 1u; }, nullptr);
   for (int round = 0; round < 5; ++round) {
     throws.store(0);
     try {

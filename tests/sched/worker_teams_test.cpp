@@ -189,7 +189,8 @@ TEST(WorkerTeams, StealRunOnASmallerTeamCoversEveryChunkOnce) {
       unsigned top = s.top_tid->load();
       while (tid > top && !s.top_tid->compare_exchange_weak(top, tid)) {}
     };
-    ctx.chunk_home = [](const void*, index_t c) -> unsigned { return c % 2 == 0 ? 0u : 1u; };
+    const scoped_chunk_home home(
+        [](const void*, index_t c) -> unsigned { return c % 2 == 0 ? 0u : 1u; }, nullptr);
     steal_pool::global().run(4, ctx);
     for (index_t i = 0; i < n; ++i) {
       ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
