@@ -4,8 +4,9 @@
 // The paper's figures measure one call owning the machine; this bench
 // measures the opposite regime a server lives in: C closed-loop caller
 // threads, each issuing a Zipf-sized mix of requests (for_each / reduce /
-// inclusive_scan / sort, rotating backends) against a single arena with an
-// 8-token cap. Per-request latency is recorded on the calling thread, so
+// inclusive_scan / sort, rotating backends at width 8) against a single
+// arena whose token cap defaults to the host's width. Per-request latency
+// is recorded on the calling thread, so
 // the reported p50/p95/p99 include admission queueing — the quantity the
 // arena's backpressure exists to bound. The sweep doubles C from 1 to 128
 // and reports throughput plus tail latency per caller count, and the
@@ -13,8 +14,10 @@
 // degradation under PSTLB_FAULT=spawnfail).
 //
 // Usage: srv_throughput [max_callers] [ops_per_caller] [cap]
-//   defaults: 128 callers, 32 ops each, cap 8. Determinism: splitmix64
-//   streams seeded per (caller, op); no wall-clock dependence in the mix.
+//   defaults: 128 callers, 32 ops each, cap sched::default_width() (the
+//   hardware concurrency unless PSTL_NUM_THREADS/OMP_NUM_THREADS ask for
+//   more). Determinism: splitmix64 streams seeded per (caller, op); no
+//   wall-clock dependence in the mix.
 //
 // Arrival model: closed-loop by default (each caller issues its next request
 // the moment the previous one returns — latency can never exceed service
@@ -43,6 +46,7 @@
 #include "pstlb/env.hpp"
 #include "pstlb/pstlb.hpp"
 #include "sched/arena.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace pstlb::bench {
 namespace {
@@ -252,8 +256,9 @@ int main(int argc, char** argv) {
       argc > 1 ? static_cast<unsigned>(std::strtoul(argv[1], nullptr, 10)) : 128;
   const int ops_per_caller =
       argc > 2 ? static_cast<int>(std::strtol(argv[2], nullptr, 10)) : 32;
-  const unsigned cap =
-      argc > 3 ? static_cast<unsigned>(std::strtoul(argv[3], nullptr, 10)) : 8;
+  const unsigned cap = argc > 3
+                           ? static_cast<unsigned>(std::strtoul(argv[3], nullptr, 10))
+                           : pstlb::sched::default_width();
   if (max_callers == 0 || ops_per_caller <= 0 || cap == 0) {
     std::fprintf(stderr,
                  "usage: srv_throughput [max_callers] [ops_per_caller] [cap]\n");

@@ -123,11 +123,11 @@ std::optional<T> lookback_carry(std::vector<chunk_descriptor<T>>& chunks,
 }  // namespace detail
 
 /// Chunk size for the lookback skeletons: ~64 chunks per participant for
-/// balance, floored at the configurable min chunk (PSTLB_SCAN_CHUNK) so
-/// descriptor traffic stays negligible, and capped at 2^15 elements so the
-/// in-chunk re-read stays cache-resident (2^15 * 8 B = 256 KiB <= L2).
+/// balance, floored at `min_chunk` so descriptor traffic stays negligible,
+/// and capped at 2^15 elements so the in-chunk re-read stays cache-resident
+/// (2^15 * 8 B = 256 KiB <= L2).
 inline index_t lookback_chunk_size(index_t n, unsigned threads,
-                                   index_t min_chunk = default_scan_min_chunk()) {
+                                   index_t min_chunk = scan_min_chunk) {
   const index_t target_chunks = static_cast<index_t>(threads) * 64;
   index_t chunk = ceil_div(n, target_chunks > 0 ? target_chunks : 1);
   if (chunk < min_chunk) { chunk = min_chunk; }
@@ -149,18 +149,17 @@ inline index_t lookback_chunk_size(index_t n, unsigned threads,
 ///   combine(T, T) -> T                    : the scan operation
 /// T must be movable, copyable and default-constructible (descriptor
 /// storage). `min_chunk` overrides the chunk floor (tests use tiny chunks
-/// to force deep lookbacks); 0 means the configured default.
+/// to force deep lookbacks).
 /// `final_prefix`, when non-null, receives the inclusive prefix of the whole
 /// range (the pack skeleton's total).
 template <class T, class Combine, class ReduceBlock, class ScanBlock, class FusedBlock>
   requires std::invocable<FusedBlock&, index_t, index_t, T, bool>
 void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
                       ReduceBlock&& reduce_block, ScanBlock&& scan_block,
-                      FusedBlock&& fused_block, index_t min_chunk = 0,
+                      FusedBlock&& fused_block, index_t min_chunk = scan_min_chunk,
                       T* final_prefix = nullptr) {
   if (n <= 0) { return; }
-  const index_t chunk = lookback_chunk_size(
-      n, be.threads(), min_chunk > 0 ? min_chunk : default_scan_min_chunk());
+  const index_t chunk = lookback_chunk_size(n, be.threads(), min_chunk);
   const index_t count = ceil_div(n, chunk);
   if (count <= 1 || be.threads() == 1) {
     T total = fused_block(index_t{0}, n, T{}, false);
@@ -275,7 +274,7 @@ void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
 template <class T, class Combine, class ReduceBlock, class ScanBlock>
 void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
                       ReduceBlock&& reduce_block, ScanBlock&& scan_block,
-                      index_t min_chunk = 0) {
+                      index_t min_chunk = scan_min_chunk) {
   auto fused = [&](index_t b, index_t e, T carry, bool has_carry) {
     T agg = reduce_block(b, e);
     T prefix = has_carry ? combine(T{carry}, std::move(agg)) : std::move(agg);
@@ -299,7 +298,7 @@ void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
 /// Returns the total packed count.
 template <class CountBlock, class EmitBlock>
 index_t parallel_pack_1p(const backend& be, index_t n, CountBlock&& count_block,
-                         EmitBlock&& emit_block, index_t min_chunk = 0) {
+                         EmitBlock&& emit_block, index_t min_chunk = scan_min_chunk) {
   if (n <= 0) { return 0; }
   index_t total = 0;
   parallel_scan_1p<index_t>(

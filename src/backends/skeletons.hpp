@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "backends/backend.hpp"
-#include "pstlb/env.hpp"
 
 namespace pstlb::backends {
 
@@ -87,20 +86,14 @@ index_t parallel_find(const backend& be, index_t n, index_t grain, BlockFind&& b
   return best.load(std::memory_order_acquire);
 }
 
-/// Scan-chunking knobs. Defaults: chunks of at least 2048 elements (small
-/// enough that a same-chunk re-read stays cache-resident for the paper's
-/// 8-byte elements, large enough to amortize per-chunk bookkeeping) and a 4x
+/// Scan chunking: chunks of at least 2048 elements (small enough that a
+/// same-chunk re-read stays cache-resident for the paper's 8-byte elements,
+/// large enough to amortize per-chunk bookkeeping) and a 4x
 /// oversubscription factor (slots * 4 chunks, so dynamic backends can
-/// balance without drowning in chunk boundaries). Both are overridable via
-/// environment for ablation runs: PSTLB_SCAN_CHUNK sets the minimum chunk
-/// element count, PSTLB_SCAN_OVERSUB the chunks-per-slot factor.
-inline index_t default_scan_min_chunk() {
-  return static_cast<index_t>(env::unsigned_or("PSTLB_SCAN_CHUNK", 2048));
-}
-
-inline index_t default_scan_oversub() {
-  return static_cast<index_t>(env::unsigned_or("PSTLB_SCAN_OVERSUB", 4));
-}
+/// balance without drowning in chunk boundaries). The skeletons take both
+/// as parameters; these are the values the front-ends use.
+inline constexpr index_t scan_min_chunk = 2048;
+inline constexpr index_t scan_oversub = 4;
 
 /// Chunk table used by the two-pass skeletons: fixed boundaries so both
 /// passes see identical chunks regardless of scheduling.
@@ -109,8 +102,8 @@ struct chunk_table {
   index_t chunk = 1;
   index_t count = 0;
 
-  chunk_table(index_t total, unsigned slots, index_t min_chunk = default_scan_min_chunk(),
-              index_t oversub = default_scan_oversub()) {
+  chunk_table(index_t total, unsigned slots, index_t min_chunk = scan_min_chunk,
+              index_t oversub = scan_oversub) {
     n = total;
     const index_t wanted = static_cast<index_t>(slots) * (oversub < 1 ? 1 : oversub);
     const index_t feasible = ceil_div(total, min_chunk < 1 ? 1 : min_chunk);

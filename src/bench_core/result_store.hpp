@@ -63,8 +63,7 @@ struct sample_result {
 
 /// Run-level provenance envelope. `comparable_native()` additionally
 /// requires hostname + topology agreement; knob agreement is required for
-/// everything (a PSTLB_SORT_BUCKET_CAP override changes sim and native
-/// results alike).
+/// everything (a PSTLB_SIMD override changes which leaves a run executes).
 struct run_envelope {
   int version = schema_version;
   std::string suite;     // producing binary, e.g. "tab5_speedup_summary"

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "pstlb/env.hpp"
 #include "trace/trace.hpp"
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
@@ -216,12 +215,12 @@ unsigned perf_provider::attached_threads() {
 
 void perf_provider::start_sampler_if_traced() {
   if (!trace::enabled() || g_sampler != nullptr) { return; }
-  const unsigned period_ms = env::unsigned_or("PSTLB_COUNTER_SAMPLE_MS", 10);
-  g_sampler = new std::thread([this, period_ms] {
+  static constexpr std::chrono::milliseconds period{10};
+  g_sampler = new std::thread([this] {
     hw_totals prev = read();
     auto prev_time = std::chrono::steady_clock::now();
     while (!g_sampler_stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(period_ms));
+      std::this_thread::sleep_for(period);
       const hw_totals now = read();
       const auto now_time = std::chrono::steady_clock::now();
       const double dt = std::chrono::duration<double>(now_time - prev_time).count();

@@ -3,8 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -287,32 +289,49 @@ topology_tree discover_tree(const std::filesystem::path& root,
   return t;
 }
 
-const topology_tree& tree() {
-  // Cached per spec string so tests can flip PSTLB_TOPOLOGY between runs;
-  // map entries are never erased, so references stay stable.
-  static std::mutex mutex;
-  static std::map<std::string, topology_tree> cache;
+namespace {
 
-  const std::string spec = env::string_or("PSTLB_TOPOLOGY", "auto");
-  std::lock_guard guard(mutex);
-  const auto it = cache.find(spec);
-  if (it != cache.end()) { return it->second; }
-
-  topology_tree t;
-  if (spec == "flat") {
-    t = flat_tree(topology().cores);
-  } else if (spec == "auto") {
-    t = discover_tree("/sys/devices/system", topology().cores);
-  } else if (auto parsed = parse_topology_spec(spec)) {
-    t = *parsed;
-  } else {
-    std::fprintf(stderr,
-                 "pstlb: PSTLB_TOPOLOGY='%s' is not auto|flat|NxLxC[xS]; "
-                 "using flat\n",
-                 spec.c_str());
-    t = flat_tree(topology().cores);
+topology_tree resolve(const std::string& spec) {
+  if (spec == "flat") { return flat_tree(topology().cores); }
+  if (spec == "auto") {
+    return discover_tree("/sys/devices/system", topology().cores);
   }
-  return cache.emplace(spec, std::move(t)).first->second;
+  if (auto parsed = parse_topology_spec(spec)) { return *parsed; }
+  std::fprintf(stderr,
+               "pstlb: PSTLB_TOPOLOGY='%s' is not auto|flat|NxLxC[xS]; "
+               "using flat\n",
+               spec.c_str());
+  return flat_tree(topology().cores);
+}
+
+std::atomic<const topology_tree*>& active_tree() {
+  static const topology_tree from_env =
+      resolve(env::string_or("PSTLB_TOPOLOGY", "auto"));
+  static std::atomic<const topology_tree*> slot{&from_env};
+  return slot;
+}
+
+}  // namespace
+
+const topology_tree& tree() {
+  return *active_tree().load(std::memory_order_acquire);
+}
+
+scoped_topology_for_testing::scoped_topology_for_testing(std::string_view spec)
+    : previous_(&tree()) {
+  // Never erased, and deque elements never move.
+  static std::mutex mutex;
+  static std::deque<topology_tree> resolved;
+  const topology_tree* installed = nullptr;
+  {
+    std::lock_guard lock(mutex);
+    installed = &resolved.emplace_back(resolve(std::string(spec)));
+  }
+  active_tree().store(installed, std::memory_order_release);
+}
+
+scoped_topology_for_testing::~scoped_topology_for_testing() {
+  active_tree().store(previous_, std::memory_order_release);
 }
 
 }  // namespace pstlb::numa

@@ -68,9 +68,24 @@ std::optional<topology_tree> parse_topology_spec(std::string_view spec);
 topology_tree discover_tree(const std::filesystem::path& root,
                             unsigned cpu_fallback);
 
-/// Process-wide hierarchy honoring PSTLB_TOPOLOGY. The env variable is
-/// re-read on each call (tests toggle it); results are cached per spec
-/// string, so returned references stay valid for the process lifetime.
+/// Process-wide hierarchy honoring PSTLB_TOPOLOGY, resolved once at first
+/// use (a later setenv has no effect). The reference stays valid for the
+/// process lifetime.
 const topology_tree& tree();
+
+/// Testing hook: tree() returns the hierarchy `spec` names (PSTLB_TOPOLOGY
+/// syntax; malformed falls back to flat) until the hook is destroyed, which
+/// restores the previous one. Every tree a hook resolves stays alive, so
+/// references and caches keyed by a tree's address stay valid.
+class scoped_topology_for_testing {
+ public:
+  explicit scoped_topology_for_testing(std::string_view spec);
+  ~scoped_topology_for_testing();
+  scoped_topology_for_testing(const scoped_topology_for_testing&) = delete;
+  scoped_topology_for_testing& operator=(const scoped_topology_for_testing&) = delete;
+
+ private:
+  const topology_tree* previous_;
+};
 
 }  // namespace pstlb::numa

@@ -1,7 +1,7 @@
 // Sort-family parallel algorithms.
 //
 // sort / stable_sort pick between two parallel pipelines (selection in
-// detail::use_samplesort, runtime override via PSTLB_SORT=sample|merge):
+// detail::use_samplesort: the policy's sort_path, then the input size):
 //
 //   - samplesort (pstlb/detail/samplesort.hpp): counting distribution into
 //     cache-sized buckets — a constant number of full-array passes
@@ -34,7 +34,6 @@
 #include "pstlb/detail/multiway.hpp"
 #include "pstlb/detail/samplesort.hpp"
 #include "pstlb/detail/sort_stats.hpp"
-#include "pstlb/env.hpp"
 #include "pstlb/exec.hpp"
 #include "sched/arena.hpp"
 #include "trace/stats_registry.hpp"
@@ -43,14 +42,10 @@ namespace pstlb {
 
 namespace detail {
 
-/// True when this sort should take the samplesort pipeline. Resolution
-/// order: PSTLB_SORT=sample|merge (ablation override, any other value is
-/// ignored) > the policy's sort_path > the automatic size threshold.
-/// Callers gate on samplesort's type requirements before asking.
+/// True when this sort should take the samplesort pipeline: the policy's
+/// sort_path, then (automatic) the size threshold. Callers gate on
+/// samplesort's type requirements before asking.
 inline bool use_samplesort(const exec::policy& policy, index_t n) {
-  const std::string choice = env::string_or("PSTLB_SORT", "");
-  if (choice == "sample") { return true; }
-  if (choice == "merge") { return false; }
   switch (policy.sort) {
     case exec::sort_path::sample: return true;
     case exec::sort_path::merge: return false;

@@ -42,18 +42,6 @@ inline constexpr std::size_t npos = static_cast<std::size_t>(-1);
 /// Destructive-interference padding for per-thread slots.
 inline constexpr std::size_t cache_line_size = 64;
 
-/// Reads an environment variable as a thread count in [1, 2^20]; returns
-/// `fallback` when unset, unparsable or out of range. Used for
-/// OMP_NUM_THREADS / PSTL_NUM_THREADS, mirroring Section 3.2 of the paper.
-inline unsigned env_unsigned(const char* name, unsigned fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') { return fallback; }
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(raw, &end, 10);
-  if (end == raw || value == 0 || value > 1u << 20) { return fallback; }
-  return static_cast<unsigned>(value);
-}
-
 /// ceil(a / b) for non-negative integers.
 constexpr index_t ceil_div(index_t a, index_t b) {
   return (a + b - 1) / b;

@@ -65,18 +65,11 @@
 #include "numa/first_touch_allocator.hpp"
 #include "pstlb/detail/simd/leaf.hpp"
 #include "pstlb/detail/sort_stats.hpp"
-#include "pstlb/env.hpp"
 #include "sched/arena.hpp"
 #include "sched/locality.hpp"
 #include "trace/trace.hpp"
 
 namespace pstlb::detail {
-
-/// PSTLB_NUMA_SCATTER knob (default on): gates the node-affine scatter —
-/// bucket-phase chunks seeded onto the NUMA node owning each bucket's pages.
-inline bool numa_scatter_enabled() {
-  return env::enabled_or("PSTLB_NUMA_SCATTER", true);
-}
 
 /// Bucket -> owning-node map for the bucket phase, resolved through the
 /// scatter buffer's page-registry entry: bucket bk's home is the node whose
@@ -107,29 +100,18 @@ struct samplesort_bucket_homes {
   }
 };
 
-/// Samplesort tunables, resolved once per sort from the env registry.
+/// Samplesort tunables. The front-ends use the defaults; tests pass smaller
+/// values to force the recursion paths.
 struct samplesort_params {
   /// Elements per bucket above which a bucket is recursed (and below which
-  /// its sort is assumed cache-resident). PSTLB_SORT_BUCKET_CAP.
+  /// its sort is assumed cache-resident).
   index_t bucket_cap = index_t{1} << 15;
-  /// Samples per splitter. PSTLB_SORT_OVERSAMPLE.
+  /// Samples per splitter.
   index_t oversample = 32;
   /// par_unseq bit from the caller's policy: classify through the SIMD
   /// splitter-search kernel (vectorized upper_bound) when type/comparator
   /// eligibility and the active ISA allow it.
   bool vector_classify = false;
-
-  static samplesort_params from_env() {
-    samplesort_params p;
-    p.bucket_cap = static_cast<index_t>(
-        env::unsigned_or("PSTLB_SORT_BUCKET_CAP",
-                         static_cast<unsigned>(p.bucket_cap)));
-    if (p.bucket_cap < 32) { p.bucket_cap = 32; }
-    p.oversample = static_cast<index_t>(env::unsigned_or(
-        "PSTLB_SORT_OVERSAMPLE", static_cast<unsigned>(p.oversample)));
-    if (p.oversample < 4) { p.oversample = 4; }
-    return p;
-  }
 };
 
 /// splitmix64 over a fixed seed: splitter sampling is deterministic, so a
@@ -408,21 +390,17 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
   bool affine = false;
   if constexpr (std::is_pointer_v<TmpIt> ||
                 std::contiguous_iterator<TmpIt>) {
-    if (depth == 0 && sched::steal_locality_enabled() &&
-        numa_scatter_enabled()) {
-      const numa::topology_tree& topo = numa::tree();
-      if (!topo.flat()) {
-        bucket_plan.emplace(sched::make_locality_plan(topo, be.threads()));
-        if (bucket_plan->active()) {
-          const auto info =
-              numa::page_registry::instance().lookup(std::to_address(tmp));
-          if (info.has_value()) {
-            homes = samplesort_bucket_homes{offsets.data(), chunk_count,
-                                            bucket_count,   n,
-                                            sizeof(T),      *info,
-                                            &*bucket_plan};
-            affine = true;
-          }
+    if (const numa::topology_tree& topo = numa::tree(); depth == 0 && !topo.flat()) {
+      bucket_plan.emplace(sched::make_locality_plan(topo, be.threads()));
+      if (bucket_plan->active()) {
+        const auto info =
+            numa::page_registry::instance().lookup(std::to_address(tmp));
+        if (info.has_value()) {
+          homes = samplesort_bucket_homes{offsets.data(), chunk_count,
+                                          bucket_count,   n,
+                                          sizeof(T),      *info,
+                                          &*bucket_plan};
+          affine = true;
         }
       }
     }
@@ -480,7 +458,8 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
 /// Top-level entry: allocates the scatter buffer through the first-touch
 /// allocator configured with the caller's policy, so bucket pages spread
 /// across the NUMA nodes of the threads that will sort them (paper
-/// Listing 5 discipline), runs the pipeline, and publishes the traffic
+/// Listing 5 discipline), runs the pipeline with `params` (its
+/// vector_classify bit comes from the policy), and publishes the traffic
 /// snapshot + region counters.
 ///
 /// Returns false when the scatter buffer cannot be allocated — the one big
@@ -490,9 +469,9 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
 /// letting std::bad_alloc escape from pstlb::sort.
 template <bool Stable, class It, class Compare>
 bool parallel_samplesort(const backends::backend& be, const exec::policy& policy,
-                         It first, index_t n, Compare comp) {
+                         It first, index_t n, Compare comp,
+                         samplesort_params params = {}) {
   using T = typename std::iterator_traits<It>::value_type;
-  samplesort_params params = samplesort_params::from_env();
   params.vector_classify = policy.unseq;
   using alloc_t = numa::first_touch_allocator<T, exec::policy>;
   // optional-wrapped so the fallback needs no allocator move-assignment;
@@ -509,8 +488,7 @@ bool parallel_samplesort(const backends::backend& be, const exec::policy& policy
   // placement still comes from the allocator's worker-sliced parallel first
   // touch, but the bucket phase will schedule against that layout (see
   // samplesort_bucket_homes), and benches/tests can observe the mode.
-  if (n > 0 && sched::steal_locality_enabled() && numa_scatter_enabled() &&
-      !numa::tree().flat()) {
+  if (n > 0 && !numa::tree().flat()) {
     auto& registry = numa::page_registry::instance();
     if (auto info = registry.lookup(buffer->data());
         info.has_value() &&

@@ -45,7 +45,6 @@ const std::vector<std::string_view>& known_vars() {
       "PSTLB_ARENA_MAX_PENDING",  // admission queue bound before shedding
       "PSTLB_BENCH_JSON",         // canonical bench-result export: file or dir
       "PSTLB_COUNTERS",           // counter provider: sim | native | perf
-      "PSTLB_COUNTER_SAMPLE_MS",  // perf counter-track sample period
       "PSTLB_CSV",                // benches also print CSV tables
       "PSTLB_FAULT",              // fault injection: throw:<p>|oom:<p>|stall:<ms>|spawnfail[:<n>]
       "PSTLB_FAULT_SEED",         // fault injection: deterministic draw seed
@@ -53,19 +52,12 @@ const std::vector<std::string_view>& known_vars() {
       "PSTLB_FIG5_NATIVE_REPS",   // fig5 native sweep: repetitions
       "PSTLB_FIG7_NATIVE_LOG2",   // fig7 native sort sweep: max log2 size
       "PSTLB_FIG7_NATIVE_REPS",   // fig7 native sort sweep: repetitions
-      "PSTLB_NUMA_SCATTER",       // 0 disables node-affine samplesort scatter
-      "PSTLB_SCAN_CHUNK",         // scan skeleton: min elements per chunk
-      "PSTLB_SCAN_OVERSUB",       // scan skeleton: chunks per slot
       "PSTLB_SIMD",               // leaf ISA cap: auto|scalar|sse2|avx2|avx512
       "PSTLB_SIMD_VERBOSE",       // print the selected-ISA report line
-      "PSTLB_SORT",               // sort pipeline override: sample | merge
-      "PSTLB_SORT_BUCKET_CAP",    // samplesort: target max bucket elements
-      "PSTLB_SORT_OVERSAMPLE",    // samplesort: splitter oversampling factor
       "PSTLB_SRV_ARRIVAL",        // srv_throughput: open:<rate> open-loop mode
       "PSTLB_STATS",              // per-call latency stats registry on/off
       "PSTLB_STATS_BUDGET_NS",    // stats-overhead microbench ns/call budget
       "PSTLB_STATS_FILE",         // stats registry JSON export path
-      "PSTLB_STEAL_LOCALITY",     // 0 disables locality-first steal ordering
       "PSTLB_TAB4_SIMD_LOG2",     // tab4_simd native leg: log2 input size
       "PSTLB_TOPOLOGY",           // auto | flat | NxLxC[xS] synthetic spec
       "PSTLB_TRACE",              // scheduler tracing on/off

@@ -1,8 +1,11 @@
 // Central registry for the library's PSTLB_* environment knobs.
 //
-// Every runtime toggle (tracing, counters provider, scan chunking, CSV
-// output, ...) is read through these accessors so that one table — mirrored
-// in README.md "Environment variables" — stays the single source of truth.
+// Every runtime toggle (tracing, counters provider, topology, CSV output,
+// ...) is read through these accessors so that one table — mirrored in
+// README.md "Environment variables" — stays the single source of truth.
+// The subsystem that owns a knob reads it once, at first use (a
+// function-local static, call_once or a static-init object), or on an
+// export/exit path; no parallel call reads the environment.
 // A typo like PSTLB_TRCE silently doing nothing is the classic observability
 // foot-gun; warn_unknown_once() scans the process environment for
 // PSTLB_-prefixed names missing from the table and prints one warning per
@@ -17,9 +20,9 @@
 namespace pstlb::env {
 
 /// Positive-integer knob: any decimal value from 1 to UINT_MAX; `fallback`
-/// when unset, empty, zero, negative, too large or not a number. (Thread
-/// counts read PSTL_NUM_THREADS/OMP_NUM_THREADS through env_unsigned, which
-/// keeps a 2^20 bound.)
+/// when unset, empty, zero, negative, too large or not a number. (The thread
+/// counts PSTL_NUM_THREADS/OMP_NUM_THREADS also fall back above 2^20; see
+/// sched/thread_pool.hpp.)
 unsigned unsigned_or(const char* name, unsigned fallback);
 
 /// Boolean knob: set, non-empty, and not "0".
@@ -33,8 +36,8 @@ bool enabled_or(const char* name, bool fallback);
 /// String knob; `fallback` when unset or empty.
 std::string string_or(const char* name, std::string_view fallback);
 
-/// Every documented PSTLB_* variable, alphabetical. Tests assert this list
-/// matches the README table.
+/// Every documented PSTLB_* variable, alphabetical. KnownVars.MatchesReadmeTable
+/// asserts this list matches the README table.
 const std::vector<std::string_view>& known_vars();
 
 struct unknown_var {

@@ -19,27 +19,22 @@
 //   omp_dynamic_policy extension: OpenMP schedule(dynamic) semantics
 #pragma once
 
-#include <algorithm>
 #include <iterator>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "backends/backend.hpp"
 #include "pstlb/common.hpp"
 #include "sched/arena.hpp"
 #include "sched/locality.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace pstlb::exec {
 
 /// Thread count used when a policy does not specify one: PSTL_NUM_THREADS,
-/// then OMP_NUM_THREADS (Section 3.2 of the paper), then hardware.
-inline unsigned default_threads() {
-  unsigned env = env_unsigned("PSTL_NUM_THREADS", 0);
-  if (env == 0) { env = env_unsigned("OMP_NUM_THREADS", 0); }
-  if (env == 0) { env = std::max(1u, std::thread::hardware_concurrency()); }
-  return env;
-}
+/// then OMP_NUM_THREADS (Section 3.2 of the paper), then hardware, read once
+/// per process.
+using sched::default_threads;
 
 /// Which scan/pack skeleton a parallel policy uses (see DESIGN.md "Scan
 /// skeletons: two-pass vs decoupled lookback").
@@ -55,8 +50,7 @@ enum class scan_skeleton {
 };
 
 /// Which parallel sort pipeline a policy uses (see DESIGN.md §13
-/// "Samplesort"). The environment knob PSTLB_SORT=sample|merge overrides the
-/// policy for ablation runs.
+/// "Samplesort").
 enum class sort_path {
   /// Samplesort above the policy's sample_sort_min, mergesort below it
   /// (splitter selection and bucket bookkeeping are pure overhead on inputs
@@ -83,7 +77,7 @@ struct policy {
   /// mergesort — Section 5.6) instead of log2(R) binary merge rounds.
   /// Consulted only when the mergesort pipeline runs (see `sort`).
   bool multiway_sort = false;
-  /// Parallel sort pipeline selection (PSTLB_SORT overrides at runtime).
+  /// Parallel sort pipeline selection.
   sort_path sort = sort_path::automatic;
   /// `automatic` routes inputs of at least this many elements to samplesort;
   /// smaller ones keep the mergesort, whose merge rounds stay cache-resident

@@ -53,7 +53,12 @@ thread_local unsigned tls_granted = 0;
 std::atomic<std::uint64_t> g_total_sheds{0};
 std::atomic<std::uint64_t> g_unattributed_sheds[4] = {};
 std::atomic<std::uint64_t> g_last_warn_ms{0};
-std::atomic<int> g_admission_override{-1};  // -1: read env, 0/1: forced
+
+/// PSTLB_ARENA, read once; set_admission_enabled overrides it.
+std::atomic<bool>& admission_flag() noexcept {
+  static std::atomic<bool> on{env::enabled_or("PSTLB_ARENA", true)};
+  return on;
+}
 
 /// ~1/s per limiter; returns true when this call may print.
 bool warn_budget(std::atomic<std::uint64_t>& last_warn_ms) noexcept {
@@ -358,16 +363,11 @@ arena& arena::default_arena() {
 }
 
 bool arena::admission_enabled() noexcept {
-  int state = g_admission_override.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = env::enabled_or("PSTLB_ARENA", true) ? 1 : 0;
-    g_admission_override.store(state, std::memory_order_relaxed);
-  }
-  return state != 0;
+  return admission_flag().load(std::memory_order_relaxed);
 }
 
 void arena::set_admission_enabled(bool on) noexcept {
-  g_admission_override.store(on ? 1 : 0, std::memory_order_relaxed);
+  admission_flag().store(on, std::memory_order_relaxed);
 }
 
 arena* arena::admission_target() {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "pstlb/env.hpp"
-
 namespace pstlb::sched {
 
 namespace {
@@ -13,10 +11,6 @@ thread_local chunk_home_fn tls_home_fn = nullptr;
 thread_local const void* tls_home_state = nullptr;
 
 }  // namespace
-
-bool steal_locality_enabled() {
-  return env::enabled_or("PSTLB_STEAL_LOCALITY", true);
-}
 
 locality_plan make_locality_plan(const numa::topology_tree& topo,
                                  unsigned participants) {

@@ -25,10 +25,6 @@
 
 namespace pstlb::sched {
 
-/// PSTLB_STEAL_LOCALITY knob (default on). Re-read per call; the plans it
-/// gates are cheap to skip.
-bool steal_locality_enabled();
-
 /// Per-run locality plan for `participants` workers. Worker `t` is assumed
 /// to occupy cpu `t * cpus / participants` (even spread across the
 /// topology, identity when participants == cpus) — without pinning this is

@@ -33,7 +33,7 @@ using deque = chase_lev_deque<packed_chunks>;
 /// size; the other participants wait for `ready` before touching them.
 struct steal_run {
   const loop_context* ctx = nullptr;
-  std::uint64_t seed = 0;  // victim RNG seed, read once by the caller
+  std::uint64_t seed = 0;  // victim RNG seed (PSTLB_FAULT_SEED)
   // The multi-node topology to plan for; null = uniform stealing.
   const numa::topology_tree* topo = nullptr;
   const locality_plan* plan = nullptr;  // null = uniform stealing
@@ -182,13 +182,13 @@ void steal_pool::run(unsigned participants, const loop_context& ctx) {
 
   steal_run run;
   run.ctx = &run_ctx;
-  run.seed = fault::env_seed(0x9E3779B9u);
-  // The knobs and the topology (discovered on first use) are read before
-  // the region starts; only the team-size-dependent plan is made inside it.
-  if (steal_locality_enabled()) {
-    const numa::topology_tree& tree = numa::tree();
-    if (!tree.flat()) { run.topo = &tree; }
-  }
+  // The victim seed is read once per process and the topology resolved
+  // once; only the team-size-dependent plan is made inside the region. A
+  // flat topology means uniform stealing.
+  static const std::uint64_t seed = fault::env_seed(0x9E3779B9u);
+  run.seed = seed;
+  const numa::topology_tree& tree = numa::tree();
+  if (!tree.flat()) { run.topo = &tree; }
   thread_pool::global().run(
       participants,
       [&](unsigned tid, unsigned nthreads) {

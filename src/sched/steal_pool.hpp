@@ -44,7 +44,7 @@ class steal_pool {
                                 unsigned participants);
 
   // Plans are pure functions of (topology, participants); cached per pair
-  // since the tree reference is stable per PSTLB_TOPOLOGY spec. Map nodes
+  // since every tree numa::tree() returns stays alive. Map nodes
   // never move, so a returned plan stays valid after the lock is dropped.
   std::mutex plans_mutex_;
   std::map<std::pair<const numa::topology_tree*, unsigned>, locality_plan>

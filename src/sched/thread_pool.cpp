@@ -34,12 +34,6 @@ struct thread_pool::worker {
   std::thread thread;  // last: started once the fields above exist
 };
 
-unsigned default_width() {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::max({hw, env_unsigned("PSTL_NUM_THREADS", 0),
-                   env_unsigned("OMP_NUM_THREADS", 0)});
-}
-
 thread_pool::thread_pool(unsigned workers, std::string name)
     : name_(std::move(name)) {
   try {

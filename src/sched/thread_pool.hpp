@@ -17,22 +17,53 @@
 // pool is created once and reused.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pstlb/common.hpp"
+#include "pstlb/env.hpp"
 #include "sched/cancel.hpp"
 
 namespace pstlb::sched {
 
+namespace detail {
+
+/// A thread-count variable; 0 when unset or invalid (above 2^20 is a typo).
+inline unsigned thread_count(const char* name) {
+  const unsigned value = env::unsigned_or(name, 0);
+  return value <= 1u << 20 ? value : 0;
+}
+
+}  // namespace detail
+
+/// A policy's default participant count: PSTL_NUM_THREADS, then
+/// OMP_NUM_THREADS (Section 3.2 of the paper), then hardware_concurrency.
+inline unsigned default_threads() {
+  static const unsigned threads = [] {
+    const unsigned pstl = detail::thread_count("PSTL_NUM_THREADS");
+    const unsigned omp = detail::thread_count("OMP_NUM_THREADS");
+    if (pstl != 0) { return pstl; }
+    return omp != 0 ? omp : std::max(1u, std::thread::hardware_concurrency());
+  }();
+  return threads;
+}
+
 /// max(hardware_concurrency, PSTL_NUM_THREADS, OMP_NUM_THREADS): the width
 /// the process is sized for. The global pool starts with this many
-/// participants and the default arena's token cap is this value.
-unsigned default_width();
+/// participants and the default arena's token cap is this value. Both read
+/// the variables and the hardware once per process.
+inline unsigned default_width() {
+  static const unsigned width = std::max(
+      {1u, std::thread::hardware_concurrency(), detail::thread_count("PSTL_NUM_THREADS"),
+       detail::thread_count("OMP_NUM_THREADS")});
+  return width;
+}
 
 /// A persistent fork-join pool whose concurrent regions run on disjoint
 /// worker teams.

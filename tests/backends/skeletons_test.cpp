@@ -342,6 +342,14 @@ TEST(TwoPassScan, CarryLoopMovesInsteadOfCopying) {
 }
 
 TEST(ChunkTable, MinChunkAndOversubAreConfigurable) {
+  // The defaults: slots * scan_oversub chunks of at least scan_min_chunk.
+  EXPECT_EQ(scan_min_chunk, 2048);
+  EXPECT_EQ(scan_oversub, 4);
+  const chunk_table wide(1 << 20, 4);
+  EXPECT_EQ(wide.count, 16);
+  const chunk_table narrow(8192, 4);
+  EXPECT_EQ(narrow.count, 4);  // the 2048 floor beats slots * oversub
+  EXPECT_EQ(narrow.chunk, 2048);
   // Constructor parameters override the defaults.
   const chunk_table fine(1 << 20, 4, /*min_chunk=*/256, /*oversub=*/8);
   EXPECT_EQ(fine.count, 32);  // slots * oversub
@@ -349,19 +357,6 @@ TEST(ChunkTable, MinChunkAndOversubAreConfigurable) {
   const chunk_table floor(4096, 4, /*min_chunk=*/1024, /*oversub=*/8);
   EXPECT_EQ(floor.count, 4);  // min_chunk floor beats slots * oversub
   EXPECT_EQ(floor.chunk, 1024);
-}
-
-TEST(ChunkTable, EnvironmentOverridesDefaults) {
-  ::setenv("PSTLB_SCAN_CHUNK", "512", 1);
-  ::setenv("PSTLB_SCAN_OVERSUB", "2", 1);
-  EXPECT_EQ(default_scan_min_chunk(), 512);
-  EXPECT_EQ(default_scan_oversub(), 2);
-  const chunk_table t(1 << 20, 4);
-  EXPECT_EQ(t.count, 8);  // slots * PSTLB_SCAN_OVERSUB
-  ::unsetenv("PSTLB_SCAN_CHUNK");
-  ::unsetenv("PSTLB_SCAN_OVERSUB");
-  EXPECT_EQ(default_scan_min_chunk(), 2048);
-  EXPECT_EQ(default_scan_oversub(), 4);
 }
 
 TEST(LookbackChunkSize, RespectsFloorAndCacheCap) {

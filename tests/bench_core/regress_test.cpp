@@ -168,7 +168,7 @@ TEST(Compare, EnvelopeHostMismatchHitsOnlyNativeRows) {
 TEST(Compare, KnobMismatchMarksEverythingIncomparable) {
   const auto baseline = make_doc({1.0, 1.0, 1.0});
   auto candidate = scaled(baseline, 1.10);
-  candidate.envelope.knobs.emplace_back("PSTLB_SORT", "merge");
+  candidate.envelope.knobs.emplace_back("PSTLB_WATCHDOG_MS", "500");
   const report rep = compare(baseline, candidate, options{});
   EXPECT_EQ(rep.overall, verdict::incomparable);
   ASSERT_EQ(rep.rows.size(), 1u);

@@ -41,7 +41,7 @@ class ResultStoreTest : public ::testing::Test {
 TEST_F(ResultStoreTest, JsonRoundTripPreservesEverything) {
   run_document doc;
   doc.envelope = current_envelope("roundtrip");
-  doc.envelope.knobs.emplace_back("PSTLB_SORT", "sample");
+  doc.envelope.knobs.emplace_back("PSTLB_WATCHDOG_MS", "500");
   sample_result r = make_result("suite \"quoted\"\n", "GCC-TBB",
                                 {0.25, 0.125, 1.0 / 3.0});
   r.from = provenance::native;
@@ -87,26 +87,32 @@ TEST_F(ResultStoreTest, ParseRejectsBadDocuments) {
 }
 
 TEST_F(ResultStoreTest, EnvelopeCapturesKnobsAndTopology) {
-  ::setenv("PSTLB_SORT", "sample", 1);
+  const char* const saved = std::getenv("PSTLB_SIMD");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("PSTLB_SIMD", "scalar", 1);
   ::setenv("PSTLB_BENCH_JSON", "/tmp/somewhere", 1);
   const run_envelope e = current_envelope("env");
-  ::unsetenv("PSTLB_SORT");
+  if (saved != nullptr) {
+    ::setenv("PSTLB_SIMD", restore.c_str(), 1);
+  } else {
+    ::unsetenv("PSTLB_SIMD");
+  }
 
   EXPECT_EQ(e.suite, "env");
   EXPECT_FALSE(e.git_sha.empty());
   EXPECT_FALSE(e.hostname.empty());
   EXPECT_NE(e.topology.find("nodes="), std::string::npos);
   EXPECT_NE(e.topology.find("cpus="), std::string::npos);
-  bool saw_sort = false;
+  bool saw_simd = false;
   for (const auto& [k, v] : e.knobs) {
     // Output-path-only knobs never enter comparability.
     EXPECT_NE(k, "PSTLB_BENCH_JSON");
-    if (k == "PSTLB_SORT") {
-      saw_sort = true;
-      EXPECT_EQ(v, "sample");
+    if (k == "PSTLB_SIMD") {
+      saw_simd = true;
+      EXPECT_EQ(v, "scalar");
     }
   }
-  EXPECT_TRUE(saw_sort);
+  EXPECT_TRUE(saw_simd);
 }
 
 TEST_F(ResultStoreTest, RecordMergesByKeyAndCapsSamples) {

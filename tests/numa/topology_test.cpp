@@ -176,24 +176,40 @@ TEST(TopologyDiscover, MissingCacheInfoFallsBackToNodes) {
 // ----------------------------------------------------------------- env-driven
 
 TEST(TopologyTree, EnvSpecOverridesAndCaches) {
-  ::setenv("PSTLB_TOPOLOGY", "2x1x2", 1);
-  const topology_tree& spec = numa::tree();
-  EXPECT_EQ(spec.nodes, 2u);
-  EXPECT_EQ(spec.cpus, 4u);
-  // Same spec -> same cached instance (stable reference).
-  EXPECT_EQ(&numa::tree(), &spec);
+  // PSTLB_TOPOLOGY is resolved once: a later setenv changes nothing.
+  const topology_tree& initial = numa::tree();
+  {
+    const char* const saved = std::getenv("PSTLB_TOPOLOGY");
+    const std::string restore = saved != nullptr ? saved : "";
+    ::setenv("PSTLB_TOPOLOGY", initial.flat() ? "2x1x2" : "flat", 1);
+    EXPECT_EQ(&numa::tree(), &initial);
+    if (saved != nullptr) {
+      ::setenv("PSTLB_TOPOLOGY", restore.c_str(), 1);
+    } else {
+      ::unsetenv("PSTLB_TOPOLOGY");
+    }
+  }
 
-  ::setenv("PSTLB_TOPOLOGY", "flat", 1);
-  const topology_tree& flat = numa::tree();
-  EXPECT_TRUE(flat.flat());
-  EXPECT_NE(&flat, &spec);
-  // Earlier reference still valid and unchanged.
-  EXPECT_EQ(spec.nodes, 2u);
-
-  ::setenv("PSTLB_TOPOLOGY", "not-a-spec", 1);
-  EXPECT_TRUE(numa::tree().flat());  // malformed -> flat fallback
-
-  ::unsetenv("PSTLB_TOPOLOGY");
+  {
+    const scoped_topology_for_testing two_nodes("2x1x2");
+    const topology_tree& spec = numa::tree();
+    EXPECT_EQ(spec.nodes, 2u);
+    EXPECT_EQ(spec.cpus, 4u);
+    EXPECT_EQ(&numa::tree(), &spec);  // stable until the hook ends
+    {
+      const scoped_topology_for_testing flat("flat");
+      EXPECT_TRUE(numa::tree().flat());
+      EXPECT_NE(&numa::tree(), &spec);
+      // Earlier reference still valid and unchanged.
+      EXPECT_EQ(spec.nodes, 2u);
+    }
+    EXPECT_EQ(&numa::tree(), &spec);  // the inner hook restored its predecessor
+    {
+      const scoped_topology_for_testing malformed("not-a-spec");
+      EXPECT_TRUE(numa::tree().flat());  // malformed -> flat fallback
+    }
+  }
+  EXPECT_EQ(&numa::tree(), &initial);
 }
 
 }  // namespace

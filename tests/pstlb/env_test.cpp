@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -81,18 +83,54 @@ TEST(KnownVars, SortedAndCoversTheDocumentedKnobs) {
   const auto& vars = known_vars();
   EXPECT_TRUE(std::is_sorted(vars.begin(), vars.end()));
   for (const char* expected :
-       {"PSTLB_COUNTERS", "PSTLB_COUNTER_SAMPLE_MS", "PSTLB_CSV",
-        "PSTLB_TRACE", "PSTLB_TRACE_FILE", "PSTLB_TRACE_RING",
-        "PSTLB_SCAN_CHUNK", "PSTLB_SCAN_OVERSUB"}) {
+       {"PSTLB_COUNTERS", "PSTLB_CSV", "PSTLB_TOPOLOGY", "PSTLB_TRACE",
+        "PSTLB_TRACE_FILE", "PSTLB_TRACE_RING"}) {
     EXPECT_NE(std::find(vars.begin(), vars.end(), expected), vars.end())
         << expected << " missing from known_vars()";
   }
 }
 
+TEST(KnownVars, MatchesReadmeTable) {
+  // Every row of README.md's "Environment variables" table names a known
+  // variable, and every known variable has a row.
+  std::ifstream readme(std::string(PSTLB_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(readme.is_open()) << PSTLB_SOURCE_DIR << "/README.md";
+  std::set<std::string> documented;
+  bool in_section = false;
+  std::string line;
+  while (std::getline(readme, line)) {
+    if (line.rfind("#", 0) == 0) {
+      in_section = line.find("Environment variables") != std::string::npos;
+      continue;
+    }
+    if (!in_section || line.rfind("| `", 0) != 0) { continue; }
+    const std::size_t end = line.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << line;
+    documented.insert(line.substr(3, end - 3));
+  }
+  const std::set<std::string> known(known_vars().begin(), known_vars().end());
+  for (const std::string& name : documented) {
+    EXPECT_EQ(known.count(name), 1u) << name << " is in README but not known_vars()";
+  }
+  for (const std::string& name : known) {
+    EXPECT_EQ(documented.count(name), 1u) << name << " is in known_vars() but not README";
+  }
+  EXPECT_EQ(documented.size(), known.size());
+}
+
 TEST(CheckNames, KnownVariablesPass) {
   const auto unknown =
-      check_names({"PSTLB_TRACE", "PSTLB_COUNTERS", "PSTLB_SCAN_CHUNK"});
+      check_names({"PSTLB_TRACE", "PSTLB_COUNTERS", "PSTLB_TOPOLOGY"});
   EXPECT_TRUE(unknown.empty());
+}
+
+TEST(CheckNames, DeletedKnobsAreUnknown) {
+  // Knobs that became constants, policy fields or the topology warn like
+  // any other unknown name.
+  const auto unknown = check_names(
+      {"PSTLB_SORT", "PSTLB_SCAN_CHUNK", "PSTLB_STEAL_LOCALITY",
+       "PSTLB_NUMA_SCATTER", "PSTLB_COUNTER_SAMPLE_MS"});
+  EXPECT_EQ(unknown.size(), 5u);
 }
 
 TEST(CheckNames, NonPstlbNamesAreIgnored) {

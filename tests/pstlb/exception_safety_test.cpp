@@ -3,13 +3,12 @@
 // (TBB task_group_context semantics), never deadlocks, never terminates, and
 // leaves containers valid-but-unspecified and the pools reusable.
 //
-// The scan cases force the single-pass decoupled-lookback skeleton with tiny
-// chunks (PSTLB_SCAN_CHUNK=64), so exceptions land mid-lookback and the
+// The scan cases run the single-pass decoupled-lookback skeleton over a
+// couple of hundred chunks, so exceptions land mid-lookback and the
 // poisoned-descriptor protocol is what keeps the spinning peers alive. This
 // whole file runs under TSan in CI.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -105,13 +104,12 @@ PSTLB_POLICY_TEST(ExceptionSafety, TransformThrowLeavesOutputValid) {
 }
 
 PSTLB_POLICY_TEST(ExceptionSafety, ScanCombineThrowMidLookback) {
-  // Tiny chunks force deep lookback chains (~2^14 / 64 = 256 descriptors);
-  // an element-level throw then lands while peers are actively spinning on
-  // predecessor descriptors. The poisoned-descriptor protocol must unblock
-  // every one of them or this test hangs.
-  ::setenv("PSTLB_SCAN_CHUNK", "64", 1);
+  // Deep lookback chains (2^19 / 2048-element chunks = 256 descriptors at 4
+  // threads); an element-level throw then lands while peers are actively
+  // spinning on predecessor descriptors. The poisoned-descriptor protocol
+  // must unblock every one of them or this test hangs.
   auto policy = pstlb::test::make_eager(this->id);
-  const index_t n = index_t{1} << 14;  // >= lookback_min_elements
+  const index_t n = index_t{1} << 19;
   std::vector<long long> in(static_cast<std::size_t>(n), 1);
   std::vector<long long> out(in.size(), 0);
   for (int trial = 0; trial < 4; ++trial) {
@@ -129,7 +127,6 @@ PSTLB_POLICY_TEST(ExceptionSafety, ScanCombineThrowMidLookback) {
     if (bad == 0) { continue; }  // prefix `bad + 1` may never be formed
     EXPECT_EQ(caught, 1) << "trial " << trial;
   }
-  ::unsetenv("PSTLB_SCAN_CHUNK");
   // Scan still produces correct output after the failed launches.
   pstlb::inclusive_scan(policy, in.begin(), in.end(), out.begin());
   EXPECT_EQ(out.back(), static_cast<long long>(n));

@@ -1,16 +1,17 @@
 // Samplesort pipeline coverage: correctness on adversarial key
 // distributions, the stability contract, the recursion and all-equal escape
-// hatches, env-knob selection, traffic accounting, and fault propagation
-// during classification/scatter.
+// hatches, pipeline selection, traffic accounting, node-affine placement on
+// synthetic topologies, and fault propagation during classification/scatter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "numa/topology.hpp"
 #include "pstlb/detail/samplesort.hpp"
 #include "pstlb/detail/sort_stats.hpp"
 #include "pstlb/fault.hpp"
@@ -20,19 +21,6 @@
 namespace {
 
 using pstlb::index_t;
-
-class EnvVar {
- public:
-  EnvVar(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvVar() { ::unsetenv(name_); }
-  EnvVar(const EnvVar&) = delete;
-  EnvVar& operator=(const EnvVar&) = delete;
-
- private:
-  const char* name_;
-};
 
 /// A policy pinned to the samplesort pipeline regardless of input size.
 pstlb::exec::policy sample_policy(
@@ -114,16 +102,20 @@ TEST(Samplesort, DuplicateHeavyZipf) {
 }
 
 TEST(Samplesort, TinyBucketCapForcesRecursion) {
-  // With a 32-element cap (the floor) nearly every bucket overflows, so the
-  // depth-1 sequential recursion runs constantly; Zipf keys also hit the
-  // all-equal escape inside oversized buckets.
-  EnvVar cap("PSTLB_SORT_BUCKET_CAP", "32");
-  EnvVar over("PSTLB_SORT_OVERSAMPLE", "4");
+  // With a 32-element cap nearly every bucket overflows, so the depth-1
+  // sequential recursion runs constantly; Zipf keys also hit the all-equal
+  // escape inside oversized buckets.
   auto pol = sample_policy();
+  const pstlb::backends::backend be(pol.backend, pol.threads);
+  pstlb::detail::samplesort_params params;
+  params.bucket_cap = 32;
+  params.oversample = 4;
   auto v = zipf_input(1 << 16, 11);
   auto expected = v;
   std::sort(expected.begin(), expected.end());
-  pstlb::sort(pol, v.begin(), v.end());
+  ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(
+      be, pol, v.begin(), static_cast<index_t>(v.size()), std::less<>{},
+      params));
   EXPECT_EQ(v, expected);
 }
 
@@ -151,31 +143,6 @@ TEST(Samplesort, BoundarySizes) {
     std::sort(expected.begin(), expected.end());
     pstlb::sort(pol, v.begin(), v.end());
     EXPECT_EQ(v, expected) << "n=" << n;
-  }
-}
-
-TEST(Samplesort, EnvOverrideSelectsPipeline) {
-  // PSTLB_SORT beats the policy's explicit choice in both directions.
-  std::mt19937_64 rng(41);
-  std::vector<double> v(1 << 15);
-  for (auto& x : v) { x = static_cast<double>(rng() % 1000); }
-  {
-    EnvVar mode("PSTLB_SORT", "sample");
-    auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
-    pol.sort = pstlb::exec::sort_path::merge;
-    auto w = v;
-    pstlb::sort(pol, w.begin(), w.end());
-    EXPECT_TRUE(std::is_sorted(w.begin(), w.end()));
-    EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm, "sample");
-  }
-  {
-    EnvVar mode("PSTLB_SORT", "merge");
-    auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
-    pol.sort = pstlb::exec::sort_path::sample;
-    auto w = v;
-    pstlb::sort(pol, w.begin(), w.end());
-    EXPECT_TRUE(std::is_sorted(w.begin(), w.end()));
-    EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm, "merge");
   }
 }
 
@@ -241,23 +208,21 @@ TEST(Samplesort, NodeAffineScatterMatchesStdSort) {
   // Synthetic 2-node topology activates the node-affine scatter path (bucket
   // homes from the page registry, leaf sorts seeded onto the owning node's
   // workers). The result must be identical to std::sort, and identical to the
-  // same pipeline with the placement protocol disabled.
-  EnvVar topo("PSTLB_TOPOLOGY", "2x1x2");
-  EnvVar locality("PSTLB_STEAL_LOCALITY", "1");
+  // same pipeline with the placement protocol disabled (a flat topology).
+  const pstlb::numa::scoped_topology_for_testing topo("2x1x2");
   auto base = zipf_input(1 << 17, 61);
   auto expected = base;
   std::sort(expected.begin(), expected.end());
 
   auto pol = sample_policy();
   {
-    EnvVar scatter("PSTLB_NUMA_SCATTER", "1");
     auto v = base;
     pstlb::sort(pol, v.begin(), v.end());
     EXPECT_EQ(v, expected);
     EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm, "sample");
   }
   {
-    EnvVar scatter("PSTLB_NUMA_SCATTER", "0");
+    const pstlb::numa::scoped_topology_for_testing flat("flat");
     auto v = base;
     pstlb::sort(pol, v.begin(), v.end());
     EXPECT_EQ(v, expected);
@@ -269,7 +234,7 @@ TEST(Samplesort, NodeAffineScatterStableSortKeepsOrder) {
     int key = 0;
     int seq = 0;
   };
-  EnvVar topo("PSTLB_TOPOLOGY", "2x2x2");
+  const pstlb::numa::scoped_topology_for_testing topo("2x2x2");
   auto pol = sample_policy();
   std::mt19937_64 rng(67);
   std::vector<kv> v(1 << 16);
@@ -285,7 +250,7 @@ TEST(Samplesort, NodeAffineScatterStableSortKeepsOrder) {
 }
 
 TEST(Samplesort, NodeAffineFaultStillSingleException) {
-  EnvVar topo("PSTLB_TOPOLOGY", "2x1x2");
+  const pstlb::numa::scoped_topology_for_testing topo("2x1x2");
   auto pol = sample_policy();
   std::vector<double> v(1 << 16);
   std::mt19937_64 rng(71);

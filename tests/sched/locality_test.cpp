@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -146,14 +145,7 @@ TEST(HomeNode, SequentialTouchStaysWithCaller) {
 
 class StealLocalityEnv : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ::setenv("PSTLB_TOPOLOGY", "2x1x2", 1);
-    ::setenv("PSTLB_STEAL_LOCALITY", "1", 1);
-  }
-  void TearDown() override {
-    ::unsetenv("PSTLB_TOPOLOGY");
-    ::unsetenv("PSTLB_STEAL_LOCALITY");
-  }
+  const numa::scoped_topology_for_testing topology_{"2x1x2"};
 };
 
 TEST_F(StealLocalityEnv, CoverageWithLocalityPlan) {
@@ -178,24 +170,6 @@ TEST_F(StealLocalityEnv, CoverageWithLocalityPlan) {
           << "index " << i;
     }
   }
-}
-
-TEST_F(StealLocalityEnv, DisableKnobFallsBackToUniform) {
-  ::setenv("PSTLB_STEAL_LOCALITY", "0", 1);
-  EXPECT_FALSE(steal_locality_enabled());
-  steal_pool& pool = steal_pool::global();
-  std::atomic<long> sum{0};
-  loop_context ctx;
-  ctx.n = 1000;
-  ctx.grain = 8;
-  ctx.state = &sum;
-  ctx.run = [](void* state, index_t b, index_t e, unsigned) {
-    long local = 0;
-    for (index_t i = b; i < e; ++i) { local += i; }
-    static_cast<std::atomic<long>*>(state)->fetch_add(local);
-  };
-  pool.run(4, ctx);
-  EXPECT_EQ(sum.load(), 999L * 1000 / 2);
 }
 
 TEST_F(StealLocalityEnv, ExactlyOneExceptionOnLocalityPath) {

@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <string>
@@ -16,6 +15,7 @@
 
 #include "backends/backend.hpp"
 #include "backends/backend_registry.hpp"
+#include "numa/topology.hpp"
 #include "sched/steal_pool.hpp"
 #include "sched/thread_pool.hpp"
 
@@ -138,36 +138,10 @@ INSTANTIATE_TEST_SUITE_P(
              std::string(backends::name_of(std::get<1>(pair.param)));
     });
 
-/// Sets an environment variable for one scope, restoring the old value.
-class scoped_env {
- public:
-  scoped_env(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      old_ = old;
-      had_ = true;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~scoped_env() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  scoped_env(const scoped_env&) = delete;
-  scoped_env& operator=(const scoped_env&) = delete;
-
- private:
-  const char* name_;
-  std::string old_;
-  bool had_ = false;
-};
-
 TEST(WorkerTeams, StealRunOnASmallerTeamCoversEveryChunkOnce) {
   // Two synthetic NUMA nodes engage the locality plan and seeded placement,
   // which are planned for the team the run actually claims.
-  const scoped_env topology("PSTLB_TOPOLOGY", "2x1x2");
+  const numa::scoped_topology_for_testing topology("2x1x2");
   thread_pool::global().ensure(4);
   const unsigned workers = thread_pool::global().worker_count();
   constexpr index_t n = 4096;
