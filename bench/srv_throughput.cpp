@@ -1,23 +1,25 @@
-// Multi-tenant service throughput: many concurrent request threads sharing
-// one capped arena (DESIGN.md §17).
+// Multi-tenant service throughput: many concurrent request threads bound
+// to one capped arena (DESIGN.md §17).
 //
 // The paper's figures measure one call owning the machine; this bench
 // measures the opposite regime a server lives in: C closed-loop caller
 // threads, each issuing a Zipf-sized mix of requests (for_each / reduce /
-// inclusive_scan / sort, rotating backends at width 8) against a single
-// arena whose token cap defaults to the host's width. Per-request latency
-// is recorded on the calling thread, so
-// the reported p50/p95/p99 include admission queueing — the quantity the
-// arena's backpressure exists to bound. The sweep doubles C from 1 to 128
-// and reports throughput plus tail latency per caller count, and the
-// process-wide shed counter (CI greps the final line to assert graceful
-// degradation under PSTLB_FAULT=spawnfail).
+// inclusive_scan / sort, rotating backends at width 8) through one arena.
+// Every call is admitted on the process-wide core ledger; the arena's cap
+// is a per-request ceiling on the width a call asks that ledger for.
+// Per-request latency is recorded on the calling thread, so the reported
+// p50/p95/p99 include admission queueing — the wait the ledger imposes
+// instead of oversubscribing. The sweep doubles C from 1 to 128 and reports
+// throughput plus tail latency per caller count, and the process-wide shed
+// counter (CI greps the final line: 0 on a clean run, > 0 under
+// PSTLB_FAULT=spawnfail).
 //
 // Usage: srv_throughput [max_callers] [ops_per_caller] [cap]
-//   defaults: 128 callers, 32 ops each, cap sched::default_width() (the
-//   hardware concurrency unless PSTL_NUM_THREADS/OMP_NUM_THREADS ask for
-//   more). Determinism: splitmix64 streams seeded per (caller, op); no
-//   wall-clock dependence in the mix.
+//   defaults: 128 callers, 32 ops each, cap (per-request width ceiling)
+//   sched::default_width() (the hardware concurrency unless
+//   PSTL_NUM_THREADS/OMP_NUM_THREADS ask for more). Determinism:
+//   splitmix64 streams seeded per (caller, op); no wall-clock dependence in
+//   the mix.
 //
 // Arrival model: closed-loop by default (each caller issues its next request
 // the moment the previous one returns — latency can never exceed service
@@ -26,7 +28,7 @@
 // arrive on a fixed timetable at <rate> total ops/s split evenly (and
 // phase-staggered) across callers, and each latency is measured from the
 // request's *scheduled* arrival, so time spent queueing behind a saturated
-// arena counts against the tail exactly as a real client would observe it.
+// ledger counts against the tail exactly as a real client would observe it.
 //
 // PSTLB_BENCH_JSON exports the canonical BENCH_srv_throughput.json with
 // kernels srv_mix_p50/p95/p99 (seconds) and srv_mix_throughput (ops/s),
@@ -161,14 +163,7 @@ double quantile(std::vector<double>& sorted, double q) {
 
 sweep_point run_point(unsigned callers, int ops_per_caller, unsigned cap,
                       const arrival_mode& arrival) {
-  sched::arena::config cfg;
-  cfg.name = "srv";
-  cfg.cap = cap;
-  // The queue bound and deadline knobs apply to this arena too, so CI can
-  // drive the saturation/deadline legs without recompiling.
-  cfg.max_pending = env::unsigned_or("PSTLB_ARENA_MAX_PENDING", 64);
-  cfg.deadline_ms = env::unsigned_or("PSTLB_ARENA_DEADLINE_MS", 0);
-  sched::arena a(std::move(cfg));
+  sched::arena a({"srv", cap});
 
   std::vector<std::vector<double>> latencies(callers);
   std::atomic<long long> sink{0};

@@ -25,12 +25,6 @@ bool truthy(const char* name) {
   return raw != nullptr && *raw != '\0' && std::strcmp(raw, "0") != 0;
 }
 
-bool enabled_or(const char* name, bool fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') { return fallback; }
-  return std::strcmp(raw, "0") != 0;
-}
-
 std::string string_or(const char* name, std::string_view fallback) {
   const char* raw = std::getenv(name);
   return (raw == nullptr || *raw == '\0') ? std::string(fallback) : std::string(raw);
@@ -39,10 +33,6 @@ std::string string_or(const char* name, std::string_view fallback) {
 const std::vector<std::string_view>& known_vars() {
   static const std::vector<std::string_view> vars = {
       "PSTLB_ANALYZE",            // run the scalability advisor at exit
-      "PSTLB_ARENA",              // 0 disables arena admission control
-      "PSTLB_ARENA_CAP",          // default arena max concurrent workers
-      "PSTLB_ARENA_DEADLINE_MS",  // admission wait deadline (0 = wait forever)
-      "PSTLB_ARENA_MAX_PENDING",  // admission queue bound before shedding
       "PSTLB_BENCH_JSON",         // canonical bench-result export: file or dir
       "PSTLB_COUNTERS",           // counter provider: sim | native | perf
       "PSTLB_CSV",                // benches also print CSV tables

@@ -28,11 +28,6 @@ unsigned unsigned_or(const char* name, unsigned fallback);
 /// Boolean knob: set, non-empty, and not "0".
 bool truthy(const char* name);
 
-/// Boolean knob with an explicit default: `fallback` when unset or empty,
-/// false when "0", true otherwise. For default-on toggles (PSTLB_X=0 opts
-/// out) where truthy() cannot express "unset means enabled".
-bool enabled_or(const char* name, bool fallback);
-
 /// String knob; `fallback` when unset or empty.
 std::string string_or(const char* name, std::string_view fallback);
 

@@ -188,9 +188,9 @@ sched::scoped_data_hint data_hint(It first, index_t stride_elems = 1) {
 ///     rides the enclosing call's grant: it skips the arena and runs at the
 ///     policy's width as a nested pool region, which gets whatever workers
 ///     are idle and runs on its caller alone when none are.
-///   - Otherwise the call asks its arena for concurrency tokens and runs at
-///     the granted width, or sequentially when admission says no.
-///     PSTLB_ARENA=0 skips admission (the policy's width, ungated).
+///   - Otherwise the call asks its arena for cores on the process-wide
+///     ledger and runs at the granted width, or sequentially when the
+///     arena's cap says no.
 class admission {
  public:
   admission(const policy& p, index_t n);

@@ -56,7 +56,7 @@ inline unsigned default_threads() {
 
 /// max(hardware_concurrency, PSTL_NUM_THREADS, OMP_NUM_THREADS): the width
 /// the process is sized for. The global pool starts with this many
-/// participants and the default arena's token cap is this value. Both read
+/// participants and the admission ledger counts this many cores. Both read
 /// the variables and the hardware once per process.
 inline unsigned default_width() {
   static const unsigned width = std::max(

@@ -107,12 +107,12 @@ void write_op_json(std::ostream& os, const op_snapshot& s) {
   os << "]}";
 }
 
+/// `cap` is the per-call width cap; an arena without one (the default
+/// arena) prints sched::arena::no_cap, the largest unsigned.
 void write_arena_json(std::ostream& os, const sched::arena_snapshot& s) {
   os << "{\"arena\":\"" << s.name << "\",\"cap\":" << s.cap
      << ",\"admitted\":" << s.admitted << ",\"completed\":" << s.completed
      << ",\"sequential_cap\":" << s.sequential_cap
-     << ",\"shed_saturated\":" << s.shed_saturated
-     << ",\"shed_deadline\":" << s.shed_deadline
      << ",\"shed_spawnfail\":" << s.shed_spawnfail
      << ",\"shed_oom\":" << s.shed_oom
      << ",\"watchdog_fires\":" << s.watchdog_fires
@@ -326,10 +326,6 @@ void write_prometheus(std::ostream& os) {
     }
     os << "# TYPE pstlb_arena_shed_total counter\n";
     for (const sched::arena_snapshot& a : arenas) {
-      os << "pstlb_arena_shed_total{arena=\"" << a.name
-         << "\",reason=\"saturated\"} " << a.shed_saturated << '\n';
-      os << "pstlb_arena_shed_total{arena=\"" << a.name
-         << "\",reason=\"deadline\"} " << a.shed_deadline << '\n';
       os << "pstlb_arena_shed_total{arena=\"" << a.name
          << "\",reason=\"spawnfail\"} " << a.shed_spawnfail << '\n';
       os << "pstlb_arena_shed_total{arena=\"" << a.name

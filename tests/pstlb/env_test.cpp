@@ -82,6 +82,7 @@ TEST(EnvAccessors, StringOr) {
 TEST(KnownVars, SortedAndCoversTheDocumentedKnobs) {
   const auto& vars = known_vars();
   EXPECT_TRUE(std::is_sorted(vars.begin(), vars.end()));
+  EXPECT_EQ(vars.size(), 23u);
   for (const char* expected :
        {"PSTLB_COUNTERS", "PSTLB_CSV", "PSTLB_TOPOLOGY", "PSTLB_TRACE",
         "PSTLB_TRACE_FILE", "PSTLB_TRACE_RING"}) {
@@ -125,12 +126,14 @@ TEST(CheckNames, KnownVariablesPass) {
 }
 
 TEST(CheckNames, DeletedKnobsAreUnknown) {
-  // Knobs that became constants, policy fields or the topology warn like
-  // any other unknown name.
+  // Knobs that became constants, policy fields or the topology, and the
+  // arena knobs the one admission ledger replaced, warn like any other
+  // unknown name.
   const auto unknown = check_names(
       {"PSTLB_SORT", "PSTLB_SCAN_CHUNK", "PSTLB_STEAL_LOCALITY",
-       "PSTLB_NUMA_SCATTER", "PSTLB_COUNTER_SAMPLE_MS"});
-  EXPECT_EQ(unknown.size(), 5u);
+       "PSTLB_NUMA_SCATTER", "PSTLB_COUNTER_SAMPLE_MS", "PSTLB_ARENA",
+       "PSTLB_ARENA_CAP", "PSTLB_ARENA_MAX_PENDING", "PSTLB_ARENA_DEADLINE_MS"});
+  EXPECT_EQ(unknown.size(), 9u);
 }
 
 TEST(CheckNames, NonPstlbNamesAreIgnored) {

@@ -1,14 +1,17 @@
-// Arena admission-control unit tests: grant clamping, the cap<=1 sequential
-// floor, bounded-queue saturation shedding, soft-deadline shedding, token
-// conservation under concurrent admits, and re-entrant admission on the
-// holding thread.
+// Arena admission unit tests: grant clamping, the cap<=1 sequential floor,
+// FIFO waiting on the one process-wide core ledger that every arena shares,
+// core conservation under concurrent admits, and re-entrant admission on a
+// thread that already holds a grant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "sched/arena.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace {
 
@@ -16,15 +19,11 @@ using pstlb::sched::admit_outcome;
 using pstlb::sched::arena;
 using pstlb::sched::shed_reason;
 
-arena::config cfg(unsigned cap, unsigned max_pending = 64,
-                  unsigned deadline_ms = 0) {
-  arena::config c;
-  c.name = "test";
-  c.cap = cap;
-  c.max_pending = max_pending;
-  c.deadline_ms = deadline_ms;
-  return c;
-}
+arena::config cfg(unsigned cap) { return {"test", cap}; }
+
+/// A parallel request that, granted alone, is charged every core of the
+/// ledger (default_width()), so any other caller must wait for it.
+unsigned full_width() { return std::max(2u, pstlb::sched::default_width()); }
 
 TEST(Arena, GrantIsClampedToCapAndAtLeastTwo) {
   arena a(cfg(8));
@@ -35,48 +34,49 @@ TEST(Arena, GrantIsClampedToCapAndAtLeastTwo) {
 }
 
 TEST(Arena, ElasticArenaGivesLoneCallerFullRequest) {
-  // Elastic arenas (the default-arena mode) never trim an uncontended
-  // caller: even a cap-1 arena on a 1-core host must grant the requested
-  // width, matching the pre-arena oversubscription behaviour.
-  auto c = cfg(1, /*max_pending=*/64, /*deadline_ms=*/10);
-  c.elastic = true;
-  arena a(std::move(c));
+  // Admission never trims a lone caller: even above the ledger's width it
+  // is granted the width it asked for (the pre-arena oversubscription).
+  arena a(cfg(arena::no_cap));
+  const unsigned wide = 2 * full_width();
   {
-    auto t = a.admit(8);
+    auto t = a.admit(wide);
     EXPECT_EQ(t.outcome(), admit_outcome::parallel);
-    EXPECT_EQ(t.granted(), 8u);
-    // A concurrent caller contends and is trimmed/queued against the cap:
-    // with every token held and a 10ms deadline it sheds rather than hangs.
-    admit_outcome outcome{};
-    std::thread caller([&] { outcome = a.admit(8).outcome(); });
+    EXPECT_EQ(t.granted(), wide);
+    // A concurrent caller queues behind it (every core is charged) and is
+    // granted when it releases; there is no deadline.
+    std::atomic<bool> granted{false};
+    std::thread caller([&] { granted.store(a.admit(4).parallel()); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_FALSE(granted.load());
+    { auto drop = std::move(t); }
     caller.join();
-    EXPECT_EQ(outcome, admit_outcome::shed_deadline);
+    EXPECT_TRUE(granted.load());
   }
-  // Idle again: the next caller is uncontended and elastic once more, and
-  // the ticket returned exactly the tokens it charged.
+  // Idle again: the next caller is lone once more, and every ticket
+  // returned exactly the cores it was charged.
   auto t2 = a.admit(4);
   EXPECT_EQ(t2.granted(), 4u);
   { auto drop = std::move(t2); }
   const auto s = a.snapshot();
+  EXPECT_EQ(s.admitted, 3u);
   EXPECT_EQ(s.admitted, s.completed);
 }
 
 TEST(Arena, ElasticWaiterGetsFullWidthOnceIdle) {
-  auto c = cfg(2);
-  c.elastic = true;
-  arena a(std::move(c));
-  auto holder = a.admit(2);
+  arena a(cfg(arena::no_cap));
+  auto holder = a.admit(full_width());
   ASSERT_TRUE(holder.parallel());
+  const unsigned wide = 4 * full_width();
   std::atomic<unsigned> width{0};
   std::thread caller([&] {
-    auto t = a.admit(16);  // queues: all tokens held
+    auto t = a.admit(wide);  // queues: every core is held
     width.store(t.granted());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(width.load(), 0u);
-  { auto drop = std::move(holder); }  // arena goes idle -> head waiter
+  { auto drop = std::move(holder); }  // ledger goes idle -> head waiter
   caller.join();
-  EXPECT_EQ(width.load(), 16u);  // uncontended again: full request
+  EXPECT_EQ(width.load(), wide);  // lone again: full request
 }
 
 TEST(Arena, CapOneMakesEveryCallSequential) {
@@ -93,34 +93,9 @@ TEST(Arena, RequestOfOneIsSequential) {
   EXPECT_EQ(t.outcome(), admit_outcome::sequential_cap);
 }
 
-TEST(Arena, FullQueueShedsToSequential) {
-  arena a(cfg(2, /*max_pending=*/0));
-  auto holder = a.admit(2);
-  ASSERT_TRUE(holder.parallel());
-  // Admission runs on another thread: the holding thread would take the
-  // re-entrant bypass instead of the queue.
-  admit_outcome outcome{};
-  std::thread caller([&] { outcome = a.admit(2).outcome(); });
-  caller.join();
-  EXPECT_EQ(outcome, admit_outcome::shed_saturated);
-  EXPECT_EQ(a.snapshot().shed_saturated, 1u);
-  EXPECT_GE(arena::global_shed_count(), 1u);
-}
-
-TEST(Arena, DeadlineExpiryShedsInsteadOfHanging) {
-  arena a(cfg(2, /*max_pending=*/8, /*deadline_ms=*/20));
-  auto holder = a.admit(2);
-  ASSERT_TRUE(holder.parallel());
-  admit_outcome outcome{};
-  std::thread caller([&] { outcome = a.admit(2).outcome(); });
-  caller.join();  // must return: the deadline bounds the wait
-  EXPECT_EQ(outcome, admit_outcome::shed_deadline);
-  EXPECT_EQ(a.snapshot().shed_deadline, 1u);
-}
-
 TEST(Arena, WaiterIsGrantedWhenTokensFree) {
-  arena a(cfg(2, 8, /*deadline_ms=*/0));
-  auto holder = a.admit(2);
+  arena a(cfg(full_width()));
+  auto holder = a.admit(full_width());
   ASSERT_TRUE(holder.parallel());
   std::atomic<bool> granted{false};
   std::thread caller([&] {
@@ -129,7 +104,7 @@ TEST(Arena, WaiterIsGrantedWhenTokensFree) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_FALSE(granted.load());
-  { auto drop = std::move(holder); }  // release tokens
+  { auto drop = std::move(holder); }  // release cores
   caller.join();
   EXPECT_TRUE(granted.load());
   const auto s = a.snapshot();
@@ -138,8 +113,33 @@ TEST(Arena, WaiterIsGrantedWhenTokensFree) {
   EXPECT_GE(s.peak_pending, 1u);
 }
 
+TEST(Arena, ArenasShareOneLedger) {
+  // No arena holds cores of its own: a caller on B waits for the cores a
+  // grant on A holds, and is granted once A releases them.
+  const unsigned w = full_width();
+  arena a(cfg(w));
+  arena b(cfg(w));
+  auto held = a.admit(w);
+  ASSERT_TRUE(held.parallel());
+  std::atomic<bool> granted{false};
+  std::thread caller([&] {
+    auto t = b.admit(w);
+    granted.store(t.parallel());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(granted.load());
+  { auto drop = std::move(held); }
+  caller.join();
+  EXPECT_TRUE(granted.load());
+  for (const arena* x : {&a, &b}) {
+    const auto s = x->snapshot();
+    EXPECT_EQ(s.admitted, 1u);
+    EXPECT_EQ(s.admitted, s.completed);
+  }
+}
+
 TEST(Arena, TokensAreConservedUnderConcurrentChurn) {
-  arena a(cfg(8, 128));
+  arena a(cfg(8));
   std::atomic<int> violations{0};
   std::vector<std::thread> callers;
   for (int u = 0; u < 16; ++u) {
@@ -156,26 +156,54 @@ TEST(Arena, TokensAreConservedUnderConcurrentChurn) {
   EXPECT_EQ(violations.load(), 0);
   const auto s = a.snapshot();
   EXPECT_EQ(s.admitted, s.completed);
-  // All tokens returned: a fresh admit gets the full fair share again.
+  // All cores returned: a fresh admit is a lone caller with its full request.
   auto t = a.admit(8);
   ASSERT_TRUE(t.parallel());
   EXPECT_EQ(t.granted(), 8u);
 }
 
 TEST(Arena, ReentrantAdmitOnHoldingThreadCannotDeadlock) {
-  arena a(cfg(4, /*max_pending=*/0));  // queue bound 0: any wait would shed
-  auto outer = a.admit(4);
+  arena a(cfg(arena::no_cap));
+  auto outer = a.admit(full_width());
   ASSERT_TRUE(outer.parallel());
-  // Same thread, tokens all held by `outer`: a queued second admission
-  // would deadlock (nobody can release) or shed. The re-entrant bypass
-  // must ride the outer grant instead.
-  auto inner = a.admit(4);
+  // Same thread, every core held by `outer`: a queued second admission
+  // would deadlock (nobody can release). The re-entrant bypass must ride
+  // the outer grant instead.
+  auto inner = a.admit(full_width());
   EXPECT_TRUE(inner.parallel());
   EXPECT_LE(inner.granted(), outer.granted());
   { auto drop = std::move(inner); }
-  // Inner release must not return the outer's tokens.
+  // Inner release must not return the outer's cores.
   const auto s = a.snapshot();
   EXPECT_EQ(s.completed, 0u);
+}
+
+TEST(Arena, HeldGrantIsRiddenAcrossArenas) {
+  const unsigned w = full_width();
+  arena a(cfg(arena::no_cap));
+  arena b(cfg(arena::no_cap));
+  auto outer = a.admit(w);
+  ASSERT_TRUE(outer.parallel());
+  {
+    // Every core is held by this thread's grant on A, so queueing on B
+    // would wait on this thread: the call rides the held grant instead.
+    auto inner = b.admit(2 * w);
+    EXPECT_TRUE(inner.parallel());
+    EXPECT_LE(inner.granted(), outer.granted());
+  }
+  EXPECT_EQ(b.snapshot().admitted, 0u);
+  { auto drop = std::move(outer); }
+  // The ridden grant returned nothing: the ledger is idle, and a lone admit
+  // is granted its full request, wider than any core count a wrong release
+  // could have freed.
+  auto fresh = b.admit(4 * w);
+  EXPECT_EQ(fresh.granted(), 4 * w);
+  { auto drop = std::move(fresh); }
+  for (const arena* x : {&a, &b}) {
+    const auto s = x->snapshot();
+    EXPECT_EQ(s.admitted, 1u);
+    EXPECT_EQ(s.admitted, s.completed);
+  }
 }
 
 TEST(Arena, NoteDegradationAttributesToBoundArena) {
@@ -192,19 +220,14 @@ TEST(Arena, NoteDegradationAttributesToBoundArena) {
   EXPECT_EQ(a.snapshot().shed_spawnfail, 0u);
 }
 
-TEST(Arena, AdmissionToggleControlsTarget) {
-  const bool was_enabled = arena::admission_enabled();
-  arena::set_admission_enabled(false);
-  EXPECT_EQ(arena::admission_target(), nullptr);
-  arena::set_admission_enabled(true);
-  EXPECT_EQ(arena::admission_target(), &arena::default_arena());
-  // A thread-bound arena wins over the default regardless of the toggle.
+TEST(Arena, BoundArenaIsTheAdmissionTarget) {
+  EXPECT_EQ(&arena::admission_target(), &arena::default_arena());
   arena a(cfg(4));
   {
     arena::scoped_bind bind(&a);
-    EXPECT_EQ(arena::admission_target(), &a);
+    EXPECT_EQ(&arena::admission_target(), &a);
   }
-  arena::set_admission_enabled(was_enabled);
+  EXPECT_EQ(&arena::admission_target(), &arena::default_arena());
 }
 
 TEST(Arena, SnapshotQuantilesComeFromTheCallHistogram) {

@@ -128,8 +128,6 @@ TEST(NestedRegions, WideCallInANarrowRegionUsesTheIdleWorkers) {
 }
 
 TEST(NestedRegions, NestedCallsTakeNoArenaTokens) {
-  const bool was_enabled = arena::admission_enabled();
-  arena::set_admission_enabled(true);
   arena& a = arena::default_arena();
   const arena_snapshot before = a.snapshot();
   const exec::policy outer = make_eager(backend_id::steal, 4, 1);
@@ -144,7 +142,6 @@ TEST(NestedRegions, NestedCallsTakeNoArenaTokens) {
     });
   }
   const arena_snapshot after = a.snapshot();
-  arena::set_admission_enabled(was_enabled);
   EXPECT_EQ(total.load(), top_level_calls * 8 * (511LL * 512 / 2));
   EXPECT_EQ(after.admitted - before.admitted, static_cast<std::uint64_t>(top_level_calls));
   EXPECT_EQ(after.admitted, after.completed);
