@@ -11,15 +11,18 @@
 //   1. SAMPLE    pick oversample*B deterministic samples, sort them, take
 //                every oversample-th as a splitter (B-1 splitters, B
 //                buckets). O(B log B) work on the calling thread.
-//   2. CLASSIFY  chunked parallel pass: each chunk counts, per bucket, how
-//                many of its elements land there (per-chunk histograms; one
-//                streaming read of the input).
+//   2. CLASSIFY  chunked parallel pass: each chunk classifies its elements
+//                a block at a time by a branch-free descent of the splitter
+//                tree (splitter_tree) and counts, per bucket, how many land
+//                there (per-chunk histograms; one streaming read of the
+//                input).
 //   3. OFFSETS   exclusive prefix over the bucket-major (bucket, chunk)
 //                histogram matrix through the decoupled-lookback scan
 //                skeleton — every (bucket, chunk) cell becomes the exact
 //                scatter offset of that chunk's slice of that bucket.
-//   4. SCATTER   chunked parallel pass: re-classify and move each element to
-//                its slot in the scratch buffer (one read + one write).
+//   4. SCATTER   chunked parallel pass: re-classify each block the same way
+//                and move each element to its slot in the scratch buffer
+//                (one read + one write).
 //                Chunk-ordered offsets make the scatter stable: within a
 //                bucket, chunk c's elements precede chunk c+1's, and a chunk
 //                emits in element order.
@@ -36,9 +39,10 @@
 // read+write rounds. The fig7 native comparison prints both from the
 // sort_stats snapshot so the pass-count argument is measured, not asserted.
 //
-// Stability: classification by upper_bound sends equal keys to the same
-// bucket, the scatter is chunk- and element-ordered, and the stable variant
-// uses std::stable_sort leaves — so pstlb::stable_sort can run on this path.
+// Stability: the tree descent computes std::upper_bound's rank for any
+// comparator, so equal keys share a bucket; the scatter is chunk- and
+// element-ordered, and the stable variant uses std::stable_sort leaves — so
+// pstlb::stable_sort can run on this path.
 //
 // Failure: phases 2, 4 and 5 are plain for_blocks launches, so the pools'
 // cancellation protocol (PR 4) already guarantees exactly-one-exception and
@@ -54,16 +58,18 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "backends/scan_lookback.hpp"
 #include "backends/skeletons.hpp"
 #include "numa/first_touch_allocator.hpp"
-#include "pstlb/detail/simd/leaf.hpp"
 #include "pstlb/detail/sort_stats.hpp"
 #include "sched/arena.hpp"
 #include "sched/locality.hpp"
@@ -108,10 +114,78 @@ struct samplesort_params {
   index_t bucket_cap = index_t{1} << 15;
   /// Samples per splitter.
   index_t oversample = 32;
-  /// par_unseq bit from the caller's policy: classify through the SIMD
-  /// splitter-search kernel (vectorized upper_bound) when type/comparator
-  /// eligibility and the active ISA allow it.
-  bool vector_classify = false;
+};
+
+/// The sorted splitters laid out as a complete binary search tree in
+/// Eytzinger order (slot k's children are 2k + 1 and 2k + 2), so classifying
+/// a key is a descent whose next slot is computed, not branched to. The tree
+/// has 2^levels - 1 slots; the slots past the last splitter repeat it, which
+/// keeps the in-order sequence sorted under any comparator without a
+/// sentinel the key type may not have. A descent counts the slots x with
+/// !comp(key, x): a key below the largest splitter counts no padding, and a
+/// key at or above it counts every slot, which the clamp to the splitter
+/// count maps to the last bucket. The rank is therefore std::upper_bound's.
+template <class T>
+class splitter_tree {
+ public:
+  /// `sorted` holds at least one splitter, ascending under the comparator
+  /// classify() is given.
+  explicit splitter_tree(std::span<const T> sorted)
+      : splitters_(static_cast<index_t>(sorted.size())) {
+    while ((index_t{1} << levels_) - 1 < splitters_) { ++levels_; }
+    const std::size_t slots = (std::size_t{1} << levels_) - 1;
+    tree_.reserve(slots);
+    for (std::size_t k = 0; k < slots; ++k) {
+      // Slot k is the (k + 1 - 2^depth)-th on its level; its in-order
+      // position follows from the height of the subtree below it.
+      const int depth = std::bit_width(k + 1) - 1;
+      const std::size_t left = k + 1 - (std::size_t{1} << depth);
+      const std::size_t pos = ((2 * left + 1) << (levels_ - 1 - depth)) - 1;
+      tree_.push_back(sorted[std::min(pos, sorted.size() - 1)]);
+    }
+  }
+
+  const T* data() const { return tree_.data(); }
+  int levels() const { return levels_; }
+
+  /// out[i] = std::upper_bound(splitters, keys[i], comp) rank for i in
+  /// [0, len). Eight descents run interleaved, so their tree loads overlap
+  /// instead of each waiting for the previous level's.
+  template <class It, class Compare>
+  void classify(It keys, index_t len, Compare comp, std::uint32_t* out) const {
+    constexpr index_t lanes = 8;
+    const index_t whole = len - len % lanes;
+    index_t i = 0;
+    for (; i < whole; i += lanes) {
+      std::array<index_t, lanes> k{};
+      for (int l = 0; l < levels_; ++l) {
+        for (index_t j = 0; j < lanes; ++j) {
+          auto& kj = k[static_cast<std::size_t>(j)];
+          kj = 2 * kj + 1 + !comp(keys[i + j], tree_[static_cast<std::size_t>(kj)]);
+        }
+      }
+      for (index_t j = 0; j < lanes; ++j) {
+        out[i + j] = rank(k[static_cast<std::size_t>(j)]);
+      }
+    }
+    for (; i < len; ++i) {
+      index_t k = 0;
+      for (int l = 0; l < levels_; ++l) {
+        k = 2 * k + 1 + !comp(keys[i], tree_[static_cast<std::size_t>(k)]);
+      }
+      out[i] = rank(k);
+    }
+  }
+
+ private:
+  std::uint32_t rank(index_t leaf) const {
+    return static_cast<std::uint32_t>(
+        std::min(leaf - static_cast<index_t>(tree_.size()), splitters_));
+  }
+
+  index_t splitters_;
+  int levels_ = 0;
+  std::vector<T> tree_;
 };
 
 /// splitmix64 over a fixed seed: splitter sampling is deterministic, so a
@@ -214,30 +288,11 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
     }
   }
 
-  // Equal keys share an upper_bound, hence a bucket — the stability anchor.
-  auto bucket_of = [&](const T& x) {
-    return static_cast<index_t>(
-        std::upper_bound(splitters.begin(), splitters.end(), x, comp) -
-        splitters.begin());
-  };
-
-  // par_unseq: classification is the branchy half of the histogram and
-  // scatter passes — each element binary-searches the splitters. The plan
-  // replaces it with the SIMD kernel's branchless search (broadcast-count
-  // for small splitter sets, 4-way interleaved Eytzinger descent above
-  // that), emitting bucket ids blockwise into a cache-resident buffer.
-  // Disengaged (classic bucket_of) unless the policy set vector_classify,
-  // the keys are a covered contiguous type, and comp is std::less.
-  constexpr bool vec_classify_ok = std::contiguous_iterator<SrcIt> &&
-                                   simd::detail::covered_elem_v<T> &&
-                                   simd::is_less_v<Compare, T>;
+  const splitter_tree<T> tree(splitters);
+  // Bucket ids of one block of keys, shared by the histogram and scatter
+  // passes; 512 ids fit on the stack.
   constexpr index_t classify_block = 512;
-  simd::classify_plan<T> vec_plan;
-  if constexpr (vec_classify_ok) {
-    vec_plan = simd::classify_plan<T>(splitters.data(),
-                                      static_cast<index_t>(splitters.size()),
-                                      params.vector_classify);
-  }
+  using block_ids = std::array<std::uint32_t, classify_block>;
 
   // --- phase 1: per-chunk bucket histograms ---------------------------------
   const backends::chunk_table chunks(n, be.threads());
@@ -266,31 +321,18 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
     backends::parallel_for(be, chunk_count, index_t{1},
                            [&](index_t cb, index_t ce, unsigned) {
       std::vector<index_t> local(static_cast<std::size_t>(bucket_count));
-      std::vector<std::uint32_t> ids;
-      if (vec_plan.engaged()) {
-        ids.resize(static_cast<std::size_t>(classify_block));
-      }
+      block_ids ids{};
       for (index_t c = cb; c < ce; ++c) {
         std::fill(local.begin(), local.end(), index_t{0});
         index_t b = 0;
         index_t e = 0;
         chunks.bounds(c, b, e);
-        bool counted = false;
-        if constexpr (vec_classify_ok) {
-          if (vec_plan.engaged()) {
-            const T* keys = std::to_address(src);
-            for (index_t i = b; i < e; i += classify_block) {
-              const index_t len = std::min(classify_block, e - i);
-              vec_plan.run(keys + i, len, ids.data());
-              for (index_t j = 0; j < len; ++j) {
-                ++local[static_cast<std::size_t>(ids[static_cast<std::size_t>(j)])];
-              }
-            }
-            counted = true;
+        for (index_t i = b; i < e; i += classify_block) {
+          const index_t len = std::min(classify_block, e - i);
+          tree.classify(src + i, len, comp, ids.data());
+          for (index_t j = 0; j < len; ++j) {
+            ++local[ids[static_cast<std::size_t>(j)]];
           }
-        }
-        if (!counted) {
-          for (index_t i = b; i < e; ++i) { ++local[static_cast<std::size_t>(bucket_of(src[i]))]; }
         }
         for (index_t bk = 0; bk < bucket_count; ++bk) {
           hist[static_cast<std::size_t>(bk * chunk_count + c)] =
@@ -342,10 +384,7 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
     backends::parallel_for(be, chunk_count, index_t{1},
                            [&](index_t cb, index_t ce, unsigned) {
       std::vector<index_t> cursor(static_cast<std::size_t>(bucket_count));
-      std::vector<std::uint32_t> ids;
-      if (vec_plan.engaged()) {
-        ids.resize(static_cast<std::size_t>(classify_block));
-      }
+      block_ids ids{};
       for (index_t c = cb; c < ce; ++c) {
         for (index_t bk = 0; bk < bucket_count; ++bk) {
           cursor[static_cast<std::size_t>(bk)] =
@@ -354,24 +393,13 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
         index_t b = 0;
         index_t e = 0;
         chunks.bounds(c, b, e);
-        if constexpr (vec_classify_ok) {
-          if (vec_plan.engaged()) {
-            const T* keys = std::to_address(src);
-            for (index_t i = b; i < e; i += classify_block) {
-              const index_t len = std::min(classify_block, e - i);
-              vec_plan.run(keys + i, len, ids.data());
-              for (index_t j = 0; j < len; ++j) {
-                auto& slot = cursor[static_cast<std::size_t>(
-                    ids[static_cast<std::size_t>(j)])];
-                tmp[slot++] = std::move(src[i + j]);
-              }
-            }
-            continue;
+        for (index_t i = b; i < e; i += classify_block) {
+          const index_t len = std::min(classify_block, e - i);
+          tree.classify(src + i, len, comp, ids.data());
+          for (index_t j = 0; j < len; ++j) {
+            auto& slot = cursor[ids[static_cast<std::size_t>(j)]];
+            tmp[slot++] = std::move(src[i + j]);
           }
-        }
-        for (index_t i = b; i < e; ++i) {
-          auto& slot = cursor[static_cast<std::size_t>(bucket_of(src[i]))];
-          tmp[slot++] = std::move(src[i]);
         }
       }
     });
@@ -458,9 +486,8 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
 /// Top-level entry: allocates the scatter buffer through the first-touch
 /// allocator configured with the caller's policy, so bucket pages spread
 /// across the NUMA nodes of the threads that will sort them (paper
-/// Listing 5 discipline), runs the pipeline with `params` (its
-/// vector_classify bit comes from the policy), and publishes the traffic
-/// snapshot + region counters.
+/// Listing 5 discipline), runs the pipeline with `params`, and publishes the
+/// traffic snapshot + region counters.
 ///
 /// Returns false when the scatter buffer cannot be allocated — the one big
 /// contiguous bite of memory this sort takes, and the only allocation before
@@ -470,9 +497,8 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
 template <bool Stable, class It, class Compare>
 bool parallel_samplesort(const backends::backend& be, const exec::policy& policy,
                          It first, index_t n, Compare comp,
-                         samplesort_params params = {}) {
+                         const samplesort_params& params = {}) {
   using T = typename std::iterator_traits<It>::value_type;
-  params.vector_classify = policy.unseq;
   using alloc_t = numa::first_touch_allocator<T, exec::policy>;
   // optional-wrapped so the fallback needs no allocator move-assignment;
   // the oom:p fault hook fires inside the allocator's tracked allocation.

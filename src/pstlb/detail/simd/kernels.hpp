@@ -54,12 +54,12 @@ struct kernel_set {
   void (*mul)(const T* a, const T* b, T* out, index_t n) = nullptr;
   /// Unary negate transform.
   void (*negate)(const T* a, T* out, index_t n) = nullptr;
-  /// Samplesort classification: out[i] = upper_bound(sorted, sorted + n_s,
+  /// Splitter classification: out[i] = upper_bound(sorted, sorted + n_s,
   /// keys[i]) rank under std::less. Small splitter sets use a vectorized
   /// count of (sorted[j] <= key) over the sorted array directly; larger
   /// ones descend `tree`, an Eytzinger-layout copy of (2^levels - 1)
-  /// entries padded with +infinity for floating-point types / the type's
-  /// maximum for integers (see leaf.hpp classify_plan).
+  /// entries whose slots past the last splitter hold any value at or above
+  /// the largest splitter (samplesort's splitter_tree repeats it).
   void (*classify)(const T* keys, index_t n, const T* sorted, index_t n_s,
                    const T* tree, int levels, std::uint32_t* out) = nullptr;
 };

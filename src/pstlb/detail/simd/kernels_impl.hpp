@@ -301,14 +301,13 @@ void negate_k(const T* a, T* out, index_t n) {
   for (; i < n; ++i) { out[i] = static_cast<T>(T(0) - a[i]); }
 }
 
-// --- samplesort classification ----------------------------------------------
+// --- splitter classification ---------------------------------------------------
 
 /// upper_bound rank of one key against the padded Eytzinger tree:
 /// branchless descent k -> 2k + 1 + (tree[k] <= x) over `levels` levels;
 /// final rank = k - (2^levels - 1) counts the padded entries <= x, and
-/// clamping to n_s removes the padding (only reachable when x equals the
-/// padding value — +inf for floats, the type maximum for integers — where
-/// every real splitter is <= x anyway).
+/// clamping to n_s removes the padding (only reachable when x is at or above
+/// the padding value, which is at or above every real splitter).
 template <class T>
 inline index_t eytzinger_rank(const T* tree, int levels, index_t tree_size,
                               index_t n_s, T x) {

@@ -10,9 +10,7 @@
 
 #include <functional>
 #include <iterator>
-#include <limits>
 #include <type_traits>
-#include <vector>
 
 #include "pstlb/common.hpp"
 #include "pstlb/detail/simd/isa.hpp"
@@ -86,80 +84,5 @@ const kernel_set<T>* leaf_for(bool wanted) {
     return nullptr;
   }
 }
-
-// ---- samplesort classification plan -------------------------------------
-
-/// Precomputed state for vectorized bucket classification: the sorted
-/// splitter array (borrowed — must outlive the plan) plus an
-/// Eytzinger-layout copy padded to a complete tree with a value no key can
-/// exceed (+infinity for floating-point types — the finite max() would sort
-/// below an infinite splitter and break the descent's monotonicity — the
-/// type's maximum for integers), which the large-splitter kernel path
-/// descends branchlessly. Disengaged
-/// (engaged() == false) when the policy/ISA/type gate fails; callers then
-/// use their classic comparison-based bucket_of.
-template <class T>
-class classify_plan {
- public:
-  classify_plan() = default;
-
-  /// `sorted` must be ascending under std::less and stay alive while the
-  /// plan is used.
-  classify_plan(const T* sorted, index_t n_s, bool wanted) {
-    if (!wanted || n_s <= 0) { return; }
-    const isa act = active();
-    if (act == isa::scalar) { return; }
-    const kernel_set<T>* s = set_for<T>(act);
-    if (s == nullptr || s->classify == nullptr) { return; }
-    levels_ = 0;
-    while (((index_t{1} << levels_) - 1) < n_s) { ++levels_; }
-    // Pad above any representable splitter: +inf for floats keeps the
-    // in-order sequence sorted even when the data (and thus a sampled
-    // splitter) contains infinities; max() is only finite-type-correct.
-    constexpr T pad = std::numeric_limits<T>::has_infinity
-                          ? std::numeric_limits<T>::infinity()
-                          : std::numeric_limits<T>::max();
-    tree_.assign(static_cast<std::size_t>((index_t{1} << levels_) - 1), pad);
-    fill_inorder(sorted, n_s);
-    sorted_ = sorted;
-    n_s_ = n_s;
-    set_ = s;
-    note_leaf(act);
-  }
-
-  bool engaged() const { return set_ != nullptr; }
-
-  /// out[i] = upper_bound(sorted, sorted + n_s, keys[i]) rank, i in [0, n).
-  void run(const T* keys, index_t n, std::uint32_t* out) const {
-    set_->classify(keys, n, sorted_, n_s_, tree_.data(), levels_, out);
-  }
-
- private:
-  void fill_inorder(const T* sorted, index_t n_s) {
-    // In-order traversal of the complete tree visits Eytzinger slots in
-    // ascending key order; slots past n_s keep the max-value padding.
-    const index_t size = static_cast<index_t>(tree_.size());
-    index_t next = 0;
-    index_t k = 0;
-    std::vector<index_t> stack;
-    while (k < size || !stack.empty()) {
-      while (k < size) {
-        stack.push_back(k);
-        k = 2 * k + 1;
-      }
-      k = stack.back();
-      stack.pop_back();
-      if (next < n_s) { tree_[static_cast<std::size_t>(k)] = sorted[next]; }
-      ++next;
-      k = 2 * k + 2;
-    }
-  }
-
-  const kernel_set<T>* set_ = nullptr;
-  const T* sorted_ = nullptr;
-  index_t n_s_ = 0;
-  std::vector<T> tree_;
-  int levels_ = 0;
-};
 
 }  // namespace pstlb::simd

@@ -1,11 +1,14 @@
-// Samplesort pipeline coverage: correctness on adversarial key
-// distributions, the stability contract, the recursion and all-equal escape
-// hatches, pipeline selection, traffic accounting, node-affine placement on
-// synthetic topologies, and fault propagation during classification/scatter.
+// Samplesort pipeline coverage: the splitter tree's ranks against
+// std::upper_bound, correctness on adversarial key distributions, the
+// stability contract, the recursion and all-equal escape hatches, pipeline
+// selection, traffic accounting, node-affine placement on synthetic
+// topologies, and fault propagation during classification/scatter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <string>
@@ -42,15 +45,127 @@ std::vector<long long> zipf_input(index_t n, std::uint64_t seed) {
   return v;
 }
 
+/// Checks the splitter tree's rank of every key against std::upper_bound
+/// over the same splitters, classifying the keys in blocks of each length
+/// (some tails are shorter than the descent's 8-key interleave).
+template <class T, class Compare>
+void expect_upper_bound_ranks(const std::vector<T>& splitters,
+                              std::vector<T> keys, Compare comp) {
+  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(splitters.size()));
+  const pstlb::detail::splitter_tree<T> tree(splitters);
+  std::vector<std::uint32_t> ids(512);
+  const auto n = static_cast<index_t>(keys.size());
+  for (index_t len : {1, 7, 8, 9, 511, 512}) {
+    for (index_t b = 0; b < n; b += len) {
+      const index_t m = std::min(len, n - b);
+      tree.classify(keys.begin() + b, m, comp, ids.data());
+      for (index_t j = 0; j < m; ++j) {
+        const T& key = keys[static_cast<std::size_t>(b + j)];
+        const auto expect =
+            std::upper_bound(splitters.begin(), splitters.end(), key, comp) -
+            splitters.begin();
+        ASSERT_EQ(ids[static_cast<std::size_t>(j)], expect)
+            << "n_s=" << splitters.size() << " len=" << len
+            << " key=" << b + j;
+      }
+    }
+  }
+}
+
+/// Trees that are complete (1, 3, 7, 15, 255, 4095 splitters) and padded.
+const index_t kSplitterCounts[] = {1, 2, 3, 7, 8, 15, 16, 24, 25, 255, 256, 4095};
+
+/// Splitters made from distinct values and from runs of 4 equal values (as
+/// duplicate-heavy inputs produce), sorted under `comp`; the keys are every
+/// splitter value and its two neighbours, so they fall below the first
+/// splitter, on each one, between them and above the last.
+template <class T, class Make, class Compare>
+void check_tree_ranks(Make make, Compare comp) {
+  for (index_t n_s : kSplitterCounts) {
+    for (index_t run : {1, 4}) {
+      std::vector<T> splitters;
+      std::vector<T> keys;
+      for (index_t i = 0; i < n_s; ++i) {
+        const long long v = 2 * (i / run);
+        splitters.push_back(make(v));
+        for (long long d : {-1, 0, 1}) { keys.push_back(make(v + d)); }
+      }
+      std::sort(splitters.begin(), splitters.end(), comp);
+      expect_upper_bound_ranks(splitters, keys, comp);
+    }
+  }
+}
+
+TEST(Samplesort, SplitterTreeRanksMatchUpperBound) {
+  check_tree_ranks<long long>([](long long v) { return v; }, std::less<>{});
+  check_tree_ranks<double>([](long long v) { return static_cast<double>(v); },
+                           std::less<>{});
+  // Descending splitters under std::greater<>.
+  check_tree_ranks<long long>([](long long v) { return v; }, std::greater<>{});
+  // A key-extracting lambda on a struct.
+  struct rec {
+    long long key = 0;
+    int tag = 0;
+  };
+  check_tree_ranks<rec>(
+      [](long long v) { return rec{v, static_cast<int>(v & 7)}; },
+      [](const rec& a, const rec& b) { return a.key < b.key; });
+  // Non-arithmetic keys: equal-width decimal strings order like their values.
+  check_tree_ranks<std::string>(
+      [](long long v) { return std::to_string(v + 2000000); }, std::less<>{});
+}
+
+TEST(Samplesort, SplitterTreeRanksInfinitiesAndMax) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double max = std::numeric_limits<double>::max();
+  for (index_t n_s : kSplitterCounts) {
+    // A finite top splitter, the type's maximum, and +inf, which data
+    // holding infinities can sample.
+    for (double top : {2.0 * static_cast<double>(n_s), max, inf}) {
+      std::vector<double> splitters;
+      std::vector<double> keys = {-inf, -max, max, inf};
+      for (index_t i = 0; i < n_s; ++i) {
+        const double v = 2.0 * static_cast<double>(i);
+        splitters.push_back(v);
+        for (double d : {-1.0, 0.0, 1.0}) { keys.push_back(v + d); }
+      }
+      splitters.back() = top;
+      expect_upper_bound_ranks(splitters, keys, std::less<>{});
+    }
+  }
+}
+
 PSTLB_POLICY_TEST(SamplesortPolicies, SortsRandomInputOnEveryBackend) {
   pol = sample_policy(id);
   std::mt19937_64 rng(17);
   std::vector<long long> v(1 << 17);
   for (auto& x : v) { x = static_cast<long long>(rng()); }
+  auto base = v;
   auto expected = v;
   std::sort(expected.begin(), expected.end());
   pstlb::sort(pol, v.begin(), v.end());
   EXPECT_EQ(v, expected);
+
+  // A non-default comparator: descending.
+  v = base;
+  std::sort(expected.begin(), expected.end(), std::greater<>{});
+  pstlb::sort(pol, v.begin(), v.end(), std::greater<>{});
+  EXPECT_EQ(v, expected);
+
+  // Doubles with an eighth of them +inf and another eighth -inf, so the
+  // outer splitters are infinite, and some max() keys just below +inf.
+  // 5 * 2^16 keys make 20 buckets: 19 splitters in a padded 31-slot tree.
+  std::vector<double> d(5 << 16);
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    d[i] = i % 8 == 3    ? std::numeric_limits<double>::infinity()
+           : i % 8 == 5  ? -std::numeric_limits<double>::infinity()
+           : i % 16 == 7 ? std::numeric_limits<double>::max()
+                         : static_cast<double>(rng() >> 11);
+  }
+  auto expected_d = d;
+  std::sort(expected_d.begin(), expected_d.end());
+  pstlb::sort(pol, d.begin(), d.end());
+  EXPECT_EQ(d, expected_d);
 }
 
 PSTLB_POLICY_TEST(SamplesortPolicies, StableSortKeepsEqualKeyOrder) {

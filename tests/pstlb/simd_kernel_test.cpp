@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "pstlb/detail/samplesort.hpp"
 #include "pstlb/detail/simd/isa.hpp"
 #include "pstlb/detail/simd/kernels.hpp"
 #include "pstlb/detail/simd/leaf.hpp"
@@ -226,17 +227,16 @@ TEST(SimdKernels, TransformsMatchScalarAllTypes) {
 
 template <class T>
 void check_classify() {
-  isa_guard guard;
   // Top-splitter values that stress the Eytzinger padding: the type's
-  // maximum (collides with the integer padding value) and, for floats,
-  // +infinity — legal data samplesort can sample as a splitter, which the
-  // padding must still sort at-or-above.
+  // maximum and, for floats, +infinity — legal data samplesort can sample
+  // as a splitter, which the padding must still sort at-or-above.
   std::vector<T> tops = {std::numeric_limits<T>::max()};
   if constexpr (std::numeric_limits<T>::has_infinity) {
     tops.push_back(std::numeric_limits<T>::infinity());
   }
   for (simd::isa level : runnable_vector_levels()) {
-    if (simd::force(level) != level) { continue; }
+    const simd::kernel_set<T>* ks = simd::set_for<T>(level);
+    if (ks == nullptr || ks->classify == nullptr) { continue; }
     for (index_t n_s : {index_t{1}, index_t{2}, index_t{3}, index_t{15},
                         index_t{16}, index_t{24}, index_t{25}, index_t{31},
                         index_t{33}, index_t{100}, index_t{1000}}) {
@@ -246,8 +246,7 @@ void check_classify() {
           splitters[static_cast<std::size_t>(i)] = static_cast<T>(i * 5);
         }
         if (n_s > 2) { splitters.back() = top; }
-        simd::classify_plan<T> plan(splitters.data(), n_s, true);
-        if (!plan.engaged()) { continue; }
+        const pstlb::detail::splitter_tree<T> tree(splitters);
         const index_t n = 257;
         auto keys = pattern_data<T>(n, 0);
         // Also probe exact splitter values (upper_bound ties).
@@ -262,7 +261,8 @@ void check_classify() {
           keys[1] = std::numeric_limits<T>::infinity();
         }
         std::vector<std::uint32_t> got(static_cast<std::size_t>(n));
-        plan.run(keys.data(), n, got.data());
+        ks->classify(keys.data(), n, splitters.data(), n_s, tree.data(),
+                     tree.levels(), got.data());
         for (index_t i = 0; i < n; ++i) {
           const auto expect = static_cast<std::uint32_t>(
               std::upper_bound(splitters.begin(), splitters.end(),
