@@ -1,11 +1,12 @@
 // Shared scaffolding for the per-figure/per-table bench binaries.
 //
-// Figure/table benches are driven by the machine simulator (this container
-// has one core; see DESIGN.md §1): each registered benchmark feeds the
-// simulated seconds to Google Benchmark via manual timing, and after the
-// gbench run the binary prints the figure/table in the paper's layout.
-// The native benchmarks (native_algorithms.cpp) measure real wall time of
-// our own backends instead.
+// Figure/table benches are driven by the machine simulator (the paper's
+// 32–128-core machines cannot be measured on a small development host; see
+// DESIGN.md §1): each registered benchmark feeds the simulated seconds to
+// Google Benchmark via manual timing, and after the gbench run the binary
+// prints the figure/table in the paper's layout. The native benchmarks
+// (native_algorithms.cpp and the native legs of some figures) measure real
+// wall time of our own backends instead.
 #pragma once
 
 #include <benchmark/benchmark.h>

@@ -2,14 +2,17 @@
 // threads, (b) strong scaling at 2^30 elements. GCC-GNU prints N/A (no
 // parallel scan); NVC-OMP silently runs sequential code.
 //
-// In addition to the simulated panels, this binary measures the two scan
-// skeletons natively on the current host: the two-pass chunked scan (reduce
-// pass + serial prefix + rescan pass) against the single-pass decoupled-
-// lookback scan, side by side, with the software-accounted input traffic
-// that explains the gap (2x vs 1x DRAM reads per element).
+// In addition to the simulated panels, this binary measures the scan
+// skeleton natively on the current host against std::inclusive_scan, with
+// the software-accounted input traffic (one DRAM read per element: the
+// skeleton's in-chunk re-read is cache-resident). Every pstlb result is
+// checked against the std result outside the timed region; a mismatch exits
+// with status 1.
 #include "kernel_figure.hpp"
 
-#include <chrono>
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -21,64 +24,62 @@
 namespace pstlb::bench {
 namespace {
 
-struct skeleton_sample {
-  double seconds = 0;       // best-of-reps wall time
-  double bytes_read = 0;    // software-accounted DRAM input reads
-  double bytes_written = 0;
-};
-
-skeleton_sample measure_scan(exec::scan_skeleton skeleton, unsigned threads,
-                             const std::vector<elem_t>& input,
-                             std::vector<elem_t>& output, int reps) {
-  exec::steal_policy policy{threads};
-  policy.seq_threshold = 0;
-  policy.scan = skeleton;
-  reps_result run = run_reps("fig5/native", reps, [] {}, [&] {
-    pstlb::inclusive_scan(policy, input.begin(), input.end(), output.begin());
-  });
-  record_native_result(
-      "inclusive_scan",
-      skeleton == exec::scan_skeleton::two_pass ? "two_pass" : "single_pass",
-      static_cast<double>(input.size()), threads, run.samples);
-  skeleton_sample best;
-  best.seconds = run.best.seconds;
-  best.bytes_read = run.best.bytes_read;
-  best.bytes_written = run.best.bytes_written;
-  return best;
-}
-
-void print_native_skeleton_comparison(std::ostream& os) {
-  // 2^26 elements is the paper's "beyond LLC" regime and the size the scan
-  // acceptance criterion targets; PSTLB_FIG5_NATIVE_LOG2 trims it for quick
-  // runs on small hosts.
+void print_native_scan(std::ostream& os) {
+  // 2^26 elements is the paper's "beyond LLC" regime; PSTLB_FIG5_NATIVE_LOG2
+  // trims it for quick runs on small hosts.
   const unsigned max_log2 = env::unsigned_or("PSTLB_FIG5_NATIVE_LOG2", 26);
   const int reps = static_cast<int>(env::unsigned_or("PSTLB_FIG5_NATIVE_REPS", 3));
-  table t("Figure 5 (native, this host): X::inclusive_scan two-pass vs "
-          "decoupled-lookback skeleton [steal backend]");
-  t.set_header({"size", "threads", "2-pass [s]", "lookback [s]", "speedup",
-                "2-pass rd B/elem", "lookback rd B/elem"});
+  table t("Figure 5 (native, this host): X::inclusive_scan single-pass "
+          "skeleton vs std::inclusive_scan [steal backend]");
+  t.set_header({"size", "threads", "std [s]", "pstlb [s]", "speedup",
+                "pstlb rd B/elem"});
+  // Integer-valued doubles: every prefix is exact, so the check is equality
+  // whatever the skeleton's association order.
   std::vector<elem_t> input(std::size_t{1} << max_log2);
   std::iota(input.begin(), input.end(), elem_t{1});
+  std::vector<elem_t> expected(input.size());
   std::vector<elem_t> output(input.size());
   for (unsigned log2 = 22; log2 <= max_log2; log2 += 2) {
     const index_t n = index_t{1} << log2;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      const std::vector<elem_t> slice(input.begin(), input.begin() + n);
-      const auto two_pass =
-          measure_scan(exec::scan_skeleton::two_pass, threads, slice, output, reps);
-      const auto lookback =
-          measure_scan(exec::scan_skeleton::single_pass, threads, slice, output, reps);
+    const auto first = input.begin();
+    const auto last = input.begin() + n;
+    double std_seconds = 0;
+    // threads == 0 times std::inclusive_scan into `expected`; every other
+    // width times pstlb::inclusive_scan into `output` and checks it.
+    for (unsigned threads : {0u, 1u, 2u, 4u, 8u}) {
+      exec::steal_policy policy{threads == 0 ? 1 : threads};
+      policy.seq_threshold = 0;
+      std::fill(output.begin(), output.begin() + n, elem_t{0});  // no prefix is 0
+      const reps_result run = run_reps("fig5/native", reps, [] {}, [&] {
+        if (threads == 0) {
+          std::inclusive_scan(first, last, expected.begin());
+        } else {
+          pstlb::inclusive_scan(policy, first, last, output.begin());
+        }
+      });
+      record_native_result("inclusive_scan", threads == 0 ? "std" : "steal",
+                           static_cast<double>(n), policy.threads, run.samples);
+      if (threads == 0) {
+        std_seconds = run.best.seconds;
+        continue;
+      }
+      if (!std::equal(output.begin(), output.begin() + n, expected.begin())) {
+        std::fprintf(stderr,
+                     "fig5_inclusive_scan: pstlb::inclusive_scan differs from "
+                     "std::inclusive_scan at n=2^%u threads=%u\n",
+                     log2, threads);
+        std::exit(1);
+      }
       t.add_row({pow2_label(static_cast<double>(n)), std::to_string(threads),
-                 eng(two_pass.seconds), eng(lookback.seconds),
-                 fmt(two_pass.seconds / lookback.seconds, 2) + "x",
-                 fmt(two_pass.bytes_read / static_cast<double>(n), 1),
-                 fmt(lookback.bytes_read / static_cast<double>(n), 1)});
+                 eng(std_seconds), eng(run.best.seconds),
+                 fmt(std_seconds / run.best.seconds, 2) + "x",
+                 fmt(run.best.bytes_read / static_cast<double>(n), 1)});
     }
   }
   t.print(os);
-  os << "lookback = single-pass chained scan with decoupled lookback: one\n"
-        "pool launch and ~1x DRAM input reads per element (the in-chunk\n"
-        "re-read is cache-resident) vs the two-pass skeleton's 2x.\n\n";
+  os << "pstlb = single-pass chained scan with decoupled lookback: one pool\n"
+        "launch and ~1x DRAM input reads per element (the in-chunk re-read is\n"
+        "cache-resident). At 1 thread it runs the sequential loop.\n\n";
 }
 
 void register_benchmarks() {
@@ -91,7 +92,7 @@ void report(std::ostream& os) {
                         sim::kernel::inclusive_scan);
   print_strong_scaling(os, "Figure 5", sim::machines::mach_c(),
                        sim::kernel::inclusive_scan);
-  print_native_skeleton_comparison(os);
+  print_native_scan(os);
   os << "Paper reference (Fig. 5 / Table 5): sequential wins up to ~2^22 (L2)\n"
         "and loses beyond the LLC (~2^26); TBB-based backends reach ~5 at 128\n"
         "threads; NVC-OMP stays at ~0.9 (sequential fallback); HPX ~1.\n";

@@ -5,10 +5,18 @@
 // sort pipelines on the current host: the block-sort + merge-round mergesort
 // (whose full-array pass count grows with the thread count) against the
 // counting samplesort (a constant number of passes), side by side, with the
-// software-accounted per-phase traffic that explains the gap.
+// software-accounted per-phase traffic that explains the gap. Both pipelines
+// are called directly on a steal backend of each width (pstlb::sort picks
+// one by the input size), and every result is checked against std::sort
+// outside the timed region; a mismatch exits with status 1.
 #include "kernel_figure.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "bench_core/wrapper.hpp"
@@ -25,28 +33,39 @@ struct sort_sample {
   detail::sort_traffic_stats stats;
 };
 
-sort_sample measure_sort(exec::sort_path path, unsigned threads,
+/// Times `pipeline` ("merge" or "sample") sorting the first `n` elements of
+/// `input` in `work`, then checks `work` against `expected`.
+sort_sample measure_sort(const char* pipeline, unsigned threads, index_t n,
                          const std::vector<elem_t>& input,
+                         const std::vector<elem_t>& expected,
                          std::vector<elem_t>& work, int reps) {
-  exec::steal_policy policy{threads};
-  policy.seq_threshold = 0;
-  policy.sort = path;
+  const exec::steal_policy policy{threads};
+  const backends::backend be = backends::steal_backend(threads);
+  const bool merge = std::string_view(pipeline) == "merge";
   sort_sample best;
   reps_result run = run_reps(
       "fig7/native", reps,
+      [&] { std::copy(input.begin(), input.begin() + n, work.begin()); },
       [&] {
-        std::copy(input.begin(), input.end(), work.begin());
-        // Clear the snapshot: at threads=1 the dispatcher runs std::sort and
-        // no pipeline writes it, so a stale snapshot from a prior run would
-        // linger.
-        detail::last_sort_traffic() = {};
+        if (merge) {
+          detail::parallel_mergesort<false>(be, work.begin(), n, std::less<>{},
+                                            policy.multiway_sort);
+        } else {
+          detail::parallel_samplesort<false>(be, policy, work.begin(), n,
+                                             std::less<>{});
+        }
       },
-      [&] { pstlb::sort(policy, work.begin(), work.begin() + input.size()); },
       [&] { best.stats = detail::last_sort_traffic(); });
+  if (!std::equal(work.begin(), work.begin() + n, expected.begin())) {
+    std::fprintf(stderr,
+                 "fig7_sort: %s pipeline differs from std::sort at n=%lld "
+                 "threads=%u\n",
+                 pipeline, static_cast<long long>(n), threads);
+    std::exit(1);
+  }
   best.seconds = run.best.seconds;
-  record_native_result("sort",
-                       path == exec::sort_path::merge ? "merge" : "sample",
-                       static_cast<double>(input.size()), threads, run.samples);
+  record_native_result("sort", pipeline, static_cast<double>(n), threads,
+                       run.samples);
   return best;
 }
 
@@ -69,17 +88,19 @@ void print_native_sort_comparison(std::ostream& os) {
   std::uniform_real_distribution<elem_t> dist(0, 1);
   for (elem_t& x : input) { x = dist(rng); }
   std::vector<elem_t> work(input.size());
+  std::vector<elem_t> expected(input.size());
   detail::sort_traffic_stats sample_detail{};
   for (unsigned log2 = 20; log2 <= max_log2; log2 += 2) {
-    const std::vector<elem_t> slice(input.begin(),
-                                    input.begin() + (index_t{1} << log2));
+    const index_t n = index_t{1} << log2;
+    std::copy(input.begin(), input.begin() + n, expected.begin());
+    std::sort(expected.begin(), expected.begin() + n);
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
       const auto merge =
-          measure_sort(exec::sort_path::merge, threads, slice, work, reps);
+          measure_sort("merge", threads, n, input, expected, work, reps);
       const auto sample =
-          measure_sort(exec::sort_path::sample, threads, slice, work, reps);
+          measure_sort("sample", threads, n, input, expected, work, reps);
       sample_detail = sample.stats;
-      t.add_row({pow2_label(static_cast<double>(slice.size())),
+      t.add_row({pow2_label(static_cast<double>(n)),
                  std::to_string(threads), eng(merge.seconds),
                  eng(sample.seconds),
                  fmt(merge.seconds / sample.seconds, 2) + "x",

@@ -1,10 +1,11 @@
-// Single-pass chained scan with decoupled lookback (Merrill & Garland's
-// "Single-pass Parallel Prefix Scan with Decoupled Look-back", adapted from
-// GPU tiles to CPU cache-resident chunks).
+// The scan and pack skeletons: a single-pass chained scan with decoupled
+// lookback (Merrill & Garland's "Single-pass Parallel Prefix Scan with
+// Decoupled Look-back", adapted from GPU tiles to CPU cache-resident chunks).
 //
-// The two-pass skeletons in skeletons.hpp launch the pool twice and stream
-// the input from DRAM twice; on a memory-bound operation like plus<double>
-// that is the dominant cost (the paper's Fig. 5 scan gap). Here each worker:
+// A two-pass scan (reduce every chunk, prefix the sums, rescan every chunk)
+// launches the pool twice and streams the input from DRAM twice; on a
+// memory-bound operation like plus<double> that is the dominant cost (the
+// paper's Fig. 5 scan gap). Here one pool launch runs and each worker:
 //
 //   1. claims the next chunk from a monotonic atomic ticket,
 //   2. if the predecessor chunk has already published its inclusive PREFIX,
@@ -122,7 +123,7 @@ std::optional<T> lookback_carry(std::vector<chunk_descriptor<T>>& chunks,
 
 }  // namespace detail
 
-/// Chunk size for the lookback skeletons: ~64 chunks per participant for
+/// Chunk size for the scan skeletons: ~64 chunks per participant for
 /// balance, floored at `min_chunk` so descriptor traffic stays negligible,
 /// and capped at 2^15 elements so the in-chunk re-read stays cache-resident
 /// (2^15 * 8 B = 256 KiB <= L2).
@@ -136,8 +137,12 @@ inline index_t lookback_chunk_size(index_t n, unsigned threads,
   return chunk < 1 ? 1 : chunk;
 }
 
-/// Single-pass scan with decoupled lookback. Callback contract extends the
-/// two-pass parallel_scan with a fused block for the fast path:
+/// True when `n` elements are one chunk at the default floor, at any width:
+/// the skeleton would run them sequentially on the caller, so the scan and
+/// pack front-ends take their sequential path without asking for cores.
+inline constexpr bool fits_one_scan_chunk(index_t n) { return n <= scan_min_chunk; }
+
+/// Single-pass scan with decoupled lookback. Callbacks:
 ///   reduce_block(b, e) -> T               : aggregate of a chunk
 ///   scan_block(b, e, carry, has_carry)    : produce output, seeded
 ///   fused_block(b, e, carry, has_carry) -> T
@@ -154,10 +159,10 @@ inline index_t lookback_chunk_size(index_t n, unsigned threads,
 /// range (the pack skeleton's total).
 template <class T, class Combine, class ReduceBlock, class ScanBlock, class FusedBlock>
   requires std::invocable<FusedBlock&, index_t, index_t, T, bool>
-void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
-                      ReduceBlock&& reduce_block, ScanBlock&& scan_block,
-                      FusedBlock&& fused_block, index_t min_chunk = scan_min_chunk,
-                      T* final_prefix = nullptr) {
+void parallel_scan(const backend& be, index_t n, Combine&& combine,
+                   ReduceBlock&& reduce_block, ScanBlock&& scan_block,
+                   FusedBlock&& fused_block, index_t min_chunk = scan_min_chunk,
+                   T* final_prefix = nullptr) {
   if (n <= 0) { return; }
   const index_t chunk = lookback_chunk_size(n, be.threads(), min_chunk);
   const index_t count = ceil_div(n, chunk);
@@ -272,36 +277,36 @@ void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
 /// touched twice). Front-ends that can produce a fused block cheaply should
 /// pass one.
 template <class T, class Combine, class ReduceBlock, class ScanBlock>
-void parallel_scan_1p(const backend& be, index_t n, Combine&& combine,
-                      ReduceBlock&& reduce_block, ScanBlock&& scan_block,
-                      index_t min_chunk = scan_min_chunk) {
+void parallel_scan(const backend& be, index_t n, Combine&& combine,
+                   ReduceBlock&& reduce_block, ScanBlock&& scan_block,
+                   index_t min_chunk = scan_min_chunk) {
   auto fused = [&](index_t b, index_t e, T carry, bool has_carry) {
     T agg = reduce_block(b, e);
     T prefix = has_carry ? combine(T{carry}, std::move(agg)) : std::move(agg);
     scan_block(b, e, std::move(carry), has_carry);
     return prefix;
   };
-  parallel_scan_1p<T>(be, n, std::forward<Combine>(combine),
-                         std::forward<ReduceBlock>(reduce_block),
-                         std::forward<ScanBlock>(scan_block), fused, min_chunk);
+  parallel_scan<T>(be, n, std::forward<Combine>(combine),
+                   std::forward<ReduceBlock>(reduce_block),
+                   std::forward<ScanBlock>(scan_block), fused, min_chunk);
 }
 
-/// Single-pass pack with decoupled lookback: counts are chained through the
-/// descriptor protocol instead of a separate prefix pass, and a chunk whose
-/// predecessor is resolved emits directly — evaluating the predicate once
-/// per element. Unlike the two-pass parallel_pack, emit_block does NOT
-/// receive the overall total — it is unknowable until the last chunk
-/// resolves — so pack users whose emit placement depends on the total
-/// (stable_partition) must stay two-pass.
+/// Single-pass pack: counts are chained through the descriptor protocol
+/// instead of a separate prefix pass, and a chunk whose predecessor is
+/// resolved emits directly — evaluating the predicate once per element.
+/// emit_block does not receive the overall total — it is unknowable until
+/// the last chunk resolves — so a placement that depends on it must be
+/// expressed without it (stable_partition fills its false side from the
+/// back of its buffer instead).
 ///   count_block(b, e) -> index_t
 ///   emit_block(b, e, offset) -> index_t   (the number of elements emitted)
 /// Returns the total packed count.
 template <class CountBlock, class EmitBlock>
-index_t parallel_pack_1p(const backend& be, index_t n, CountBlock&& count_block,
-                         EmitBlock&& emit_block, index_t min_chunk = scan_min_chunk) {
+index_t parallel_pack(const backend& be, index_t n, CountBlock&& count_block,
+                      EmitBlock&& emit_block, index_t min_chunk = scan_min_chunk) {
   if (n <= 0) { return 0; }
   index_t total = 0;
-  parallel_scan_1p<index_t>(
+  parallel_scan<index_t>(
       be, n, [](index_t a, index_t b) { return a + b; },
       [&](index_t b, index_t e) { return count_block(b, e); },
       [&](index_t b, index_t e, index_t carry, bool has_carry) {

@@ -6,8 +6,8 @@
 //   parallel_for     — independent map over [0, n)
 //   parallel_reduce  — per-slot partial accumulation + ordered fold
 //   parallel_find    — cancellable search for the smallest matching index
-//   parallel_scan    — two-pass chunked prefix computation
-//   parallel_pack    — count + prefix + emit (copy_if / partition family)
+//   parallel_scan    — single-pass chained prefix (backends/scan_lookback.hpp)
+//   parallel_pack    — chained count + emit (copy_if / partition family)
 #pragma once
 
 #include <atomic>
@@ -86,17 +86,18 @@ index_t parallel_find(const backend& be, index_t n, index_t grain, BlockFind&& b
   return best.load(std::memory_order_acquire);
 }
 
-/// Scan chunking: chunks of at least 2048 elements (small enough that a
-/// same-chunk re-read stays cache-resident for the paper's 8-byte elements,
-/// large enough to amortize per-chunk bookkeeping) and a 4x
-/// oversubscription factor (slots * 4 chunks, so dynamic backends can
-/// balance without drowning in chunk boundaries). The skeletons take both
-/// as parameters; these are the values the front-ends use.
+/// Scan chunking floor: chunks of at least 2048 elements (small enough that
+/// a same-chunk re-read stays cache-resident for the paper's 8-byte
+/// elements, large enough to amortize per-chunk bookkeeping). An input of at
+/// most this many elements is one chunk, which the scan skeleton runs on its
+/// caller alone. `scan_oversub` chunks per slot (slots * 4) let dynamic
+/// backends balance the chunk tables built from these values.
 inline constexpr index_t scan_min_chunk = 2048;
 inline constexpr index_t scan_oversub = 4;
 
-/// Chunk table used by the two-pass skeletons: fixed boundaries so both
-/// passes see identical chunks regardless of scheduling.
+/// Fixed chunk boundaries for multi-pass pipelines (samplesort's histogram
+/// and scatter passes), so every pass sees identical chunks regardless of
+/// scheduling.
 struct chunk_table {
   index_t n = 0;
   index_t chunk = 1;
@@ -118,90 +119,5 @@ struct chunk_table {
     end = begin + chunk < n ? begin + chunk : n;
   }
 };
-
-/// Two-pass parallel scan.
-///   reduce_block(b, e) -> T                : sum of a chunk (pass 1)
-///   scan_block(b, e, carry, has_carry)     : rescan chunk, seeded (pass 2)
-///   combine(T, T) -> T                     : the scan operation
-/// T must be movable and default-constructible (slot storage only).
-template <class T, class Combine, class ReduceBlock, class ScanBlock>
-void parallel_scan(const backend& be, index_t n, Combine&& combine,
-                   ReduceBlock&& reduce_block, ScanBlock&& scan_block) {
-  if (n <= 0) { return; }
-  const chunk_table chunks(n, be.threads());
-  if (chunks.count <= 1 || be.threads() == 1) {
-    scan_block(index_t{0}, n, T{}, false);
-    return;
-  }
-  std::vector<T> sums(static_cast<std::size_t>(chunks.count));
-  be.for_blocks(chunks.count, 1, nullptr, [&](index_t cb, index_t ce, unsigned) {
-    for (index_t c = cb; c < ce; ++c) {
-      index_t b = 0;
-      index_t e = 0;
-      chunks.bounds(c, b, e);
-      sums[static_cast<std::size_t>(c)] = reduce_block(b, e);
-    }
-  });
-  // Sequential exclusive prefix over chunk sums (cheap: O(slots)). Each
-  // sums[c] is consumed exactly once, so it is moved into the combine; the
-  // only copy left is carry[c] = running, which genuinely needs the value in
-  // two places.
-  std::vector<T> carry(sums.size());
-  T running = std::move(sums[0]);
-  for (std::size_t c = 1; c < sums.size(); ++c) {
-    carry[c] = running;
-    running = combine(std::move(running), std::move(sums[c]));
-  }
-  be.for_blocks(chunks.count, 1, nullptr, [&](index_t cb, index_t ce, unsigned) {
-    for (index_t c = cb; c < ce; ++c) {
-      index_t b = 0;
-      index_t e = 0;
-      chunks.bounds(c, b, e);
-      // Each carry is consumed by exactly one chunk's rescan — move it.
-      scan_block(b, e, c == 0 ? T{} : std::move(carry[static_cast<std::size_t>(c)]),
-                 c != 0);
-    }
-  });
-}
-
-/// Two-pass pack: count matching elements per chunk, prefix the counts, then
-/// emit each chunk at its exclusive offset. Returns the total packed count.
-///   count_block(b, e) -> index_t
-///   emit_block(b, e, offset, total)   (total = overall packed count)
-template <class CountBlock, class EmitBlock>
-index_t parallel_pack(const backend& be, index_t n, CountBlock&& count_block,
-                      EmitBlock&& emit_block) {
-  if (n <= 0) { return 0; }
-  const chunk_table chunks(n, be.threads());
-  if (chunks.count <= 1 || be.threads() == 1) {
-    const index_t total = count_block(index_t{0}, n);
-    emit_block(index_t{0}, n, index_t{0}, total);
-    return total;
-  }
-  std::vector<index_t> counts(static_cast<std::size_t>(chunks.count));
-  be.for_blocks(chunks.count, 1, nullptr, [&](index_t cb, index_t ce, unsigned) {
-    for (index_t c = cb; c < ce; ++c) {
-      index_t b = 0;
-      index_t e = 0;
-      chunks.bounds(c, b, e);
-      counts[static_cast<std::size_t>(c)] = count_block(b, e);
-    }
-  });
-  index_t total = 0;
-  for (auto& count : counts) {
-    const index_t mine = count;
-    count = total;  // becomes the exclusive offset
-    total += mine;
-  }
-  be.for_blocks(chunks.count, 1, nullptr, [&](index_t cb, index_t ce, unsigned) {
-    for (index_t c = cb; c < ce; ++c) {
-      index_t b = 0;
-      index_t e = 0;
-      chunks.bounds(c, b, e);
-      emit_block(b, e, counts[static_cast<std::size_t>(c)], total);
-    }
-  });
-  return total;
-}
 
 }  // namespace pstlb::backends

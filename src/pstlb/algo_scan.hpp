@@ -1,6 +1,7 @@
 // Scan-family parallel algorithms: prefix sums and the pack-based
-// (copy_if / remove / unique / partition_copy) algorithms built on the
-// two-pass count+emit skeleton.
+// (copy_if / remove / unique / partition_copy) algorithms, all built on the
+// single-pass scan and pack skeletons (backends/scan_lookback.hpp). An input
+// that fits in one scan chunk takes the sequential path before admission.
 #pragma once
 
 #include <algorithm>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "backends/scan_lookback.hpp"
-#include "backends/skeletons.hpp"
 #include "counters/counters.hpp"
 #include "pstlb/detail/simd/leaf.hpp"
 #include "pstlb/exec.hpp"
@@ -25,16 +25,13 @@ namespace detail {
 struct identity_fn;
 
 /// Software traffic accounting for scan/pack regions (no-op outside an
-/// active counters::region). `input_passes` is the number of times the
-/// algorithm streams the input from DRAM: 2 for the two-pass skeletons, 1
-/// for the sequential path and the lookback skeleton (whose second chunk
-/// read is cache-resident by construction — see lookback_chunk_size).
+/// active counters::region). Both the sequential path and the skeleton
+/// stream the input from DRAM once: the skeleton's second read of a chunk
+/// is cache-resident by construction (see lookback_chunk_size).
 inline void report_scan_traffic(index_t n_read, index_t n_written,
-                                std::size_t in_bytes, std::size_t out_bytes,
-                                double input_passes) {
+                                std::size_t in_bytes, std::size_t out_bytes) {
   counters::counter_set work;
-  work.bytes_read =
-      static_cast<double>(n_read) * static_cast<double>(in_bytes) * input_passes;
+  work.bytes_read = static_cast<double>(n_read) * static_cast<double>(in_bytes);
   work.bytes_written =
       static_cast<double>(n_written) * static_cast<double>(out_bytes);
   counters::report_work(work);
@@ -69,16 +66,17 @@ Out scan_impl(const exec::policy& policy, It first, It last, Out out,
   };
 
   using in_t = typename std::iterator_traits<It>::value_type;
+  auto seq = [&] {
+    scan_block(0, n, init);
+    report_scan_traffic(n, n, sizeof(in_t), sizeof(T));
+    return out + n;
+  };
+  if (backends::fits_one_scan_chunk(n)) { return seq(); }
   // NUMA placement hint: chunks seed onto the node owning first[i]'s pages.
   const auto hint = exec::data_hint(first);
   return exec::dispatch(
-      policy, n,
-      [&] {
-        scan_block(0, n, init);
-        report_scan_traffic(n, n, sizeof(in_t), sizeof(T), 1.0);
-        return out + n;
-      },
-      [&](const backends::backend& be, index_t) {  // fixed chunk tables, not the grain
+      policy, n, seq,
+      [&](const backends::backend& be, index_t) {  // scan chunks, not the grain
         // par_unseq: the up-sweep aggregate pass of a plain plus-scan is a
         // block sum and runs the SIMD reduce_sum kernel (reassociation is
         // licensed under unseq). The down-sweep keeps the ordered serial
@@ -152,14 +150,9 @@ Out scan_impl(const exec::policy& policy, It first, It last, Out out,
           }
           return std::move(*raw);
         };
-        if (exec::use_lookback_scan(policy, n)) {
-          backends::parallel_scan_1p<T>(be, n, op, reduce_block, scan_chunk,
-                                       fused_chunk);
-          report_scan_traffic(n, n, sizeof(in_t), sizeof(T), 1.0);
-        } else {
-          backends::parallel_scan<T>(be, n, op, reduce_block, scan_chunk);
-          report_scan_traffic(n, n, sizeof(in_t), sizeof(T), 2.0);
-        }
+        backends::parallel_scan<T>(be, n, op, reduce_block, scan_chunk,
+                                   fused_chunk);
+        report_scan_traffic(n, n, sizeof(in_t), sizeof(T));
         return out + n;
       });
 }
@@ -251,8 +244,10 @@ Out copy_if(const exec::policy& policy, It first, It last, Out out, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::copy_if);
   using in_t = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
+  auto seq = [&] { return std::copy_if(first, last, out, pred); };
+  if (backends::fits_one_scan_chunk(n)) { return seq(); }
   return exec::dispatch(
-      policy, n, [&] { return std::copy_if(first, last, out, pred); },
+      policy, n, seq,
       [&](const backends::backend& be, index_t) {
         auto count_block = [&](index_t b, index_t e) {
           return static_cast<index_t>(std::count_if(first + b, first + e, pred));
@@ -261,18 +256,8 @@ Out copy_if(const exec::policy& policy, It first, It last, Out out, Pred pred) {
           auto end = std::copy_if(first + b, first + e, out + offset, pred);
           return static_cast<index_t>(end - (out + offset));
         };
-        index_t total;
-        if (exec::use_lookback_scan(policy, n)) {
-          total = backends::parallel_pack_1p(be, n, count_block, emit_block);
-          detail::report_scan_traffic(n, total, sizeof(in_t), sizeof(in_t), 1.0);
-        } else {
-          total = backends::parallel_pack(
-              be, n, count_block,
-              [&](index_t b, index_t e, index_t offset, index_t) {
-                emit_block(b, e, offset);
-              });
-          detail::report_scan_traffic(n, total, sizeof(in_t), sizeof(in_t), 2.0);
-        }
+        const index_t total = backends::parallel_pack(be, n, count_block, emit_block);
+        detail::report_scan_traffic(n, total, sizeof(in_t), sizeof(in_t));
         return out + total;
       });
 }
@@ -296,9 +281,12 @@ std::pair<Out1, Out2> partition_copy(const exec::policy& policy, It1 first, It1 
                                      Out1 out_true, Out2 out_false, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::partition_copy);
   const index_t n = std::distance(first, last);
+  auto seq = [&] {
+    return std::partition_copy(first, last, out_true, out_false, pred);
+  };
+  if (backends::fits_one_scan_chunk(n)) { return seq(); }
   return exec::dispatch(
-      policy, n,
-      [&] { return std::partition_copy(first, last, out_true, out_false, pred); },
+      policy, n, seq,
       [&](const backends::backend& be, index_t) {
         // The pack offset counts matching elements before the chunk; the
         // non-matching offset is derivable as (chunk begin - matching count).
@@ -317,16 +305,8 @@ std::pair<Out1, Out2> partition_copy(const exec::policy& policy, It1 first, It1 
           }
           return t - true_offset;
         };
-        index_t total_true;
-        if (exec::use_lookback_scan(policy, n)) {
-          total_true = backends::parallel_pack_1p(be, n, count_block, emit_block);
-        } else {
-          total_true = backends::parallel_pack(
-              be, n, count_block,
-              [&](index_t b, index_t e, index_t true_offset, index_t) {
-                emit_block(b, e, true_offset);
-              });
-        }
+        const index_t total_true =
+            backends::parallel_pack(be, n, count_block, emit_block);
         return std::pair<Out1, Out2>{out_true + total_true,
                                      out_false + (n - total_true)};
       });
@@ -341,8 +321,10 @@ Out unique_copy(const exec::policy& policy, It first, It last, Out out, Pred pre
   const index_t n = std::distance(first, last);
   if (n == 0) { return out; }
   auto keep = [&](index_t i) { return i == 0 || !pred(first[i - 1], first[i]); };
+  auto seq = [&] { return std::unique_copy(first, last, out, pred); };
+  if (backends::fits_one_scan_chunk(n)) { return seq(); }
   return exec::dispatch(
-      policy, n, [&] { return std::unique_copy(first, last, out, pred); },
+      policy, n, seq,
       [&](const backends::backend& be, index_t) {
         auto count_block = [&](index_t b, index_t e) {
           index_t kept = 0;
@@ -356,17 +338,7 @@ Out unique_copy(const exec::policy& policy, It first, It last, Out out, Pred pre
           }
           return offset - start;
         };
-        index_t total;
-        if (exec::use_lookback_scan(policy, n)) {
-          total = backends::parallel_pack_1p(be, n, count_block, emit_block);
-        } else {
-          total = backends::parallel_pack(
-              be, n, count_block,
-              [&](index_t b, index_t e, index_t offset, index_t) {
-                emit_block(b, e, offset);
-              });
-        }
-        return out + total;
+        return out + backends::parallel_pack(be, n, count_block, emit_block);
       });
 }
 
@@ -384,8 +356,10 @@ It remove_if(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::remove_if);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
+  auto seq = [&] { return std::remove_if(first, last, pred); };
+  if (backends::fits_one_scan_chunk(n)) { return seq(); }
   return exec::dispatch(
-      policy, n, [&] { return std::remove_if(first, last, pred); },
+      policy, n, seq,
       [&](const backends::backend&, index_t) {
         std::vector<T> kept(static_cast<std::size_t>(n));
         auto end_kept = pstlb::remove_copy_if(policy, first, last, kept.begin(), pred);
@@ -407,8 +381,10 @@ It unique(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::unique);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
+  auto seq = [&] { return std::unique(first, last, pred); };
+  if (backends::fits_one_scan_chunk(n)) { return seq(); }
   return exec::dispatch(
-      policy, n, [&] { return std::unique(first, last, pred); },
+      policy, n, seq,
       [&](const backends::backend&, index_t) {
         std::vector<T> kept(static_cast<std::size_t>(n));
         auto end_kept = pstlb::unique_copy(policy, first, last, kept.begin(), pred);

@@ -1,12 +1,12 @@
 // Sort-family parallel algorithms.
 //
-// sort / stable_sort pick between two parallel pipelines (selection in
-// detail::use_samplesort: the policy's sort_path, then the input size):
+// sort / stable_sort pick between two parallel pipelines by the input alone
+// (detail::parallel_sort_dispatch: the value type, then the size):
 //
 //   - samplesort (pstlb/detail/samplesort.hpp): counting distribution into
 //     cache-sized buckets — a constant number of full-array passes
-//     regardless of thread count; the default above the policy's
-//     sample_sort_min threshold.
+//     regardless of thread count; runs from detail::sample_sort_min
+//     elements up.
 //   - mergesort (below): block sort + pairwise merge rounds, every merge
 //     split at merge-path diagonals into independent sub-merges (see
 //     pstlb/detail/merge.hpp) — log2(P) full passes, kept as the fallback
@@ -28,7 +28,7 @@
 #include <utility>
 #include <vector>
 
-#include "backends/skeletons.hpp"
+#include "backends/scan_lookback.hpp"
 #include "pstlb/detail/merge.hpp"
 #include "pstlb/fault.hpp"
 #include "pstlb/detail/multiway.hpp"
@@ -42,17 +42,10 @@ namespace pstlb {
 
 namespace detail {
 
-/// True when this sort should take the samplesort pipeline: the policy's
-/// sort_path, then (automatic) the size threshold. Callers gate on
-/// samplesort's type requirements before asking.
-inline bool use_samplesort(const exec::policy& policy, index_t n) {
-  switch (policy.sort) {
-    case exec::sort_path::sample: return true;
-    case exec::sort_path::merge: return false;
-    case exec::sort_path::automatic: break;
-  }
-  return n >= policy.sample_sort_min;
-}
+/// Inputs of at least this many elements take samplesort; smaller ones keep
+/// the mergesort, whose merge rounds stay cache-resident at that scale and
+/// which skips splitter selection and bucket bookkeeping.
+inline constexpr index_t sample_sort_min = index_t{1} << 16;
 
 struct sub_merge {
   index_t a0, a1, b0, b1, out;
@@ -216,10 +209,11 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
   commit_sort_traffic(stats);
 }
 
-/// Routes a parallel sort to samplesort or mergesort. Samplesort materializes
-/// splitter copies and value-initializes its scatter buffer, so types that
-/// are not copy-constructible + default-constructible + move-assignable
-/// silently keep the mergesort pipeline (which needs only the latter two).
+/// Routes a parallel sort to samplesort (n >= sample_sort_min) or mergesort.
+/// Samplesort materializes splitter copies and value-initializes its scatter
+/// buffer, so types that are not copy-constructible + default-constructible
+/// + move-assignable silently keep the mergesort pipeline (which needs only
+/// the latter two).
 template <bool Stable, class It, class Compare>
 void parallel_sort_dispatch(const backends::backend& be, const exec::policy& policy,
                             It first, index_t n, Compare comp) {
@@ -227,7 +221,7 @@ void parallel_sort_dispatch(const backends::backend& be, const exec::policy& pol
   if constexpr (std::is_copy_constructible_v<T> &&
                 std::is_default_constructible_v<T> &&
                 std::is_move_assignable_v<T>) {
-    if (use_samplesort(policy, n)) {
+    if (n >= sample_sort_min) {
       // A false return means the scatter buffer could not be allocated;
       // fall through to mergesort, whose own buffer failure leg degrades
       // to a sequential whole-array sort.
@@ -331,32 +325,38 @@ It stable_partition(const exec::policy& policy, It first, It last, Pred pred) {
   stats::scoped_call pstlb_stats_scope_(stats::op::stable_partition);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
+  auto seq = [&] { return std::stable_partition(first, last, pred); };
+  if (backends::fits_one_scan_chunk(n)) { return seq(); }
   return exec::dispatch(
-      policy, n, [&] { return std::stable_partition(first, last, pred); },
+      policy, n, seq,
       [&](const backends::backend& be, index_t) {
+        // One n-slot buffer filled from both ends by the single-pass pack,
+        // which never knows the overall true count while it emits: true
+        // element t goes to slot t, false element f to slot n-1-f. The
+        // move back reads the false slots in reverse, restoring their order.
         std::vector<T> buffer(static_cast<std::size_t>(n));
-        // Stays on the two-pass pack regardless of the policy's scan
-        // skeleton: the false partition starts at total_true, so every
-        // chunk's emit placement depends on the overall count — which the
-        // single-pass lookback pack only knows once its last chunk resolves.
         const index_t count_true = backends::parallel_pack(
             be, n,
             [&](index_t b, index_t e) {
               return static_cast<index_t>(std::count_if(first + b, first + e, pred));
             },
-            [&](index_t b, index_t e, index_t true_offset, index_t total_true) {
+            [&](index_t b, index_t e, index_t true_offset) {
               index_t t = true_offset;
-              index_t f = total_true + (b - true_offset);
+              index_t f = b - true_offset;  // false elements before the chunk
               for (index_t i = b; i < e; ++i) {
                 if (pred(first[i])) {
                   buffer[static_cast<std::size_t>(t++)] = std::move(first[i]);
                 } else {
-                  buffer[static_cast<std::size_t>(f++)] = std::move(first[i]);
+                  buffer[static_cast<std::size_t>(n - 1 - f++)] = std::move(first[i]);
                 }
               }
+              return t - true_offset;
             });
         backends::parallel_for(be, n, [&](index_t b, index_t e, unsigned) {
-          std::move(buffer.begin() + b, buffer.begin() + e, first + b);
+          for (index_t i = b; i < e; ++i) {
+            const index_t from = i < count_true ? i : n - 1 - (i - count_true);
+            first[i] = std::move(buffer[static_cast<std::size_t>(from)]);
+          }
         });
         return first + count_true;
       });

@@ -354,7 +354,7 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
   // protocol keeps a mid-scan failure from deadlocking peers).
   const index_t cells = bucket_count * chunk_count;
   std::vector<index_t> offsets(static_cast<std::size_t>(cells));
-  backends::parallel_scan_1p<index_t>(
+  backends::parallel_scan<index_t>(
       be, cells, [](index_t a, index_t b) { return a + b; },
       [&](index_t b, index_t e) {
         index_t sum = 0;

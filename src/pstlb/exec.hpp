@@ -4,7 +4,9 @@
 // Like std::execution policies, a policy selects an implementation; unlike
 // the std ones it is one runtime value — the backend that runs the parallel
 // loops plus the knobs pSTL-Bench studies (thread count, scheduling grain,
-// sequential-fallback threshold, sort and scan pipelines, SIMD leaves).
+// sequential-fallback threshold, merge strategy, SIMD leaves). Which scan,
+// pack and sort pipeline runs is decided by the input alone, in the
+// algorithm front-ends.
 // Front-ends take `const exec::policy&`, so every algorithm compiles once per
 // (iterator, functor) and the backend can be chosen at run time.
 //
@@ -36,33 +38,6 @@ namespace pstlb::exec {
 /// per process.
 using sched::default_threads;
 
-/// Which scan/pack skeleton a parallel policy uses (see DESIGN.md "Scan
-/// skeletons: two-pass vs decoupled lookback").
-enum class scan_skeleton {
-  /// Chunked reduce pass + serial prefix + rescan pass: two pool launches,
-  /// input streamed from DRAM twice. The conservative baseline every
-  /// backend supports.
-  two_pass,
-  /// Single-pass chained scan with decoupled lookback: one pool launch,
-  /// input streamed from DRAM once. Order-preserving, so safe for
-  /// non-commutative associative operations too.
-  single_pass,
-};
-
-/// Which parallel sort pipeline a policy uses (see DESIGN.md §13
-/// "Samplesort").
-enum class sort_path {
-  /// Samplesort above the policy's sample_sort_min, mergesort below it
-  /// (splitter selection and bucket bookkeeping are pure overhead on inputs
-  /// a couple of merge rounds finish in cache).
-  automatic,
-  /// Always the counting samplesort (detail/samplesort.hpp).
-  sample,
-  /// Always the block-sort + merge-rounds mergesort (multiway_sort selects
-  /// GNU's single R-way round instead of log2(R) pairwise rounds).
-  merge,
-};
-
 struct policy {
   /// The execution model that runs the parallel loops; seq never forks.
   backends::backend_id backend = backends::backend_id::seq;
@@ -75,18 +50,9 @@ struct policy {
   index_t seq_threshold = 0;
   /// Sort strategy: one R-way merge pass (GNU parallel mode's multiway
   /// mergesort — Section 5.6) instead of log2(R) binary merge rounds.
-  /// Consulted only when the mergesort pipeline runs (see `sort`).
+  /// Consulted only when the mergesort pipeline runs (inputs below
+  /// detail::sample_sort_min, see algo_sort.hpp).
   bool multiway_sort = false;
-  /// Parallel sort pipeline selection.
-  sort_path sort = sort_path::automatic;
-  /// `automatic` routes inputs of at least this many elements to samplesort;
-  /// smaller ones keep the mergesort, whose merge rounds stay cache-resident
-  /// at that scale.
-  index_t sample_sort_min = index_t{1} << 16;
-  /// Scan/pack skeleton selection. Defaults to the single-pass lookback
-  /// skeleton; profiles that model backends without a chained scan
-  /// (NVC-OMP) pin this to two_pass.
-  scan_skeleton scan = scan_skeleton::single_pass;
   /// par_unseq bit: when set, eligible leaves run the runtime-dispatched
   /// SIMD kernels (detail/simd/) instead of the classic element loop. Rides
   /// the policy value through arena admission and backend selection
@@ -102,20 +68,12 @@ inline policy make_policy(backends::backend_id id, unsigned threads = 0) {
   policy p;
   p.backend = id;
   if (threads != 0) { p.threads = threads; }
-  switch (id) {
-    case backends::backend_id::fork_join:
-      p.seq_threshold = index_t{1} << 10;
-      p.multiway_sort = true;  // the GNU algorithm this profile models
-      break;
-    case backends::backend_id::omp_static:
-      // NVC-OMP: the same fork-join engine, but it parallelizes everything.
-      // Section 5.4: its inclusive_scan substitutes sequential code — there
-      // is no chained-scan machinery to model, so the profile keeps the
-      // conservative two-pass skeleton (the sim models the substitution).
-      p.scan = scan_skeleton::two_pass;
-      break;
-    default:
-      break;
+  // Every other profile keeps the defaults. omp_static (NVC-OMP) is the
+  // same fork-join engine with no fallback threshold; its sequential
+  // inclusive_scan (Section 5.4) is modelled by the sim, not natively.
+  if (id == backends::backend_id::fork_join) {
+    p.seq_threshold = index_t{1} << 10;
+    p.multiway_sort = true;  // the GNU algorithm this profile models
   }
   return p;
 }
@@ -146,17 +104,6 @@ inline policy with_unseq(policy p) {
 /// Ready-made values in the spirit of std::execution::seq / unseq.
 inline const policy seq = make_policy(backends::backend_id::seq, 1);
 inline const policy unseq = with_unseq(seq);
-
-/// Inputs below this stay on the two-pass skeleton even when the policy
-/// requests lookback: with so few chunks the descriptor protocol is pure
-/// overhead and the two-pass serial prefix is already a handful of combines.
-inline constexpr index_t lookback_min_elements = index_t{1} << 12;
-
-/// True when `p` wants the single-pass lookback skeleton for an input of `n`
-/// elements. Funnel for scan- and pack-family front-ends.
-inline bool use_lookback_scan(const policy& p, index_t n) {
-  return p.scan == scan_skeleton::single_pass && n >= lookback_min_elements;
-}
 
 /// RAII NUMA data hint installed by algorithm front-ends around dispatch:
 /// declares that the parallel loop at index i touches element `first + i`
@@ -214,8 +161,10 @@ class admission {
 /// Central dispatch: runs `par_fn(backend, grain)` when the policy, input
 /// size and arena admission allow parallel execution,
 /// otherwise `seq_fn()`. Every algorithm front-end funnels through here, so
-/// the fallback rules live in exactly one place; a pool that fails to start
-/// sheds inside backends::run instead.
+/// the fallback rules live in one place; a pool that fails to start sheds
+/// inside backends::run instead. The scan and pack front-ends first send an
+/// input that is one scan chunk to their sequential path
+/// (backends::fits_one_scan_chunk), since it would run on the caller anyway.
 ///
 /// Iterator requirement: the parallel bodies index their iterators
 /// (`first + i`), so every iterator passed to a front-end must be

@@ -135,7 +135,7 @@ span_graph build_span_graph(const std::vector<event>& events,
                                : 0.0;
         break;
       default:
-        break;  // region spans, steal_fail: not graph material
+        break;  // region spans: not graph material
     }
   }
   if (g.first_ns == ~std::uint64_t{0}) { g.first_ns = 0; }

@@ -95,7 +95,7 @@ bool consume_element(const json_value& el, parsed_trace& out) {
                  : e.begin_ns;
   if (args != nullptr) {
     e.link = static_cast<std::uint64_t>(number_or(args->find("link"), 0));
-    if (e.kind == event_kind::steal_ok || e.kind == event_kind::steal_fail) {
+    if (e.kind == event_kind::steal_ok) {
       const std::uint64_t victim =
           static_cast<std::uint64_t>(number_or(args->find("victim"), 0));
       const json_value* remote = args->find("remote");

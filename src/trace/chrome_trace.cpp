@@ -64,7 +64,7 @@ void write_event(std::ostream& os, const event& e, std::uint32_t tid) {
     os << ",\"ph\":\"i\",\"s\":\"t\"";
   }
   os << ",\"args\":{\"";
-  if (e.kind == event_kind::steal_ok || e.kind == event_kind::steal_fail) {
+  if (e.kind == event_kind::steal_ok) {
     // Victim tid plus the locality tag packed into steal_remote_bit.
     os << "victim\":" << (e.arg & 0xFFFFFFFFull) << ",\"remote\":"
        << (((e.arg & steal_remote_bit) != 0) ? "true" : "false");

@@ -246,13 +246,6 @@ void record_instant_slow(pool_id p, event_kind k, std::uint64_t arg,
         ring.counters.steals_remote_ok.fetch_add(1, std::memory_order_relaxed);
       }
       break;
-    case event_kind::steal_fail:
-      ring.counters.steals_failed.fetch_add(1, std::memory_order_relaxed);
-      if ((arg & steal_remote_bit) != 0) {
-        ring.counters.steals_remote_failed.fetch_add(1,
-                                                     std::memory_order_relaxed);
-      }
-      break;
     case event_kind::spawn:
       ring.counters.tasks_spawned.fetch_add(1, std::memory_order_relaxed);
       break;
@@ -266,6 +259,14 @@ void record_instant_slow(pool_id p, event_kind k, std::uint64_t arg,
   ring.push(event{now, now, arg, link, k, p});
 }
 
+void count_failed_steal(bool remote) noexcept {
+  event_ring& ring = local_ring();
+  ring.counters.steals_failed.fetch_add(1, std::memory_order_relaxed);
+  if (remote) {
+    ring.counters.steals_remote_failed.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 }  // namespace detail
 
 std::string_view kind_name(event_kind k) noexcept {
@@ -275,7 +276,6 @@ std::string_view kind_name(event_kind k) noexcept {
     case event_kind::region: return "region";
     case event_kind::lookback: return "lookback";
     case event_kind::steal_ok: return "steal_ok";
-    case event_kind::steal_fail: return "steal_fail";
     case event_kind::spawn: return "spawn";
     case event_kind::split: return "split";
     case event_kind::phase: return "phase";

@@ -48,10 +48,9 @@ enum class event_kind : std::uint8_t {
   region = 2,      // span: one fork-join slice / worker region
   lookback = 3,    // span: decoupled-lookback wait for a predecessor chunk
   steal_ok = 4,    // instant: successful steal; arg = victim tid
-  steal_fail = 5,  // instant: empty-handed steal attempt; arg = victim tid
-  spawn = 6,       // instant: heap-allocated task submitted (futures model)
-  split = 7,       // instant: range split shed into a deque (steal model)
-  phase = 8,       // span: one sort-pipeline phase; arg = phase ordinal
+  spawn = 5,       // instant: heap-allocated task submitted (futures model)
+  split = 6,       // instant: range split shed into a deque (steal model)
+  phase = 7,       // span: one sort-pipeline phase; arg = phase ordinal
                    // (samplesort: 0 sample, 1 classify, 2 scatter, 3 buckets;
                    // mergesort: 0 block_sort, 1.. merge rounds)
 };
@@ -204,6 +203,7 @@ void record_span_slow(pool_id p, event_kind k, std::uint64_t begin_ns,
                       std::uint64_t link) noexcept;
 void record_instant_slow(pool_id p, event_kind k, std::uint64_t arg,
                          std::uint64_t link) noexcept;
+void count_failed_steal(bool remote) noexcept;
 }  // namespace detail
 
 /// True when tracing is active. This load + branch is the entire trace-off
@@ -237,10 +237,18 @@ inline void record_span(pool_id p, event_kind k, std::uint64_t begin_ns,
 /// cross-NUMA-node (remote) attempt under the active locality plan.
 inline constexpr std::uint64_t steal_remote_bit = std::uint64_t{1} << 32;
 
+/// A successful steal is a ring event and a count; a failed one is only
+/// counted (`steals_failed`, `steals_remote_failed`): a thief retries until
+/// the loop drains, so its failures would flood the ring, and the idle span
+/// around them already records the out-of-work interval.
 inline void count_steal(pool_id p, bool ok, unsigned victim, bool local = true,
                         std::uint64_t link = 0) noexcept {
   if (!enabled()) { return; }
-  detail::record_instant_slow(p, ok ? event_kind::steal_ok : event_kind::steal_fail,
+  if (!ok) {
+    detail::count_failed_steal(!local);
+    return;
+  }
+  detail::record_instant_slow(p, event_kind::steal_ok,
                               static_cast<std::uint64_t>(victim) |
                                   (local ? 0 : steal_remote_bit),
                               link);

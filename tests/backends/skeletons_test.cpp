@@ -1,8 +1,8 @@
 // Skeleton tests over every backend: parallel_for coverage,
-// parallel_reduce correctness, parallel_find first-match semantics,
-// parallel_scan prefix identity, parallel_pack stability, and the
-// single-pass decoupled-lookback scan/pack (correctness, non-commutative
-// operators, adversarial chunk-completion order).
+// parallel_reduce correctness, parallel_find first-match semantics, and the
+// single-pass decoupled-lookback scan/pack: prefix identity and pack
+// stability at the production chunk floor and at tiny chunks, non-commutative
+// operators, adversarial chunk-completion order.
 #include "backends/skeletons.hpp"
 
 #include <gtest/gtest.h>
@@ -112,8 +112,11 @@ PSTLB_SKELETON_TEST(SkeletonTest, FindMissReturnsN) {
 }
 
 PSTLB_SKELETON_TEST(SkeletonTest, ScanMatchesSequentialPrefix) {
+  // The production chunk floor: up to 2048 elements are one chunk on the
+  // caller, 2049 is the smallest chained input.
   auto backend = this->make();
-  for (index_t n : {index_t{1}, index_t{5}, index_t{4096}, index_t{100000}}) {
+  for (index_t n : {index_t{1}, index_t{5}, index_t{2048}, index_t{2049},
+                    index_t{4096}, index_t{100000}}) {
     std::vector<long long> input(static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) { input[static_cast<std::size_t>(i)] = i % 97 + 1; }
     std::vector<long long> output(static_cast<std::size_t>(n));
@@ -140,6 +143,7 @@ PSTLB_SKELETON_TEST(SkeletonTest, ScanMatchesSequentialPrefix) {
 }
 
 PSTLB_SKELETON_TEST(SkeletonTest, PackKeepsOrderAndCount) {
+  // The production chunk floor (Pack1p* below uses tiny chunks).
   auto backend = this->make();
   const index_t n = 50000;
   std::vector<int> input(static_cast<std::size_t>(n));
@@ -153,12 +157,14 @@ PSTLB_SKELETON_TEST(SkeletonTest, PackKeepsOrderAndCount) {
         for (index_t i = b; i < e; ++i) { count += is_kept(input[static_cast<std::size_t>(i)]); }
         return count;
       },
-      [&](index_t b, index_t e, index_t offset, index_t) {
+      [&](index_t b, index_t e, index_t offset) {
+        const index_t start = offset;
         for (index_t i = b; i < e; ++i) {
           if (is_kept(input[static_cast<std::size_t>(i)])) {
             output[static_cast<std::size_t>(offset++)] = input[static_cast<std::size_t>(i)];
           }
         }
+        return offset - start;
       });
   EXPECT_EQ(total, (n + 2) / 3);
   for (index_t i = 0; i < total; ++i) {
@@ -168,14 +174,13 @@ PSTLB_SKELETON_TEST(SkeletonTest, PackKeepsOrderAndCount) {
 
 PSTLB_SKELETON_TEST(SkeletonTest, Scan1pMatchesSequentialPrefix) {
   auto backend = this->make();
-  // Tiny min_chunk forces many chunks so the lookback protocol actually
-  // chains (with the default 2048 floor most test sizes collapse to the
-  // sequential fallback).
+  // Tiny min_chunk forces many chunks so the lookback protocol chains deep
+  // even on small inputs.
   for (index_t n : {index_t{1}, index_t{63}, index_t{4096}, index_t{100000}}) {
     std::vector<long long> input(static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) { input[static_cast<std::size_t>(i)] = i % 97 + 1; }
     std::vector<long long> output(static_cast<std::size_t>(n));
-    parallel_scan_1p<long long>(
+    parallel_scan<long long>(
         backend, n, std::plus<>{},
         [&](index_t b, index_t e) {
           long long acc = 0;
@@ -206,7 +211,7 @@ PSTLB_SKELETON_TEST(SkeletonTest, Scan1pNonCommutativeStringConcat) {
   const index_t n = 512;
   auto letter = [](index_t i) { return static_cast<char>('a' + i % 26); };
   std::vector<std::string> output(static_cast<std::size_t>(n));
-  parallel_scan_1p<std::string>(
+  parallel_scan<std::string>(
       backend, n, [](std::string a, std::string b) { return std::move(a) + b; },
       [&](index_t b, index_t e) {
         std::string s;
@@ -239,7 +244,7 @@ PSTLB_SKELETON_TEST(SkeletonTest, Scan1pAdversarialCompletionOrder) {
   std::vector<long long> input(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) { input[static_cast<std::size_t>(i)] = (i * 7) % 31; }
   std::vector<long long> output(static_cast<std::size_t>(n), -1);
-  parallel_scan_1p<long long>(
+  parallel_scan<long long>(
       backend, n, std::plus<>{},
       [&](index_t b, index_t e) {
         const index_t c = b / chunk;
@@ -274,7 +279,7 @@ PSTLB_SKELETON_TEST(SkeletonTest, Pack1pKeepsOrderCountAndTotal) {
     for (index_t i = 0; i < n; ++i) { input[static_cast<std::size_t>(i)] = static_cast<int>(i); }
     std::vector<int> output(static_cast<std::size_t>(n), -1);
     auto is_kept = [](int v) { return v % 3 == 0; };
-    const index_t total = parallel_pack_1p(
+    const index_t total = parallel_pack(
         backend, n,
         [&](index_t b, index_t e) {
           index_t count = 0;
@@ -296,49 +301,6 @@ PSTLB_SKELETON_TEST(SkeletonTest, Pack1pKeepsOrderCountAndTotal) {
       ASSERT_EQ(output[static_cast<std::size_t>(i)], static_cast<int>(i * 3)) << n;
     }
   }
-}
-
-// Copy/move accounting type for the scan carry machinery.
-struct move_counter {
-  long long value = 0;
-  static std::atomic<int> copies;
-  move_counter() = default;
-  explicit move_counter(long long v) : value(v) {}
-  move_counter(const move_counter& o) : value(o.value) { copies.fetch_add(1); }
-  move_counter& operator=(const move_counter& o) {
-    value = o.value;
-    copies.fetch_add(1);
-    return *this;
-  }
-  move_counter(move_counter&&) = default;
-  move_counter& operator=(move_counter&&) = default;
-};
-std::atomic<int> move_counter::copies{0};
-
-TEST(TwoPassScan, CarryLoopMovesInsteadOfCopying) {
-  // The serial prefix between the two passes needs exactly one copy per
-  // chunk (carry[c] = running, which is genuinely used twice); everything
-  // else — folding sums into the running prefix and handing carries to the
-  // rescan — must move. A heavy T would otherwise pay 2-3 copies per chunk.
-  const backend be = fork_join_backend(4);
-  const index_t n = 100000;
-  move_counter::copies.store(0);
-  std::vector<long long> output(static_cast<std::size_t>(n));
-  parallel_scan<move_counter>(
-      be, n,
-      [](move_counter a, move_counter b) { return move_counter(a.value + b.value); },
-      [&](index_t b, index_t e) { return move_counter(e - b); },
-      [&](index_t b, index_t e, move_counter carry, bool has_carry) {
-        long long run = has_carry ? carry.value : 0;
-        for (index_t i = b; i < e; ++i) {
-          output[static_cast<std::size_t>(i)] = ++run;
-        }
-      });
-  for (index_t i = 0; i < n; ++i) {
-    ASSERT_EQ(output[static_cast<std::size_t>(i)], i + 1);
-  }
-  const chunk_table chunks(n, be.threads());
-  EXPECT_LE(move_counter::copies.load(), static_cast<int>(chunks.count));
 }
 
 TEST(ChunkTable, MinChunkAndOversubAreConfigurable) {

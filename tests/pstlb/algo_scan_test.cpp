@@ -1,17 +1,19 @@
 // Scan-family and pack-family algorithms vs std::, all policies — including
-// the single-pass decoupled-lookback skeleton (the default) against the
-// two-pass skeleton, non-commutative operators, a 1..N thread sweep, and
-// the bytes-read accounting that distinguishes the two skeletons.
+// non-commutative operators, a 1..N thread sweep across the one-chunk edge,
+// the bytes-read accounting of the single-pass skeleton, and the one-chunk
+// inputs that skip admission.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "counters/counters.hpp"
 #include "pstlb/pstlb.hpp"
+#include "sched/arena.hpp"
 #include "support/policies.hpp"
 
 namespace {
@@ -214,77 +216,91 @@ PSTLB_POLICY_TEST(ScanAlgos, ScansNonCommutativeMatrixCompose) {
   ASSERT_EQ(out, expected);
 }
 
-PSTLB_POLICY_TEST(ScanAlgos, BothSkeletonsMatchAcrossThreadSweep) {
-  // Stress the scan and pack paths while pinning 1..N threads, under both
-  // skeleton selections. Covers the "one worker drains every ticket" and
-  // "more workers than chunks" ends of the lookback protocol.
-  const index_t n = 1 << 16;
-  const auto v = make_ints(n);
-  std::vector<long long> expected(v.size());
-  std::inclusive_scan(v.begin(), v.end(), expected.begin());
-  auto pred = [](long long x) { return x % 7 < 3; };
-  std::vector<long long> packed_expected(v.size(), -7);
-  const auto packed_end =
-      std::copy_if(v.begin(), v.end(), packed_expected.begin(), pred);
-  for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
-    for (pstlb::exec::scan_skeleton skeleton :
-         {pstlb::exec::scan_skeleton::two_pass,
-          pstlb::exec::scan_skeleton::single_pass}) {
-      auto swept = pstlb::test::make_eager(this->id, threads);
-      swept.scan = skeleton;
+PSTLB_POLICY_TEST(ScanAlgos, MatchesStdAcrossThreadSweep) {
+  // Stress the scan and pack paths while pinning 1..N threads. Covers the
+  // "one worker drains every ticket" and "more workers than chunks" ends of
+  // the lookback protocol, the one-chunk edge (2048 runs on the caller,
+  // 2049 is two chunks) and the few-chunk band below 2^12.
+  for (index_t n : {index_t{2048}, index_t{2049}, index_t{3000}, index_t{4095},
+                    index_t{1} << 16}) {
+    const auto v = make_ints(n);
+    std::vector<long long> expected(v.size());
+    std::inclusive_scan(v.begin(), v.end(), expected.begin());
+    auto pred = [](long long x) { return x % 7 < 3; };
+    std::vector<long long> packed_expected(v.size(), -7);
+    const auto packed_end =
+        std::copy_if(v.begin(), v.end(), packed_expected.begin(), pred);
+    for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+      const auto swept = pstlb::test::make_eager(this->id, threads);
       std::vector<long long> out(v.size());
       pstlb::inclusive_scan(swept, v.begin(), v.end(), out.begin());
-      ASSERT_EQ(out, expected)
-          << "threads=" << threads << " single_pass="
-          << (skeleton == pstlb::exec::scan_skeleton::single_pass);
+      ASSERT_EQ(out, expected) << "n=" << n << " threads=" << threads;
       std::vector<long long> packed(v.size(), -7);
       const auto out_end =
           pstlb::copy_if(swept, v.begin(), v.end(), packed.begin(), pred);
       ASSERT_EQ(out_end - packed.begin(), packed_end - packed_expected.begin());
-      ASSERT_EQ(packed, packed_expected) << "threads=" << threads;
+      ASSERT_EQ(packed, packed_expected) << "n=" << n << " threads=" << threads;
     }
   }
 }
 
-TEST(ScanCounters, LookbackHalvesInputBytesRead) {
-  // The software traffic accounting mirrors what PAPI would see: the
-  // two-pass skeleton streams the input from DRAM twice, the single-pass
-  // lookback skeleton once.
-  const index_t n = 1 << 16;
-  const auto v = make_ints(n);
-  std::vector<long long> out(v.size());
-  auto measure = [&](pstlb::exec::scan_skeleton skeleton) {
-    auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
-    pol.scan = skeleton;
+TEST(ScanCounters, ScanReadsInputOnce) {
+  // The software traffic accounting mirrors what PAPI would see: both the
+  // sequential path and the single-pass skeleton (whose second read of a
+  // chunk is cache-resident) stream the input from DRAM once.
+  auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
+  for (index_t n : {index_t{2048}, index_t{1} << 16}) {
+    const auto v = make_ints(n);
+    std::vector<long long> out(v.size());
     pstlb::counters::region r("scan_traffic");
     pstlb::inclusive_scan(pol, v.begin(), v.end(), out.begin());
-    return r.stop().bytes_read;
-  };
-  const double two_pass = measure(pstlb::exec::scan_skeleton::two_pass);
-  const double single_pass = measure(pstlb::exec::scan_skeleton::single_pass);
-  const double elem_bytes = static_cast<double>(n) * sizeof(long long);
-  EXPECT_DOUBLE_EQ(two_pass, 2.0 * elem_bytes);
-  EXPECT_DOUBLE_EQ(single_pass, elem_bytes);
+    EXPECT_DOUBLE_EQ(r.stop().bytes_read, static_cast<double>(n) * sizeof(long long))
+        << "n=" << n;
+  }
 }
 
-TEST(ScanPolicyDefaults, NvcOmpProfileStaysTwoPass) {
-  // The NVC-OMP-like profile models a backend with no chained scan: it must
-  // keep the conservative two-pass skeleton, while every other parallel
-  // policy defaults to single-pass lookback (for large enough inputs).
-  EXPECT_EQ(pstlb::exec::omp_static_policy{}.scan,
-            pstlb::exec::scan_skeleton::two_pass);
-  EXPECT_EQ(pstlb::exec::fork_join_policy{}.scan,
-            pstlb::exec::scan_skeleton::single_pass);
-  EXPECT_EQ(pstlb::exec::steal_policy{}.scan,
-            pstlb::exec::scan_skeleton::single_pass);
-  EXPECT_EQ(pstlb::exec::task_policy{}.scan,
-            pstlb::exec::scan_skeleton::single_pass);
-  EXPECT_EQ(pstlb::exec::omp_dynamic_policy{}.scan,
-            pstlb::exec::scan_skeleton::single_pass);
-  // Tiny inputs always fall back to two-pass machinery.
-  pstlb::exec::policy eager = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
-  EXPECT_FALSE(pstlb::exec::use_lookback_scan(eager, 100));
-  EXPECT_TRUE(pstlb::exec::use_lookback_scan(eager, 1 << 16));
+TEST(ScanAdmission, OneChunkInputsSkipAdmission) {
+  // An input of at most one scan chunk runs on its caller at any width, so
+  // it takes no ledger grant; one element more is two chunks and one grant.
+  // A fixed 4-wide steal policy is execution::par's backend on any host.
+  const pstlb::exec::policy par = pstlb::exec::steal_policy{4};
+  auto& arena = pstlb::sched::arena::default_arena();
+  auto pred = [](long long x) { return x % 3 == 0; };
+  for (index_t n : {pstlb::backends::scan_min_chunk, pstlb::backends::scan_min_chunk + 1}) {
+    const std::uint64_t grants = n > pstlb::backends::scan_min_chunk ? 1 : 0;
+    const auto v = make_ints(n);
+    std::vector<long long> out(v.size()), expected(v.size());
+    std::inclusive_scan(v.begin(), v.end(), expected.begin());
+    std::uint64_t before = arena.snapshot().admitted;
+    pstlb::inclusive_scan(par, v.begin(), v.end(), out.begin());
+    EXPECT_EQ(arena.snapshot().admitted, before + grants) << "inclusive_scan n=" << n;
+    EXPECT_EQ(out, expected);
+
+    const auto expected_end = std::copy_if(v.begin(), v.end(), expected.begin(), pred);
+    before = arena.snapshot().admitted;
+    const auto out_end = pstlb::copy_if(par, v.begin(), v.end(), out.begin(), pred);
+    EXPECT_EQ(arena.snapshot().admitted, before + grants) << "copy_if n=" << n;
+    ASSERT_EQ(out_end - out.begin(), expected_end - expected.begin());
+    EXPECT_TRUE(std::equal(out.begin(), out_end, expected.begin()));
+
+    // The in-place removals pack through copy_if / unique_copy.
+    out = v;
+    before = arena.snapshot().admitted;
+    const auto removed_end = pstlb::remove_if(par, out.begin(), out.end(), pred);
+    EXPECT_EQ(arena.snapshot().admitted, before + grants) << "remove_if n=" << n;
+    expected = v;
+    ASSERT_EQ(removed_end - out.begin(),
+              std::remove_if(expected.begin(), expected.end(), pred) - expected.begin());
+    EXPECT_TRUE(std::equal(out.begin(), removed_end, expected.begin()));
+    for (auto& x : out) { x /= 3; }  // runs of equal values
+    expected = out;
+    before = arena.snapshot().admitted;
+    const auto unique_end = pstlb::unique(par, out.begin(), out.end());
+    EXPECT_EQ(arena.snapshot().admitted, before + grants) << "unique n=" << n;
+    ASSERT_EQ(unique_end - out.begin(),
+              std::unique(expected.begin(), expected.end()) - expected.begin());
+    EXPECT_TRUE(std::equal(out.begin(), unique_end, expected.begin()));
+  }
 }
 
 TEST(ScanProperty, ScanThenAdjacentDifferenceIsIdentity) {

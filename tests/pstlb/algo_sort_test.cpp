@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <numeric>
 #include <vector>
 
@@ -115,13 +117,24 @@ PSTLB_POLICY_TEST(SortAlgos, InplaceMerge) {
 }
 
 PSTLB_POLICY_TEST(SortAlgos, StablePartitionKeepsRelativeOrder) {
-  auto v = make_shuffled(70000);
-  auto expected = v;
-  auto pred = [](int x) { return x % 3 == 0; };
-  auto e = std::stable_partition(expected.begin(), expected.end(), pred);
-  auto o = pstlb::stable_partition(this->pol, v.begin(), v.end(), pred);
-  ASSERT_EQ(o - v.begin(), e - expected.begin());
-  EXPECT_EQ(v, expected);
+  // The false side is filled from the back of the buffer and read back in
+  // reverse: 2049 is the smallest two-chunk input, and all-true/all-false
+  // put every element on one side.
+  const std::function<bool(int)> preds[] = {
+      [](int x) { return x % 3 == 0; },
+      [](int) { return true; },
+      [](int) { return false; },
+  };
+  for (index_t n : {index_t{2049}, index_t{70000}}) {
+    for (std::size_t p = 0; p < std::size(preds); ++p) {
+      auto v = make_shuffled(n);
+      auto expected = v;
+      auto e = std::stable_partition(expected.begin(), expected.end(), preds[p]);
+      auto o = pstlb::stable_partition(this->pol, v.begin(), v.end(), preds[p]);
+      ASSERT_EQ(o - v.begin(), e - expected.begin()) << "n=" << n << " pred=" << p;
+      EXPECT_EQ(v, expected) << "n=" << n << " pred=" << p;
+    }
+  }
 }
 
 PSTLB_POLICY_TEST(SortAlgos, PartitionSatisfiesPostcondition) {

@@ -156,8 +156,8 @@ TEST_F(ArenaStress, SortOomFallsThroughTheWholeDegradationLadder) {
   fault::set("oom:1");
   arena::scoped_bind bind(&a);
   auto policy = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
-  policy.sample_sort_min = 0;  // force the samplesort leg first
-  std::vector<long long> v(1 << 15);
+  // At sample_sort_min elements the samplesort leg runs first.
+  std::vector<long long> v(static_cast<std::size_t>(pstlb::detail::sample_sort_min));
   for (std::size_t i = 0; i < v.size(); ++i) {
     v[i] = static_cast<long long>((i * 2654435761u) % 100000);
   }

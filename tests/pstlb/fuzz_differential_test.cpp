@@ -144,18 +144,18 @@ TEST_P(FuzzDifferential, SortMergePartitionFamily) {
 }
 
 TEST_P(FuzzDifferential, SamplesortPipeline) {
-  // Same differential checks with the sort pinned to the samplesort
-  // pipeline (the size-threshold default would route these small fuzz
-  // inputs to mergesort and never exercise it).
+  // Same differential checks on the samplesort pipeline, called directly:
+  // pstlb::sort routes these small fuzz inputs to mergesort.
   rng r(std::get<0>(GetParam()) * 17 + 6);
-  with_policy([&](pstlb::exec::policy policy) {
-    policy.sort = pstlb::exec::sort_path::sample;
+  with_policy([&](const pstlb::exec::policy& policy) {
+    const pstlb::backends::backend be(policy.backend, policy.threads);
     for (int round = 0; round < 4; ++round) {
       const long long mods[]{2, 10, 100000};
       auto v = input(r, 20000, mods[static_cast<std::size_t>(round) % 3]);
       auto expected = v;
       std::sort(expected.begin(), expected.end());
-      pstlb::sort(policy, v.begin(), v.end());
+      ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(
+          be, policy, v.begin(), static_cast<index_t>(v.size()), std::less<>{}));
       ASSERT_EQ(v, expected);
 
       // Stability differential: pair each key with its original index and
@@ -168,7 +168,8 @@ TEST_P(FuzzDifferential, SamplesortPipeline) {
       auto tagged_expected = tagged;
       auto by_key = [](const auto& a, const auto& b) { return a.first < b.first; };
       std::stable_sort(tagged_expected.begin(), tagged_expected.end(), by_key);
-      pstlb::stable_sort(policy, tagged.begin(), tagged.end(), by_key);
+      ASSERT_TRUE(pstlb::detail::parallel_samplesort<true>(
+          be, policy, tagged.begin(), static_cast<index_t>(tagged.size()), by_key));
       ASSERT_EQ(tagged, tagged_expected);
     }
   });

@@ -25,13 +25,13 @@ namespace {
 
 using pstlb::index_t;
 
-/// A policy pinned to the samplesort pipeline regardless of input size.
+/// The policy these tests sort with. Every input pstlb::sort gets here has
+/// at least detail::sample_sort_min elements, so it takes samplesort; tests
+/// of smaller inputs call detail::parallel_samplesort directly.
 pstlb::exec::policy sample_policy(
     pstlb::backends::backend_id id = pstlb::backends::backend_id::steal,
     unsigned threads = pstlb::test::kTestThreads) {
-  pstlb::exec::policy policy = pstlb::test::make_eager(id, threads);
-  policy.sort = pstlb::exec::sort_path::sample;
-  return policy;
+  return pstlb::test::make_eager(id, threads);
 }
 
 std::vector<long long> zipf_input(index_t n, std::uint64_t seed) {
@@ -249,32 +249,38 @@ TEST(Samplesort, ThreadSweepRegression) {
 }
 
 TEST(Samplesort, BoundarySizes) {
+  // Below sample_sort_min pstlb::sort takes mergesort, so the pipeline is
+  // called directly.
   auto pol = sample_policy();
+  const pstlb::backends::backend be(pol.backend, pol.threads);
   for (index_t n : pstlb::test::test_sizes()) {
     std::mt19937_64 rng(static_cast<std::uint64_t>(n) + 1);
     std::vector<long long> v(static_cast<std::size_t>(n));
     for (auto& x : v) { x = static_cast<long long>(rng() % 100); }
     auto expected = v;
     std::sort(expected.begin(), expected.end());
-    pstlb::sort(pol, v.begin(), v.end());
+    ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(be, pol, v.begin(), n,
+                                                          std::less<>{}));
     EXPECT_EQ(v, expected) << "n=" << n;
   }
 }
 
 TEST(Samplesort, AutomaticThresholdRoutesBySize) {
   auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
-  ASSERT_EQ(pol.sort, pstlb::exec::sort_path::automatic);
+  constexpr index_t threshold = pstlb::detail::sample_sort_min;
+  static_assert(threshold == index_t{1} << 16);
   std::mt19937_64 rng(43);
-  std::vector<double> v(static_cast<std::size_t>(pol.sample_sort_min));
+  std::vector<double> v(static_cast<std::size_t>(threshold));
   for (auto& x : v) { x = static_cast<double>(rng() % 1000); }
 
   pstlb::sort(pol, v.begin(), v.end());  // n == sample_sort_min -> samplesort
   EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm, "sample");
 
-  std::vector<double> small(v.begin(),
-                            v.begin() + pol.sample_sort_min / 2);
+  std::vector<double> small(v.begin(), v.begin() + threshold - 1);
+  std::shuffle(small.begin(), small.end(), rng);
   pstlb::sort(pol, small.begin(), small.end());
   EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm, "merge");
+  EXPECT_TRUE(std::is_sorted(small.begin(), small.end()));
 }
 
 TEST(Samplesort, TrafficSnapshotShowsConstantPasses) {
@@ -293,9 +299,12 @@ TEST(Samplesort, TrafficSnapshotShowsConstantPasses) {
   EXPECT_NEAR(st.write_passes(), 2.0, 0.01);
 
   // Mergesort's pass count grows with the round count instead.
-  auto merge_pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
-  merge_pol.sort = pstlb::exec::sort_path::merge;
-  pstlb::sort(merge_pol, v.begin(), v.end());
+  const pstlb::backends::backend be(pol.backend, pol.threads);
+  std::shuffle(v.begin(), v.end(), rng);
+  pstlb::detail::parallel_mergesort<false>(be, v.begin(),
+                                           static_cast<index_t>(v.size()),
+                                           std::less<>{}, pol.multiway_sort);
+  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
   const auto& mt = pstlb::detail::last_sort_traffic();
   EXPECT_STREQ(mt.algorithm, "merge");
   EXPECT_GT(mt.merge_round_count, 0);

@@ -134,8 +134,9 @@ TEST(MoveOnlyish, SortOfHeavyValuesMovesNotCopies) {
 
 TEST(MoveOnly, SortFallsBackToMergesortPipeline) {
   // Samplesort needs copy-constructible values (materialized splitters);
-  // move-only types must silently take the mergesort pipeline — even when
-  // the policy demands samplesort — and still sort correctly.
+  // move-only types must silently take the mergesort pipeline — even at a
+  // size that would route copyable values to samplesort — and still sort
+  // correctly.
   struct move_only {
     std::unique_ptr<int> p;
     move_only() = default;
@@ -144,12 +145,14 @@ TEST(MoveOnly, SortFallsBackToMergesortPipeline) {
     move_only& operator=(move_only&&) = default;
   };
   auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
-  pol.sort = pstlb::exec::sort_path::sample;
   std::vector<move_only> v;
-  for (int i = 0; i < 20000; ++i) { v.emplace_back((i * 733) % 9973); }
+  for (int i = 0; i < pstlb::detail::sample_sort_min; ++i) {
+    v.emplace_back((i * 733) % 9973);
+  }
   auto less = [](const move_only& a, const move_only& b) { return *a.p < *b.p; };
   pstlb::sort(pol, v.begin(), v.end(), less);
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end(), less));
+  EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm, "merge");
   EXPECT_TRUE(std::all_of(v.begin(), v.end(),
                           [](const move_only& m) { return m.p != nullptr; }));
 }
@@ -175,16 +178,19 @@ struct flaky {
 TEST(ThrowingCopy, SamplesortSurvivesSplitterCopyThrow) {
   // Splitter sampling copies elements; a copy constructor that throws must
   // propagate as exactly one exception, not hang or crash the pipeline.
+  // The samplesort pipeline is called directly: pstlb::sort would route
+  // these 30000 elements to mergesort.
   auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
-  pol.sort = pstlb::exec::sort_path::sample;
+  const pstlb::backends::backend be(pol.backend, pol.threads);
   std::vector<flaky> v;
   for (int i = 0; i < 30000; ++i) { v.emplace_back((i * 419) % 10007); }
   flaky::arm.store(true);
   int caught = 0;
   for (int attempt = 0; attempt < 3; ++attempt) {
     try {
-      pstlb::sort(pol, v.begin(), v.end(),
-                  [](const flaky& a, const flaky& b) { return a.key < b.key; });
+      pstlb::detail::parallel_samplesort<false>(
+          be, pol, v.begin(), static_cast<pstlb::index_t>(v.size()),
+          [](const flaky& a, const flaky& b) { return a.key < b.key; });
     } catch (const std::runtime_error&) {
       ++caught;
     }

@@ -163,6 +163,28 @@ TEST(TraceHooks, SpanArmedBeforeDisableIsDropped) {
   EXPECT_EQ(ring.pushed(), pushed_before);
 }
 
+TEST(TraceHooks, FailedStealIsCountedButNotPushed) {
+  // A thief retries until its loop drains, so failed steals would flood the
+  // ring; they only move the counters sched_metrics reads.
+  set_enabled(true);
+  event_ring& ring = local_ring();
+  const std::uint64_t pushed_before = ring.pushed();
+  const std::uint64_t failed_before =
+      ring.counters.steals_failed.load(std::memory_order_relaxed);
+  const std::uint64_t remote_before =
+      ring.counters.steals_remote_failed.load(std::memory_order_relaxed);
+  count_steal(pool_id::steal, /*ok=*/false, /*victim=*/1, /*local=*/false);
+  const std::uint64_t pushed_after = ring.pushed();
+  count_steal(pool_id::steal, /*ok=*/true, /*victim=*/1);
+  set_enabled(false);
+  EXPECT_EQ(pushed_after, pushed_before);
+  EXPECT_EQ(ring.pushed(), pushed_before + 1);  // the successful steal
+  EXPECT_EQ(ring.counters.steals_failed.load(std::memory_order_relaxed),
+            failed_before + 1);
+  EXPECT_EQ(ring.counters.steals_remote_failed.load(std::memory_order_relaxed),
+            remote_before + 1);
+}
+
 TEST(TraceHooks, ThreadLabelFirstWins) {
   std::thread([] {
     set_thread_label("first");
