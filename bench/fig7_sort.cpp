@@ -48,8 +48,7 @@ sort_sample measure_sort(const char* pipeline, unsigned threads, index_t n,
       [&] { std::copy(input.begin(), input.begin() + n, work.begin()); },
       [&] {
         if (merge) {
-          detail::parallel_mergesort<false>(be, work.begin(), n, std::less<>{},
-                                            policy.multiway_sort);
+          detail::parallel_mergesort<false>(be, work.begin(), n, std::less<>{});
         } else {
           detail::parallel_samplesort<false>(be, policy, work.begin(), n,
                                              std::less<>{});

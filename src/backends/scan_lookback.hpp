@@ -9,10 +9,10 @@
 //
 //   1. claims the next chunk from a monotonic atomic ticket,
 //   2. if the predecessor chunk has already published its inclusive PREFIX,
-//      takes the fused fast path: one combined scan over the chunk produces
-//      both the output and this chunk's prefix — each element is touched
-//      exactly once (this is the path a chain of in-order chunks
-//      degenerates to, the way TBB's parallel_scan collapses to one pass),
+//      takes the fast path: one call of the chunk body writes the output
+//      and returns this chunk's prefix — each element is touched exactly
+//      once (this is the path a chain of in-order chunks degenerates to,
+//      the way TBB's parallel_scan collapses to one pass),
 //   3. otherwise runs the decoupled protocol: compute the chunk-local
 //      aggregate (one streaming read; the chunk is sized to stay
 //      cache-resident), publish it in a cache-line-padded status descriptor
@@ -20,7 +20,7 @@
 //      over predecessor descriptors — summing AGGREGATEs right-to-left
 //      until a PREFIX is met, spinning briefly then yielding on EMPTY —
 //      publish its own PREFIX (unblocking successors before any output is
-//      written), then produce the chunk's output seeded with the carry; the
+//      written), then call the same chunk body seeded with the carry; the
 //      second read of the chunk comes from cache, so DRAM still sees each
 //      input element once.
 //
@@ -47,7 +47,6 @@
 #pragma once
 
 #include <atomic>
-#include <concepts>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -143,31 +142,32 @@ inline index_t lookback_chunk_size(index_t n, unsigned threads,
 inline constexpr bool fits_one_scan_chunk(index_t n) { return n <= scan_min_chunk; }
 
 /// Single-pass scan with decoupled lookback. Callbacks:
-///   reduce_block(b, e) -> T               : aggregate of a chunk
-///   scan_block(b, e, carry, has_carry)    : produce output, seeded
-///   fused_block(b, e, carry, has_carry) -> T
-///       : produce output AND return the chained inclusive prefix through
-///         this chunk — combine(carry, aggregate) when has_carry, plain
-///         aggregate otherwise. Any init the front-end folds into outputs
-///         must NOT leak into the returned value (it would compound across
-///         chunks).
-///   combine(T, T) -> T                    : the scan operation
+///   reduce_block(b, e) -> T  : aggregate of a chunk, which the decoupled
+///                              protocol publishes before its carry is known
+///   scan_block(b, e, carry, has_carry) -> T
+///       : the one chunk body. Writes the chunk's output, seeded with
+///         `carry` — the chained inclusive prefix of everything before b —
+///         when has_carry, and returns the running prefix after e. Only the
+///         first chunk runs without a carry; a scan with an init seeds that
+///         chunk with it, so the chained prefix holds the init exactly once.
+///   combine(T, T) -> T       : the scan operation
+/// The first chunk, the fast path and the decoupled rescan all call
+/// scan_block; the rescan discards its return, since its prefix was
+/// published as combine(carry, aggregate) before the rescan ran.
 /// T must be movable, copyable and default-constructible (descriptor
 /// storage). `min_chunk` overrides the chunk floor (tests use tiny chunks
 /// to force deep lookbacks).
 /// `final_prefix`, when non-null, receives the inclusive prefix of the whole
 /// range (the pack skeleton's total).
-template <class T, class Combine, class ReduceBlock, class ScanBlock, class FusedBlock>
-  requires std::invocable<FusedBlock&, index_t, index_t, T, bool>
+template <class T, class Combine, class ReduceBlock, class ScanBlock>
 void parallel_scan(const backend& be, index_t n, Combine&& combine,
                    ReduceBlock&& reduce_block, ScanBlock&& scan_block,
-                   FusedBlock&& fused_block, index_t min_chunk = scan_min_chunk,
-                   T* final_prefix = nullptr) {
+                   index_t min_chunk = scan_min_chunk, T* final_prefix = nullptr) {
   if (n <= 0) { return; }
   const index_t chunk = lookback_chunk_size(n, be.threads(), min_chunk);
   const index_t count = ceil_div(n, chunk);
   if (count <= 1 || be.threads() == 1) {
-    T total = fused_block(index_t{0}, n, T{}, false);
+    T total = scan_block(index_t{0}, n, T{}, false);
     if (final_prefix != nullptr) { *final_prefix = std::move(total); }
     return;
   }
@@ -207,7 +207,7 @@ void parallel_scan(const backend& be, index_t n, Combine&& combine,
             trace::link_task(static_cast<std::uint64_t>(c));
         if (c == 0) {
           const std::uint64_t t0 = trace::span_begin();
-          desc.prefix = fused_block(b, e, T{}, false);
+          desc.prefix = scan_block(b, e, T{}, false);
           desc.flag.store(detail::chunk_prefix, std::memory_order_release);
           trace::record_span(trace::pool_id::scan, trace::event_kind::chunk,
                              t0, elems, link);
@@ -217,10 +217,10 @@ void parallel_scan(const backend& be, index_t n, Combine&& combine,
         auto& pred = chunks[static_cast<std::size_t>(c - 1)];
         if (pred.flag.load(std::memory_order_acquire) == detail::chunk_prefix) {
           // Fast path: the chain is already resolved up to our chunk — one
-          // fused pass reads each element exactly once. PREFIX is immutable
-          // once published, so the copy is race-free.
+          // pass reads each element exactly once. PREFIX is immutable once
+          // published, so the copy is race-free.
           const std::uint64_t t0 = trace::span_begin();
-          desc.prefix = fused_block(b, e, T{pred.prefix}, true);
+          desc.prefix = scan_block(b, e, T{pred.prefix}, true);
           desc.flag.store(detail::chunk_prefix, std::memory_order_release);
           trace::record_span(trace::pool_id::scan, trace::event_kind::chunk,
                              t0, elems, link);
@@ -271,26 +271,6 @@ void parallel_scan(const backend& be, index_t n, Combine&& combine,
   }
 }
 
-/// Convenience overload without a fused block: the fast path is emulated
-/// with reduce_block + scan_block (still a single pool launch and a single
-/// DRAM pass — the second chunk read hits cache — but each element is
-/// touched twice). Front-ends that can produce a fused block cheaply should
-/// pass one.
-template <class T, class Combine, class ReduceBlock, class ScanBlock>
-void parallel_scan(const backend& be, index_t n, Combine&& combine,
-                   ReduceBlock&& reduce_block, ScanBlock&& scan_block,
-                   index_t min_chunk = scan_min_chunk) {
-  auto fused = [&](index_t b, index_t e, T carry, bool has_carry) {
-    T agg = reduce_block(b, e);
-    T prefix = has_carry ? combine(T{carry}, std::move(agg)) : std::move(agg);
-    scan_block(b, e, std::move(carry), has_carry);
-    return prefix;
-  };
-  parallel_scan<T>(be, n, std::forward<Combine>(combine),
-                   std::forward<ReduceBlock>(reduce_block),
-                   std::forward<ScanBlock>(scan_block), fused, min_chunk);
-}
-
 /// Single-pass pack: counts are chained through the descriptor protocol
 /// instead of a separate prefix pass, and a chunk whose predecessor is
 /// resolved emits directly — evaluating the predicate once per element.
@@ -309,9 +289,6 @@ index_t parallel_pack(const backend& be, index_t n, CountBlock&& count_block,
   parallel_scan<index_t>(
       be, n, [](index_t a, index_t b) { return a + b; },
       [&](index_t b, index_t e) { return count_block(b, e); },
-      [&](index_t b, index_t e, index_t carry, bool has_carry) {
-        emit_block(b, e, has_carry ? carry : 0);
-      },
       [&](index_t b, index_t e, index_t carry, bool has_carry) {
         const index_t offset = has_carry ? carry : 0;
         return offset + emit_block(b, e, offset);

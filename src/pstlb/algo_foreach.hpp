@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "backends/skeletons.hpp"
+#include "pstlb/detail/scratch.hpp"
 #include "pstlb/detail/simd/leaf.hpp"
 #include "pstlb/exec.hpp"
 #include "trace/stats_registry.hpp"
@@ -342,16 +343,18 @@ It shift_left(const exec::policy& policy, It first, It last,
   const index_t n = std::distance(first, last);
   if (shift <= 0) { return last; }
   if (shift >= n) { return first; }
+  auto seq = [&] { return std::shift_left(first, last, shift); };
   return exec::dispatch(
-      policy, n, [&] { return std::shift_left(first, last, shift); },
+      policy, n, seq,
       [&](const backends::backend& be, index_t grain) {
         const index_t kept = n - shift;
-        std::vector<T> buffer(static_cast<std::size_t>(kept));
+        auto buffer = detail::scratch_buffer<T>(kept);
+        if (!buffer.has_value()) { return seq(); }
         backends::parallel_for(be, kept, grain, [&](index_t b, index_t e, unsigned) {
-          std::move(first + shift + b, first + shift + e, buffer.begin() + b);
+          std::move(first + shift + b, first + shift + e, buffer->begin() + b);
         });
         backends::parallel_for(be, kept, grain, [&](index_t b, index_t e, unsigned) {
-          std::move(buffer.begin() + b, buffer.begin() + e, first + b);
+          std::move(buffer->begin() + b, buffer->begin() + e, first + b);
         });
         return first + kept;
       });
@@ -367,16 +370,18 @@ It shift_right(const exec::policy& policy, It first, It last,
   const index_t n = std::distance(first, last);
   if (shift <= 0) { return first; }
   if (shift >= n) { return last; }
+  auto seq = [&] { return std::shift_right(first, last, shift); };
   return exec::dispatch(
-      policy, n, [&] { return std::shift_right(first, last, shift); },
+      policy, n, seq,
       [&](const backends::backend& be, index_t grain) {
         const index_t kept = n - shift;
-        std::vector<T> buffer(static_cast<std::size_t>(kept));
+        auto buffer = detail::scratch_buffer<T>(kept);
+        if (!buffer.has_value()) { return seq(); }
         backends::parallel_for(be, kept, grain, [&](index_t b, index_t e, unsigned) {
-          std::move(first + b, first + e, buffer.begin() + b);
+          std::move(first + b, first + e, buffer->begin() + b);
         });
         backends::parallel_for(be, kept, grain, [&](index_t b, index_t e, unsigned) {
-          std::move(buffer.begin() + b, buffer.begin() + e, first + shift + b);
+          std::move(buffer->begin() + b, buffer->begin() + e, first + shift + b);
         });
         return first + shift;
       });
@@ -396,10 +401,13 @@ It rotate(const exec::policy& policy, It first, It middle, It last) {
   const index_t shift = std::distance(first, middle);
   if (shift == 0) { return last; }
   if (shift == n) { return first; }
+  auto seq = [&] { return std::rotate(first, middle, last); };
   return exec::dispatch(
-      policy, n, [&] { return std::rotate(first, middle, last); },
+      policy, n, seq,
       [&](const backends::backend& be, index_t grain) {
-        std::vector<T> buffer(static_cast<std::size_t>(n));
+        auto scratch = detail::scratch_buffer<T>(n);
+        if (!scratch.has_value()) { return seq(); }
+        std::vector<T>& buffer = *scratch;
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           for (index_t i = b; i < e; ++i) {
             buffer[static_cast<std::size_t>(i)] = std::move(first[(i + shift) % n]);

@@ -14,6 +14,7 @@
 
 #include "backends/scan_lookback.hpp"
 #include "counters/counters.hpp"
+#include "pstlb/detail/scratch.hpp"
 #include "pstlb/detail/simd/leaf.hpp"
 #include "pstlb/exec.hpp"
 #include "trace/stats_registry.hpp"
@@ -46,9 +47,8 @@ Out scan_impl(const exec::policy& policy, It first, It last, Out out,
   const index_t n = std::distance(first, last);
   if (n == 0) { return out; }
 
-  // Returns the running prefix after the block — for an inclusive scan with
-  // no init that is exactly combine(seed, block aggregate), which the fused
-  // lookback path reuses as the chained prefix at zero extra cost.
+  // Writes out[b, e) from the running prefix before b (empty only at the
+  // start of an inclusive scan without init) and returns the prefix after e.
   auto scan_block = [&](index_t b, index_t e, std::optional<T> prefix) {
     for (index_t i = b; i < e; ++i) {
       T value = unary(first[i]);
@@ -100,58 +100,14 @@ Out scan_impl(const exec::policy& policy, It first, It last, Out out,
           }
           return acc;
         };
-        auto scan_chunk = [&](index_t b, index_t e, T carry, bool has_carry) {
-          std::optional<T> prefix = init;
-          if (has_carry) {
-            prefix = prefix.has_value() ? op(std::move(*prefix), std::move(carry))
-                                        : std::move(carry);
-          }
-          scan_block(b, e, std::move(prefix));
-        };
-        // Fused block for the lookback fast path: output the chunk AND return
-        // its chained inclusive prefix (combine(carry, aggregate), with any
-        // user init excluded — init is folded into outputs only).
-        auto fused_chunk = [&](index_t b, index_t e, T carry, bool has_carry) -> T {
-          if constexpr (Inclusive) {
-            if (!init.has_value()) {
-              // Hot path (plain inclusive scan): the final running value IS
-              // the chained prefix — one combine and one read per element.
-              std::optional<T> prefix;
-              if (has_carry) { prefix.emplace(std::move(carry)); }
-              return *scan_block(b, e, std::move(prefix));
-            }
-          }
-          // Init present (or exclusive): outputs fold `init` in, which must
-          // not leak into the chained prefix — track the raw total alongside.
-          std::optional<T> raw;
-          if (has_carry) { raw.emplace(carry); }
-          std::optional<T> prefix = init;
-          if (has_carry) {
-            prefix = prefix.has_value() ? op(std::move(*prefix), std::move(carry))
-                                        : std::move(carry);
-          }
-          for (index_t i = b; i < e; ++i) {
-            T value = unary(first[i]);
-            if (raw.has_value()) {
-              raw.emplace(op(std::move(*raw), T{value}));
-            } else {
-              raw.emplace(T{value});
-            }
-            if constexpr (Inclusive) {
-              T current = prefix.has_value()
-                              ? op(std::move(*prefix), std::move(value))
-                              : std::move(value);
-              out[i] = current;
-              prefix.emplace(std::move(current));
-            } else {
-              out[i] = *prefix;
-              prefix.emplace(op(std::move(*prefix), std::move(value)));
-            }
-          }
-          return std::move(*raw);
-        };
-        backends::parallel_scan<T>(be, n, op, reduce_block, scan_chunk,
-                                   fused_chunk);
+        // The first chunk starts from init and every later one from the
+        // chained prefix, which therefore holds init exactly once.
+        backends::parallel_scan<T>(
+            be, n, op, reduce_block,
+            [&](index_t b, index_t e, T carry, bool has_carry) {
+              return *scan_block(
+                  b, e, has_carry ? std::optional<T>(std::move(carry)) : init);
+            });
         report_scan_traffic(n, n, sizeof(in_t), sizeof(T));
         return out + n;
       });
@@ -361,10 +317,11 @@ It remove_if(const exec::policy& policy, It first, It last, Pred pred) {
   return exec::dispatch(
       policy, n, seq,
       [&](const backends::backend&, index_t) {
-        std::vector<T> kept(static_cast<std::size_t>(n));
-        auto end_kept = pstlb::remove_copy_if(policy, first, last, kept.begin(), pred);
-        const index_t count = end_kept - kept.begin();
-        pstlb::move(policy, kept.begin(), kept.begin() + count, first);
+        auto kept = detail::scratch_buffer<T>(n);
+        if (!kept.has_value()) { return seq(); }
+        auto end_kept = pstlb::remove_copy_if(policy, first, last, kept->begin(), pred);
+        const index_t count = end_kept - kept->begin();
+        pstlb::move(policy, kept->begin(), kept->begin() + count, first);
         return first + count;
       });
 }
@@ -386,10 +343,11 @@ It unique(const exec::policy& policy, It first, It last, Pred pred) {
   return exec::dispatch(
       policy, n, seq,
       [&](const backends::backend&, index_t) {
-        std::vector<T> kept(static_cast<std::size_t>(n));
-        auto end_kept = pstlb::unique_copy(policy, first, last, kept.begin(), pred);
-        const index_t count = end_kept - kept.begin();
-        pstlb::move(policy, kept.begin(), kept.begin() + count, first);
+        auto kept = detail::scratch_buffer<T>(n);
+        if (!kept.has_value()) { return seq(); }
+        auto end_kept = pstlb::unique_copy(policy, first, last, kept->begin(), pred);
+        const index_t count = end_kept - kept->begin();
+        pstlb::move(policy, kept->begin(), kept->begin() + count, first);
         return first + count;
       });
 }

@@ -9,9 +9,11 @@
 //     elements up.
 //   - mergesort (below): block sort + pairwise merge rounds, every merge
 //     split at merge-path diagonals into independent sub-merges (see
-//     pstlb/detail/merge.hpp) — log2(P) full passes, kept as the fallback
-//     and the small-input path. multiway_sort replaces the rounds with
-//     GNU's single R-way merge.
+//     pstlb/detail/merge.hpp) — log2(P) full passes. It is the one
+//     mergesort on every policy: the small-input path, the path of value
+//     types samplesort cannot take, and samplesort's fallback when its
+//     scatter buffer cannot be allocated. (GNU's single R-way merge round
+//     lives on only in the simulator's model of GCC-GNU.)
 //
 // Both pipelines are plain parallel_for/scan launches, so they run on every
 // backend. Requirements beyond the std versions (documented limitation): the
@@ -30,12 +32,10 @@
 
 #include "backends/scan_lookback.hpp"
 #include "pstlb/detail/merge.hpp"
-#include "pstlb/fault.hpp"
-#include "pstlb/detail/multiway.hpp"
 #include "pstlb/detail/samplesort.hpp"
+#include "pstlb/detail/scratch.hpp"
 #include "pstlb/detail/sort_stats.hpp"
 #include "pstlb/exec.hpp"
-#include "sched/arena.hpp"
 #include "trace/stats_registry.hpp"
 
 namespace pstlb {
@@ -53,11 +53,10 @@ struct sub_merge {
 
 template <bool Stable, class It, class Compare>
 void parallel_mergesort(const backends::backend& be, It first, index_t n,
-                        Compare comp, bool multiway) {
+                        Compare comp) {
   using T = typename std::iterator_traits<It>::value_type;
   if (n < 2) { return; }
-  auto& stats =
-      begin_sort_traffic(multiway ? "multiway" : "merge", n, sizeof(T));
+  auto& stats = begin_sort_traffic("merge", n, sizeof(T));
   const double pass_bytes = static_cast<double>(n) * sizeof(T);
 
   // Initial run count: a power of two near 2x the participant count, shrunk
@@ -96,14 +95,8 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
   // safe here because the phase-1 run sorts are in-place and already
   // complete, so the input holds all elements (partially ordered, which the
   // std sort tolerates).
-  std::vector<T> buffer;
-  try {
-    if (fault::armed()) {
-      fault::on_alloc(static_cast<std::size_t>(n) * sizeof(T));
-    }
-    buffer.resize(static_cast<std::size_t>(n));
-  } catch (const std::bad_alloc&) {
-    sched::note_degradation(sched::shed_reason::oom);
+  auto scratch = scratch_buffer<T>(n);
+  if (!scratch.has_value()) {
     if constexpr (Stable) {
       std::stable_sort(first, first + n, comp);
     } else {
@@ -112,33 +105,9 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
     commit_sort_traffic(stats);
     return;
   }
+  std::vector<T>& buffer = *scratch;
 
-  // The R-way merge samples splitters by copy (like samplesort), so it is
-  // compiled out for move-only types, which take the pairwise rounds below.
-  if constexpr (std::is_copy_constructible_v<T>) {
-  if (multiway) {
-    // Phase 2 (GNU style): a single parallel R-way merge pass.
-    sort_phase_span span(1);
-    std::vector<run_ref<It>> run_refs;
-    run_refs.reserve(static_cast<std::size_t>(runs));
-    for (index_t r = 0; r < runs; ++r) {
-      const index_t b = r * run_len;
-      run_refs.push_back({first + b, first + std::min(n, b + run_len)});
-    }
-    parallel_multiway_merge(be, run_refs, buffer.begin(), comp);
-    backends::parallel_for(be, n, [&](index_t b, index_t e, unsigned) {
-      std::move(buffer.begin() + b, buffer.begin() + e, first + b);
-    });
-    // The R-way pass streams everything once, the move-back once more.
-    stats.merge_rounds.read += 2 * pass_bytes;
-    stats.merge_rounds.written += 2 * pass_bytes;
-    stats.merge_round_count = 2;
-    commit_sort_traffic(stats);
-    return;
-  }
-  }
-
-  // Phase 2 (TBB/HPX style): pairwise merge rounds, ping-ponging the buffer.
+  // Phase 2: pairwise merge rounds, ping-ponging the buffer.
   bool in_buffer = false;
 
   const index_t per_task = std::max<index_t>(
@@ -230,7 +199,7 @@ void parallel_sort_dispatch(const backends::backend& be, const exec::policy& pol
       }
     }
   }
-  parallel_mergesort<Stable>(be, first, n, comp, policy.multiway_sort);
+  parallel_mergesort<Stable>(be, first, n, comp);
 }
 
 }  // namespace detail
@@ -298,16 +267,18 @@ void inplace_merge(const exec::policy& policy, It first, It middle, It last,
   stats::scoped_call pstlb_stats_scope_(stats::op::inplace_merge);
   using T = typename std::iterator_traits<It>::value_type;
   const index_t n = std::distance(first, last);
+  auto seq = [&] { std::inplace_merge(first, middle, last, comp); };
   exec::dispatch(
-      policy, n, [&] { std::inplace_merge(first, middle, last, comp); },
+      policy, n, seq,
       [&](const backends::backend& be, index_t) {
+        auto buffer = detail::scratch_buffer<T>(n);
+        if (!buffer.has_value()) { return seq(); }
         const index_t n1 = std::distance(first, middle);
-        std::vector<T> buffer(static_cast<std::size_t>(n));
         detail::parallel_merge_into(be, std::make_move_iterator(first), n1,
                                     std::make_move_iterator(middle), n - n1,
-                                    buffer.begin(), comp);
+                                    buffer->begin(), comp);
         backends::parallel_for(be, n, [&](index_t b, index_t e, unsigned) {
-          std::move(buffer.begin() + b, buffer.begin() + e, first + b);
+          std::move(buffer->begin() + b, buffer->begin() + e, first + b);
         });
       });
 }
@@ -334,7 +305,9 @@ It stable_partition(const exec::policy& policy, It first, It last, Pred pred) {
         // which never knows the overall true count while it emits: true
         // element t goes to slot t, false element f to slot n-1-f. The
         // move back reads the false slots in reverse, restoring their order.
-        std::vector<T> buffer(static_cast<std::size_t>(n));
+        auto scratch = detail::scratch_buffer<T>(n);
+        if (!scratch.has_value()) { return seq(); }
+        std::vector<T>& buffer = *scratch;
         const index_t count_true = backends::parallel_pack(
             be, n,
             [&](index_t b, index_t e) {
@@ -413,14 +386,17 @@ RIt partial_sort_copy(const exec::policy& policy, It first, It last, RIt d_first
   const index_t m = std::distance(d_first, d_last);
   const index_t k = std::min(n, m);
   if (k <= 0) { return d_first; }
+  auto seq = [&] {
+    return std::partial_sort_copy(first, last, d_first, d_last, comp);
+  };
   return exec::dispatch(
-      policy, n,
-      [&] { return std::partial_sort_copy(first, last, d_first, d_last, comp); },
+      policy, n, seq,
       [&](const backends::backend&, index_t) {
         using T = typename std::iterator_traits<It>::value_type;
-        std::vector<T> scratch(first, last);
-        pstlb::sort(policy, scratch.begin(), scratch.end(), comp);
-        pstlb::copy(policy, scratch.begin(), scratch.begin() + k, d_first);
+        auto scratch = detail::scratch_buffer<T>(n, first, last);
+        if (!scratch.has_value()) { return seq(); }
+        pstlb::sort(policy, scratch->begin(), scratch->end(), comp);
+        pstlb::copy(policy, scratch->begin(), scratch->begin() + k, d_first);
         return d_first + k;
       });
 }

@@ -367,13 +367,6 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
           offsets[static_cast<std::size_t>(i)] = running;
           running += hist[static_cast<std::size_t>(i)];
         }
-      },
-      [&](index_t b, index_t e, index_t carry, bool has_carry) {
-        index_t running = has_carry ? carry : 0;
-        for (index_t i = b; i < e; ++i) {
-          offsets[static_cast<std::size_t>(i)] = running;
-          running += hist[static_cast<std::size_t>(i)];
-        }
         return running;
       });
 

@@ -30,8 +30,8 @@ struct sort_phase_traffic {
 };
 
 struct sort_traffic_stats {
-  // Which implementation filled the snapshot ("sample", "merge", "multiway",
-  // "seq"); empty until a sort ran on this thread.
+  // Which pipeline filled the snapshot ("sample" or "merge"); empty until a
+  // parallel sort ran on this thread.
   const char* algorithm = "";
   double input_bytes = 0;  // n * sizeof(T) — denominator for the pass math
 
@@ -43,7 +43,7 @@ struct sort_traffic_stats {
 
   // Mergesort phases.
   sort_phase_traffic block_sort;    // phase-1 independent run sorts
-  sort_phase_traffic merge_rounds;  // all pairwise rounds (or the one R-way)
+  sort_phase_traffic merge_rounds;  // all pairwise rounds
   int merge_round_count = 0;        // rounds executed, incl. the final move-back
 
   double total_read() const {

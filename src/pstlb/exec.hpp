@@ -4,9 +4,8 @@
 // Like std::execution policies, a policy selects an implementation; unlike
 // the std ones it is one runtime value — the backend that runs the parallel
 // loops plus the knobs pSTL-Bench studies (thread count, scheduling grain,
-// sequential-fallback threshold, merge strategy, SIMD leaves). Which scan,
-// pack and sort pipeline runs is decided by the input alone, in the
-// algorithm front-ends.
+// sequential-fallback threshold, SIMD leaves). Which scan, pack and sort
+// pipeline runs is decided by the input alone, in the algorithm front-ends.
 // Front-ends take `const exec::policy&`, so every algorithm compiles once per
 // (iterator, functor) and the backend can be chosen at run time.
 //
@@ -48,11 +47,6 @@ struct policy {
   /// Inputs strictly smaller than this run sequentially (the GNU parallel
   /// mode behaviour the paper observes around 2^10 elements).
   index_t seq_threshold = 0;
-  /// Sort strategy: one R-way merge pass (GNU parallel mode's multiway
-  /// mergesort — Section 5.6) instead of log2(R) binary merge rounds.
-  /// Consulted only when the mergesort pipeline runs (inputs below
-  /// detail::sample_sort_min, see algo_sort.hpp).
-  bool multiway_sort = false;
   /// par_unseq bit: when set, eligible leaves run the runtime-dispatched
   /// SIMD kernels (detail/simd/) instead of the classic element loop. Rides
   /// the policy value through arena admission and backend selection
@@ -68,13 +62,12 @@ inline policy make_policy(backends::backend_id id, unsigned threads = 0) {
   policy p;
   p.backend = id;
   if (threads != 0) { p.threads = threads; }
-  // Every other profile keeps the defaults. omp_static (NVC-OMP) is the
-  // same fork-join engine with no fallback threshold; its sequential
-  // inclusive_scan (Section 5.4) is modelled by the sim, not natively.
-  if (id == backends::backend_id::fork_join) {
-    p.seq_threshold = index_t{1} << 10;
-    p.multiway_sort = true;  // the GNU algorithm this profile models
-  }
+  // fork_join keeps GNU parallel mode's "sequential below 2^10" rule and
+  // every other profile the defaults. omp_static (NVC-OMP) is the same
+  // fork-join engine with no fallback threshold. NVC-OMP's sequential
+  // inclusive_scan (Section 5.4) and GCC-GNU's one-round R-way merge
+  // (Section 5.6) are modelled by the sim, not natively.
+  if (id == backends::backend_id::fork_join) { p.seq_threshold = index_t{1} << 10; }
   return p;
 }
 

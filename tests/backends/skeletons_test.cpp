@@ -133,6 +133,7 @@ PSTLB_SKELETON_TEST(SkeletonTest, ScanMatchesSequentialPrefix) {
             run += input[static_cast<std::size_t>(i)];
             output[static_cast<std::size_t>(i)] = run;
           }
+          return run;
         });
     long long expected = 0;
     for (index_t i = 0; i < n; ++i) {
@@ -193,6 +194,7 @@ PSTLB_SKELETON_TEST(SkeletonTest, Scan1pMatchesSequentialPrefix) {
             run += input[static_cast<std::size_t>(i)];
             output[static_cast<std::size_t>(i)] = run;
           }
+          return run;
         },
         /*min_chunk=*/64);
     long long expected = 0;
@@ -224,6 +226,7 @@ PSTLB_SKELETON_TEST(SkeletonTest, Scan1pNonCommutativeStringConcat) {
           run.push_back(letter(i));
           output[static_cast<std::size_t>(i)] = run;
         }
+        return run;
       },
       /*min_chunk=*/32);
   std::string expected;
@@ -234,35 +237,41 @@ PSTLB_SKELETON_TEST(SkeletonTest, Scan1pNonCommutativeStringConcat) {
 }
 
 PSTLB_SKELETON_TEST(SkeletonTest, Scan1pAdversarialCompletionOrder) {
-  // Stall selected chunks inside reduce_block so successors publish their
-  // aggregates first and lookbacks must chain across long AGGREGATE runs
-  // and spin on EMPTY descriptors. Chunk 0 is the slowest, which delays the
-  // only PREFIX the chain can terminate on.
+  // Stall selected chunks so successors publish their aggregates first and
+  // lookbacks must chain across long AGGREGATE runs and spin on EMPTY
+  // descriptors. Chunk 0 is the slowest: its body, the only one that runs
+  // without a carry, sleeps before publishing the only PREFIX the chain can
+  // terminate on. Every fifth chunk also stalls in both of its callbacks, so
+  // the stall fires on the fast path and on the decoupled path alike.
   auto backend = this->make();
   const index_t chunk = 64;
   const index_t n = chunk * 48;
   std::vector<long long> input(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) { input[static_cast<std::size_t>(i)] = (i * 7) % 31; }
   std::vector<long long> output(static_cast<std::size_t>(n), -1);
+  auto stall_every_fifth = [&](index_t b) {
+    if ((b / chunk) % 5 == 1) { std::this_thread::sleep_for(std::chrono::milliseconds(2)); }
+  };
   parallel_scan<long long>(
       backend, n, std::plus<>{},
       [&](index_t b, index_t e) {
-        const index_t c = b / chunk;
-        if (c == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        } else if (c % 5 == 1) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
+        stall_every_fifth(b);
         long long acc = 0;
         for (index_t i = b; i < e; ++i) { acc += input[static_cast<std::size_t>(i)]; }
         return acc;
       },
       [&](index_t b, index_t e, long long carry, bool has_carry) {
+        if (b == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        } else {
+          stall_every_fifth(b);
+        }
         long long run = has_carry ? carry : 0;
         for (index_t i = b; i < e; ++i) {
           run += input[static_cast<std::size_t>(i)];
           output[static_cast<std::size_t>(i)] = run;
         }
+        return run;
       },
       /*min_chunk=*/chunk);
   long long expected = 0;

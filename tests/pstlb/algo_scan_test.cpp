@@ -197,6 +197,23 @@ PSTLB_POLICY_TEST(ScanAlgos, InclusiveScanNonCommutativeStrings) {
   std::inclusive_scan(v.begin(), v.end(), expected.begin(), concat);
   pstlb::inclusive_scan(this->pol, v.begin(), v.end(), out.begin(), concat);
   ASSERT_EQ(out, expected);
+
+  // With an init, only the first chunk starts from it and the chained prefix
+  // carries it on: it must appear once, leftmost, in every output. A letter
+  // every 64 elements keeps the prefixes of 2^15 elements (16 chunks) short.
+  const index_t m = index_t{1} << 15;
+  std::vector<std::string> sparse(static_cast<std::size_t>(m));
+  for (index_t i = 0; i < m; i += 64) {
+    sparse[static_cast<std::size_t>(i)] =
+        std::string(1, static_cast<char>('a' + (i / 64) % 26));
+  }
+  const std::string init = "<init>";
+  out.assign(sparse.size(), std::string{});
+  expected.assign(sparse.size(), std::string{});
+  std::inclusive_scan(sparse.begin(), sparse.end(), expected.begin(), concat, init);
+  pstlb::inclusive_scan(this->pol, sparse.begin(), sparse.end(), out.begin(), concat,
+                        init);
+  ASSERT_EQ(out, expected);
 }
 
 PSTLB_POLICY_TEST(ScanAlgos, ScansNonCommutativeMatrixCompose) {
@@ -217,7 +234,8 @@ PSTLB_POLICY_TEST(ScanAlgos, ScansNonCommutativeMatrixCompose) {
 }
 
 PSTLB_POLICY_TEST(ScanAlgos, MatchesStdAcrossThreadSweep) {
-  // Stress the scan and pack paths while pinning 1..N threads. Covers the
+  // Stress the scan and pack paths while pinning 1..N threads (the
+  // exclusive scan carries its init 7 in the chained prefix). Covers the
   // "one worker drains every ticket" and "more workers than chunks" ends of
   // the lookback protocol, the one-chunk edge (2048 runs on the caller,
   // 2049 is two chunks) and the few-chunk band below 2^12.
@@ -226,6 +244,8 @@ PSTLB_POLICY_TEST(ScanAlgos, MatchesStdAcrossThreadSweep) {
     const auto v = make_ints(n);
     std::vector<long long> expected(v.size());
     std::inclusive_scan(v.begin(), v.end(), expected.begin());
+    std::vector<long long> exclusive_expected(v.size());
+    std::exclusive_scan(v.begin(), v.end(), exclusive_expected.begin(), 7LL);
     auto pred = [](long long x) { return x % 7 < 3; };
     std::vector<long long> packed_expected(v.size(), -7);
     const auto packed_end =
@@ -235,6 +255,8 @@ PSTLB_POLICY_TEST(ScanAlgos, MatchesStdAcrossThreadSweep) {
       std::vector<long long> out(v.size());
       pstlb::inclusive_scan(swept, v.begin(), v.end(), out.begin());
       ASSERT_EQ(out, expected) << "n=" << n << " threads=" << threads;
+      pstlb::exclusive_scan(swept, v.begin(), v.end(), out.begin(), 7LL);
+      ASSERT_EQ(out, exclusive_expected) << "n=" << n << " threads=" << threads;
       std::vector<long long> packed(v.size(), -7);
       const auto out_end =
           pstlb::copy_if(swept, v.begin(), v.end(), packed.begin(), pred);

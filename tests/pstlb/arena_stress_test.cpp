@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pstlb/fault.hpp"
@@ -168,6 +171,108 @@ TEST_F(ArenaStress, SortOomFallsThroughTheWholeDegradationLadder) {
   EXPECT_TRUE(std::is_sorted(stable.begin(), stable.end()));
   fault::set(fault::spec{});
   EXPECT_GT(a.snapshot().shed_oom, 0u);
+}
+
+TEST_F(ArenaStress, ScratchBufferOomShedsToTheStdAlgorithm) {
+  // The parallel paths that stage elements through an n-element scratch
+  // buffer allocate it before any element moves. Under oom:1 that
+  // allocation fails: each call must count one oom shed, throw nothing and
+  // return exactly what its std algorithm returns.
+  arena a(arena_cfg("scratch_oom", 8));
+  arena::scoped_bind bind(&a);
+  const auto policy = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
+  // More than one scan chunk, so stable_partition, remove_if and unique pack.
+  const std::size_t n = 4096;
+  std::vector<long long> input(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    input[i] = static_cast<long long>((i * 2654435761u) % 1000);
+  }
+  auto halves = input;  // two sorted runs with repeats (inplace_merge, unique)
+  std::sort(halves.begin(), halves.begin() + n / 2);
+  std::sort(halves.begin() + n / 2, halves.end());
+  auto odd = [](long long x) { return x % 2 != 0; };
+
+  struct outcome {
+    std::vector<long long> values;
+    std::ptrdiff_t at = 0;  // offset of the returned iterator
+  };
+  // Each case runs the pstlb algorithm when `par` is set, else the std one.
+  const std::pair<const char*, std::function<outcome(bool)>> cases[] = {
+      {"shift_left",
+       [&](bool par) {
+         auto v = input;
+         auto it = par ? pstlb::shift_left(policy, v.begin(), v.end(), 100)
+                       : std::shift_left(v.begin(), v.end(), 100);
+         return outcome{v, it - v.begin()};
+       }},
+      {"shift_right",
+       [&](bool par) {
+         auto v = input;
+         auto it = par ? pstlb::shift_right(policy, v.begin(), v.end(), 100)
+                       : std::shift_right(v.begin(), v.end(), 100);
+         return outcome{v, it - v.begin()};
+       }},
+      {"rotate",
+       [&](bool par) {
+         auto v = input;
+         auto it = par ? pstlb::rotate(policy, v.begin(), v.begin() + 1000, v.end())
+                       : std::rotate(v.begin(), v.begin() + 1000, v.end());
+         return outcome{v, it - v.begin()};
+       }},
+      {"stable_partition",
+       [&](bool par) {
+         auto v = input;
+         auto it = par ? pstlb::stable_partition(policy, v.begin(), v.end(), odd)
+                       : std::stable_partition(v.begin(), v.end(), odd);
+         return outcome{v, it - v.begin()};
+       }},
+      {"inplace_merge",
+       [&](bool par) {
+         auto v = halves;
+         const auto middle = v.begin() + static_cast<std::ptrdiff_t>(n / 2);
+         if (par) {
+           pstlb::inplace_merge(policy, v.begin(), middle, v.end());
+         } else {
+           std::inplace_merge(v.begin(), middle, v.end());
+         }
+         return outcome{v, 0};
+       }},
+      {"partial_sort_copy",
+       [&](bool par) {
+         std::vector<long long> out(100);
+         auto it = par ? pstlb::partial_sort_copy(policy, input.begin(), input.end(),
+                                                  out.begin(), out.end())
+                       : std::partial_sort_copy(input.begin(), input.end(),
+                                                out.begin(), out.end());
+         return outcome{out, it - out.begin()};
+       }},
+      // The tail past the returned position is unspecified; keep the kept part.
+      {"remove_if",
+       [&](bool par) {
+         auto v = input;
+         auto it = par ? pstlb::remove_if(policy, v.begin(), v.end(), odd)
+                       : std::remove_if(v.begin(), v.end(), odd);
+         return outcome{{v.begin(), it}, it - v.begin()};
+       }},
+      {"unique",
+       [&](bool par) {
+         auto v = halves;
+         auto it = par ? pstlb::unique(policy, v.begin(), v.end())
+                       : std::unique(v.begin(), v.end());
+         return outcome{{v.begin(), it}, it - v.begin()};
+       }},
+  };
+  for (const auto& [name, run] : cases) {
+    const outcome expected = run(false);
+    const std::uint64_t shed_before = a.snapshot().shed_oom;
+    fault::set("oom:1");
+    outcome got;
+    EXPECT_NO_THROW(got = run(true)) << name;
+    fault::set(fault::spec{});
+    EXPECT_EQ(got.values, expected.values) << name;
+    EXPECT_EQ(got.at, expected.at) << name;
+    EXPECT_EQ(a.snapshot().shed_oom, shed_before + 1) << name;
+  }
 }
 
 TEST_F(ArenaStress, ExactlyOneExceptionPerCallerUnderFault) {

@@ -90,89 +90,6 @@ TEST(MergeParts, CoverExactlyOnceAndInOrder) {
   EXPECT_EQ(out, expected);
 }
 
-// --- multiway merge -----------------------------------------------------------
-
-TEST(MultiwayMerge, KwaySequentialMatchesRepeatedStdMerge) {
-  std::vector<std::vector<int>> runs_data;
-  for (int r = 0; r < 5; ++r) {
-    std::vector<int> run;
-    for (int i = 0; i < 300 + r * 37; ++i) { run.push_back(i * (r + 2) % 777); }
-    std::sort(run.begin(), run.end());
-    runs_data.push_back(std::move(run));
-  }
-  std::vector<pstlb::detail::run_ref<std::vector<int>::iterator>> runs;
-  std::vector<int> expected;
-  for (auto& run : runs_data) {
-    runs.push_back({run.begin(), run.end()});
-    expected.insert(expected.end(), run.begin(), run.end());
-  }
-  std::sort(expected.begin(), expected.end());
-  std::vector<int> out(expected.size());
-  pstlb::detail::kway_merge_segments(runs, out.begin(), std::less<>{});
-  EXPECT_EQ(out, expected);
-}
-
-TEST(MultiwayMerge, ParallelMatchesSortAndIsStable) {
-  // Stability across runs: equal keys keep run order; within a run, order.
-  struct keyed {
-    int key;
-    int run;
-    int pos;
-  };
-  std::vector<std::vector<keyed>> runs_data;
-  for (int r = 0; r < 6; ++r) {
-    std::vector<keyed> run;
-    for (int i = 0; i < 5000; ++i) { run.push_back({(i * 13 + r) % 50, r, i}); }
-    std::stable_sort(run.begin(), run.end(),
-                     [](const keyed& a, const keyed& b) { return a.key < b.key; });
-    runs_data.push_back(std::move(run));
-  }
-  std::vector<pstlb::detail::run_ref<std::vector<keyed>::iterator>> runs;
-  std::size_t total = 0;
-  for (auto& run : runs_data) {
-    runs.push_back({run.begin(), run.end()});
-    total += run.size();
-  }
-  std::vector<keyed> out(total);
-  const pstlb::backends::backend be = pstlb::backends::steal_backend(4);
-  pstlb::detail::parallel_multiway_merge(
-      be, runs, out.begin(),
-      [](const keyed& a, const keyed& b) { return a.key < b.key; });
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    ASSERT_LE(out[i - 1].key, out[i].key) << i;
-    if (out[i - 1].key == out[i].key) {
-      // stability: (run, pos) lexicographic within equal keys
-      ASSERT_LE(out[i - 1].run, out[i].run) << i;
-      if (out[i - 1].run == out[i].run) { ASSERT_LT(out[i - 1].pos, out[i].pos); }
-    }
-  }
-}
-
-TEST(MultiwaySort, ForkJoinPolicyUsesMultiwayAndSortsCorrectly) {
-  // fork_join_policy defaults to multiway_sort=true (the GNU model); verify
-  // end-to-end and compare against the binary-merge path.
-  pstlb::exec::fork_join_policy multiway{4};
-  multiway.seq_threshold = 0;
-  EXPECT_TRUE(multiway.multiway_sort);
-  pstlb::exec::steal_policy binary{4};
-  binary.seq_threshold = 0;
-  EXPECT_FALSE(binary.multiway_sort);
-
-  for (index_t n : {index_t{100}, index_t{65536}, index_t{100003}}) {
-    std::vector<long long> v1(static_cast<std::size_t>(n));
-    for (index_t i = 0; i < n; ++i) {
-      v1[static_cast<std::size_t>(i)] = (i * 2654435761LL) % 10007;
-    }
-    auto v2 = v1;
-    auto expected = v1;
-    std::sort(expected.begin(), expected.end());
-    pstlb::sort(multiway, v1.begin(), v1.end());
-    pstlb::sort(binary, v2.begin(), v2.end());
-    ASSERT_EQ(v1, expected) << n;
-    ASSERT_EQ(v2, expected) << n;
-  }
-}
-
 // --- set chunking -----------------------------------------------------------
 
 TEST(SetChunks, NeverSplitEqualRuns) {

@@ -303,7 +303,7 @@ TEST(Samplesort, TrafficSnapshotShowsConstantPasses) {
   std::shuffle(v.begin(), v.end(), rng);
   pstlb::detail::parallel_mergesort<false>(be, v.begin(),
                                            static_cast<index_t>(v.size()),
-                                           std::less<>{}, pol.multiway_sort);
+                                           std::less<>{});
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
   const auto& mt = pstlb::detail::last_sort_traffic();
   EXPECT_STREQ(mt.algorithm, "merge");
