@@ -39,7 +39,6 @@ sort_sample measure_sort(const char* pipeline, unsigned threads, index_t n,
                          const std::vector<elem_t>& input,
                          const std::vector<elem_t>& expected,
                          std::vector<elem_t>& work, int reps) {
-  const exec::steal_policy policy{threads};
   const backends::backend be = backends::steal_backend(threads);
   const bool merge = std::string_view(pipeline) == "merge";
   sort_sample best;
@@ -50,8 +49,7 @@ sort_sample measure_sort(const char* pipeline, unsigned threads, index_t n,
         if (merge) {
           detail::parallel_mergesort<false>(be, work.begin(), n, std::less<>{});
         } else {
-          detail::parallel_samplesort<false>(be, policy, work.begin(), n,
-                                             std::less<>{});
+          detail::parallel_samplesort<false>(be, work.begin(), n, std::less<>{});
         }
       },
       [&] { best.stats = detail::last_sort_traffic(); });

@@ -74,12 +74,6 @@ void report(std::ostream& os, const std::vector<backend_row>& rows, index_t n) {
   row("range splits", [](M m) { return eng(static_cast<double>(m.range_splits())); });
   row("steals ok", [](M m) { return eng(static_cast<double>(m.steals_ok())); });
   row("steals failed", [](M m) { return eng(static_cast<double>(m.steals_failed())); });
-  // A zero-steal window is "fully local" by definition (the function returns
-  // 1.0), but printing 1.00 reads like a measurement — show "-" instead.
-  row("steal local frac", [](M m) {
-    return m.steals_ok() == 0 ? std::string("-")
-                              : fmt(m.steal_local_fraction(), 2);
-  });
   row("chunks executed", [](M m) { return eng(static_cast<double>(m.chunks())); });
   row("chunk elems p50", [](M m) { return eng(m.chunk_size_p50()); });
   row("chunk elems p95", [](M m) { return eng(m.chunk_size_p95()); });

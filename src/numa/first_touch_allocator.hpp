@@ -11,14 +11,14 @@
 //
 // Section 5.1 / Fig. 1 of the paper measures the effect: up to +63 % for
 // for_each (k_it = 1) and +50 % for reduce; slightly negative for find and
-// inclusive_scan.
+// inclusive_scan. Natively the allocator is the placement and records
+// nothing; the simulator models both placements (numa::placement).
 #pragma once
 
 #include <cstddef>
 #include <new>
 
 #include "backends/skeletons.hpp"
-#include "numa/page_registry.hpp"
 #include "numa/topology.hpp"
 #include "pstlb/exec.hpp"
 #include "pstlb/fault.hpp"
@@ -66,7 +66,7 @@ class first_touch_allocator {
   T* allocate(std::size_t count) {
     const std::size_t bytes = count * sizeof(T);
     // Injected allocation failure (PSTLB_FAULT=oom:<p>) raises bad_alloc here,
-    // before any allocation or registry side effect.
+    // before any allocation.
     if (fault::armed()) { fault::on_alloc(bytes); }
     auto* raw = static_cast<std::byte*>(
         ::operator new(bytes, std::align_val_t{alignof(std::max_align_t)}));
@@ -76,17 +76,10 @@ class first_touch_allocator {
       ::operator delete(raw, std::align_val_t{alignof(std::max_align_t)});
       throw;
     }
-    const bool sequential = policy_.backend == backends::backend_id::seq;
-    page_registry::instance().record(
-        raw, allocation_info{bytes,
-                             sequential ? placement::sequential_touch
-                                        : placement::parallel_touch,
-                             sequential ? 1u : policy_.threads});
     return reinterpret_cast<T*>(raw);
   }
 
   void deallocate(T* p, std::size_t) noexcept {
-    page_registry::instance().erase(p);
     ::operator delete(p, std::align_val_t{alignof(std::max_align_t)});
   }
 
@@ -98,47 +91,6 @@ class first_touch_allocator {
 
  private:
   Policy policy_{};
-};
-
-/// Default-allocator stand-in that records its (sequential) placement in the
-/// registry, so benches can compare the two strategies symmetrically.
-template <class T>
-class default_touch_allocator {
- public:
-  using value_type = T;
-
-  default_touch_allocator() = default;
-  template <class U>
-  default_touch_allocator(const default_touch_allocator<U>&) noexcept {}
-
-  template <class U>
-  struct rebind {
-    using other = default_touch_allocator<U>;
-  };
-
-  T* allocate(std::size_t count) {
-    const std::size_t bytes = count * sizeof(T);
-    if (fault::armed()) { fault::on_alloc(bytes); }
-    auto* raw = static_cast<std::byte*>(
-        ::operator new(bytes, std::align_val_t{alignof(std::max_align_t)}));
-    // Sequential touch from the calling thread = default first-touch layout.
-    const std::size_t page = topology().page_size;
-    for (std::size_t offset = 0; offset < bytes; offset += page) {
-      raw[offset] = std::byte{0};
-    }
-    page_registry::instance().record(
-        raw, allocation_info{bytes, placement::sequential_touch, 1});
-    return reinterpret_cast<T*>(raw);
-  }
-
-  void deallocate(T* p, std::size_t) noexcept {
-    page_registry::instance().erase(p);
-    ::operator delete(p, std::align_val_t{alignof(std::max_align_t)});
-  }
-
-  friend bool operator==(const default_touch_allocator&, const default_touch_allocator&) {
-    return true;
-  }
 };
 
 }  // namespace pstlb::numa

@@ -1,46 +1,19 @@
-// Registry of live allocations and how their pages were first touched.
+// The page-placement models of the paper's Fig. 1.
 //
-// The paper's Fig. 1 compares the default allocator (all pages first-touched
-// by the allocating thread, i.e. resident on one NUMA node) against the
-// custom parallel allocator (pages first-touched by the thread that will own
-// the chunk, i.e. spread across nodes). The registry records which strategy
-// produced each allocation so benches can report it and tests can assert it;
-// the simulator mirrors the same two placement models analytically.
+// The default allocator first-touches every page from the allocating thread
+// (all pages resident on one NUMA node); the custom parallel allocator
+// (first_touch_allocator.hpp) first-touches each page from the thread that
+// will own its chunk (pages spread across nodes). The simulator (src/sim)
+// models each placement analytically; natively the allocator is the
+// placement, and nothing records it.
 #pragma once
-
-#include <cstddef>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
 
 namespace pstlb::numa {
 
 enum class placement {
   sequential_touch,   // default allocator behaviour: all pages on one node
   parallel_touch,     // pSTL-Bench custom allocator: pages spread by chunk owner
-  node_affine_touch,  // scatter buffers: pages placed on the bucket-owning node
-};
-
-struct allocation_info {
-  std::size_t bytes = 0;
-  placement touched = placement::sequential_touch;
-  unsigned touch_threads = 1;
-};
-
-/// Thread-safe singleton map from allocation base pointer to its info.
-class page_registry {
- public:
-  static page_registry& instance();
-
-  void record(const void* base, allocation_info info);
-  void erase(const void* base);
-  std::optional<allocation_info> lookup(const void* base) const;
-  std::size_t live_allocations() const;
-  std::size_t live_bytes() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::unordered_map<const void*, allocation_info> map_;
+  node_affine_touch,  // sim only: scatter-buffer pages on the bucket-owning node
 };
 
 }  // namespace pstlb::numa

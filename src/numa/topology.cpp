@@ -3,17 +3,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
-#include <cstdio>
-#include <deque>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
-
-#include "pstlb/env.hpp"
 
 namespace pstlb::numa {
 
@@ -161,53 +156,6 @@ topology_tree flat_tree(unsigned cpus) {
   return t;
 }
 
-std::optional<topology_tree> parse_topology_spec(std::string_view spec) {
-  unsigned dims[4] = {0, 0, 0, 1};  // nodes, llcs/node, cores/llc, smt/core
-  std::size_t count = 0;
-  std::size_t pos = 0;
-  bool consumed_all = false;
-  while (count < 4) {
-    std::size_t x = spec.find('x', pos);
-    if (x == std::string_view::npos) { x = spec.size(); }
-    const char* tb = spec.data() + pos;
-    const char* te = spec.data() + x;
-    auto [p, ec] = std::from_chars(tb, te, dims[count]);
-    if (ec != std::errc{} || p != te || dims[count] == 0) {
-      return std::nullopt;
-    }
-    ++count;
-    if (x == spec.size()) {
-      consumed_all = true;
-      break;
-    }
-    pos = x + 1;
-  }
-  if (count < 3 || !consumed_all) { return std::nullopt; }
-  const unsigned nodes = dims[0];
-  const unsigned llcs_per_node = dims[1];
-  const unsigned cores_per_llc = dims[2];
-  const unsigned smt = dims[3];
-  const unsigned long long total = static_cast<unsigned long long>(nodes) *
-                                   llcs_per_node * cores_per_llc * smt;
-  if (total == 0 || total > 4096) { return std::nullopt; }
-
-  topology_tree t;
-  t.cpus = static_cast<unsigned>(total);
-  t.nodes = nodes;
-  t.llcs = nodes * llcs_per_node;
-  t.cores = nodes * llcs_per_node * cores_per_llc;
-  t.node_of_cpu.resize(t.cpus);
-  t.llc_of_cpu.resize(t.cpus);
-  t.core_of_cpu.resize(t.cpus);
-  for (unsigned c = 0; c < t.cpus; ++c) {
-    const unsigned core = c / smt;
-    t.core_of_cpu[c] = core;
-    t.llc_of_cpu[c] = core / cores_per_llc;
-    t.node_of_cpu[c] = t.llc_of_cpu[c] / llcs_per_node;
-  }
-  return t;
-}
-
 topology_tree discover_tree(const std::filesystem::path& root,
                             unsigned cpu_fallback) {
   const std::filesystem::path cpu_root = root / "cpu";
@@ -289,49 +237,10 @@ topology_tree discover_tree(const std::filesystem::path& root,
   return t;
 }
 
-namespace {
-
-topology_tree resolve(const std::string& spec) {
-  if (spec == "flat") { return flat_tree(topology().cores); }
-  if (spec == "auto") {
-    return discover_tree("/sys/devices/system", topology().cores);
-  }
-  if (auto parsed = parse_topology_spec(spec)) { return *parsed; }
-  std::fprintf(stderr,
-               "pstlb: PSTLB_TOPOLOGY='%s' is not auto|flat|NxLxC[xS]; "
-               "using flat\n",
-               spec.c_str());
-  return flat_tree(topology().cores);
-}
-
-std::atomic<const topology_tree*>& active_tree() {
-  static const topology_tree from_env =
-      resolve(env::string_or("PSTLB_TOPOLOGY", "auto"));
-  static std::atomic<const topology_tree*> slot{&from_env};
-  return slot;
-}
-
-}  // namespace
-
 const topology_tree& tree() {
-  return *active_tree().load(std::memory_order_acquire);
-}
-
-scoped_topology_for_testing::scoped_topology_for_testing(std::string_view spec)
-    : previous_(&tree()) {
-  // Never erased, and deque elements never move.
-  static std::mutex mutex;
-  static std::deque<topology_tree> resolved;
-  const topology_tree* installed = nullptr;
-  {
-    std::lock_guard lock(mutex);
-    installed = &resolved.emplace_back(resolve(std::string(spec)));
-  }
-  active_tree().store(installed, std::memory_order_release);
-}
-
-scoped_topology_for_testing::~scoped_topology_for_testing() {
-  active_tree().store(previous_, std::memory_order_release);
+  static const topology_tree discovered =
+      discover_tree("/sys/devices/system", topology().cores);
+  return discovered;
 }
 
 }  // namespace pstlb::numa

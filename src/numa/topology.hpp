@@ -3,25 +3,17 @@
 //
 // On the paper's machines this reports 2 or 8 NUMA nodes; inside a plain
 // container it usually reports a single node. The simulator (src/sim) does
-// not use this — it carries its own Machine descriptions from Table 2 —
-// but the native allocator, the locality-aware steal scheduler and the
-// native benches do.
+// not use this — it carries its own Machine descriptions from Table 2. The
+// native first-touch allocator reads the page size, and the BENCH envelope
+// records the hierarchy as the host's fingerprint; no scheduler reads it.
 //
 // The hierarchy is discovered from sysfs (`/sys/devices/system`), but every
 // parser takes the tree root as a parameter so tests can point it at fixture
-// trees, and PSTLB_TOPOLOGY can override discovery entirely:
-//
-//   PSTLB_TOPOLOGY=auto      sysfs discovery (default)
-//   PSTLB_TOPOLOGY=flat      single node / single LLC (disables locality)
-//   PSTLB_TOPOLOGY=NxLxC[xS] synthetic: N nodes x L LLCs per node x
-//                            C physical cores per LLC x S SMT threads per
-//                            core (default 1); cpu ids are node-major
+// trees.
 #pragma once
 
 #include <cstddef>
 #include <filesystem>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 namespace pstlb::numa {
@@ -48,16 +40,12 @@ struct topology_tree {
   std::vector<unsigned> core_of_cpu;  // size cpus
 
   /// True when the hierarchy carries no locality information (one node and
-  /// one LLC) — locality-aware scheduling degrades to uniform stealing.
+  /// one LLC).
   bool flat() const noexcept { return nodes <= 1 && llcs <= 1; }
 };
 
 /// Degenerate tree: one node, one LLC, every cpu its own core.
 topology_tree flat_tree(unsigned cpus);
-
-/// Parses the synthetic "NxLxC[xS]" spec (see header comment). Returns
-/// nullopt on malformed input or zero components.
-std::optional<topology_tree> parse_topology_spec(std::string_view spec);
 
 /// Discovers the hierarchy from a sysfs-shaped tree: `root/node/nodeN/cpulist`
 /// for node membership, `root/cpu/cpuN/cache/index3/shared_cpu_list` (index2
@@ -68,24 +56,8 @@ std::optional<topology_tree> parse_topology_spec(std::string_view spec);
 topology_tree discover_tree(const std::filesystem::path& root,
                             unsigned cpu_fallback);
 
-/// Process-wide hierarchy honoring PSTLB_TOPOLOGY, resolved once at first
-/// use (a later setenv has no effect). The reference stays valid for the
-/// process lifetime.
+/// The host's hierarchy, discovered from /sys/devices/system once at first
+/// use. The reference stays valid for the process lifetime.
 const topology_tree& tree();
-
-/// Testing hook: tree() returns the hierarchy `spec` names (PSTLB_TOPOLOGY
-/// syntax; malformed falls back to flat) until the hook is destroyed, which
-/// restores the previous one. Every tree a hook resolves stays alive, so
-/// references and caches keyed by a tree's address stay valid.
-class scoped_topology_for_testing {
- public:
-  explicit scoped_topology_for_testing(std::string_view spec);
-  ~scoped_topology_for_testing();
-  scoped_topology_for_testing(const scoped_topology_for_testing&) = delete;
-  scoped_topology_for_testing& operator=(const scoped_topology_for_testing&) = delete;
-
- private:
-  const topology_tree* previous_;
-};
 
 }  // namespace pstlb::numa

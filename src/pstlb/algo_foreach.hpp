@@ -25,11 +25,6 @@ template <class It, class F>
 void for_each(const exec::policy& policy, It first, It last, F f) {
   stats::scoped_call pstlb_stats_scope_(stats::op::for_each);
   const index_t n = std::distance(first, last);
-  // NUMA placement hint for the steal scheduler: the loop at index i touches
-  // first[i]; chunks seed onto the node whose pages they read (see
-  // sched/locality.hpp). The same pattern marks the other flagship
-  // bandwidth-bound kernels (reduce, transform_reduce, scan).
-  const auto hint = exec::data_hint(first);
   exec::dispatch(
       policy, n, [&] { std::for_each(first, last, f); },
       [&](const backends::backend& be, index_t grain) {
@@ -44,7 +39,6 @@ It for_each_n(const exec::policy& policy, It first, Size count, F f) {
   stats::scoped_call pstlb_stats_scope_(stats::op::for_each_n);
   if (count <= Size{0}) { return first; }
   const index_t n = static_cast<index_t>(count);
-  const auto hint = exec::data_hint(first);
   exec::dispatch(
       policy, n, [&] { std::for_each_n(first, count, f); },
       [&](const backends::backend& be, index_t grain) {
@@ -59,7 +53,6 @@ template <class It, class Out, class F>
 Out transform(const exec::policy& policy, It first, It last, Out out, F f) {
   stats::scoped_call pstlb_stats_scope_(stats::op::transform);
   const index_t n = std::distance(first, last);
-  const auto hint = exec::data_hint(first);
   // par_unseq: std::negate over a covered contiguous type runs the SIMD
   // negate kernel per leaf (exact for every covered type — integer wrap and
   // IEEE sign flip match the scalar loop bit for bit).

@@ -24,8 +24,6 @@ template <class It, class T, class Op>
 T reduce(const exec::policy& policy, It first, It last, T init, Op op) {
   stats::scoped_call pstlb_stats_scope_(stats::op::reduce);
   const index_t n = std::distance(first, last);
-  // NUMA placement hint: chunks seed onto the node owning first[i]'s pages.
-  const auto hint = exec::data_hint(first);
   // par_unseq: sum leaves go through the SIMD kernel table when the op is
   // std::plus over a covered contiguous element type. Multi-accumulator
   // kernels reassociate FP sums — the licence unseq grants; non-plus ops
@@ -80,7 +78,6 @@ T transform_reduce(const exec::policy& policy, It first, It last, T init,
                    Reduce reduce_op, Transform transform_op) {
   stats::scoped_call pstlb_stats_scope_(stats::op::transform_reduce);
   const index_t n = std::distance(first, last);
-  const auto hint = exec::data_hint(first);
   return exec::dispatch(
       policy, n,
       [&] {
@@ -190,7 +187,6 @@ typename std::iterator_traits<It>::difference_type count(
         simd::leaf_for<Elem, It>(policy.unseq);
     if (vk != nullptr) {
       const index_t n = std::distance(first, last);
-      const auto hint = exec::data_hint(first);
       const Elem* p = std::to_address(first);
       const Elem v = value;
       return exec::dispatch(

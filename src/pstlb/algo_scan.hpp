@@ -72,8 +72,6 @@ Out scan_impl(const exec::policy& policy, It first, It last, Out out,
     return out + n;
   };
   if (backends::fits_one_scan_chunk(n)) { return seq(); }
-  // NUMA placement hint: chunks seed onto the node owning first[i]'s pages.
-  const auto hint = exec::data_hint(first);
   return exec::dispatch(
       policy, n, seq,
       [&](const backends::backend& be, index_t) {  // scan chunks, not the grain

@@ -184,8 +184,8 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
 /// + move-assignable silently keep the mergesort pipeline (which needs only
 /// the latter two).
 template <bool Stable, class It, class Compare>
-void parallel_sort_dispatch(const backends::backend& be, const exec::policy& policy,
-                            It first, index_t n, Compare comp) {
+void parallel_sort_dispatch(const backends::backend& be, It first, index_t n,
+                            Compare comp) {
   using T = typename std::iterator_traits<It>::value_type;
   if constexpr (std::is_copy_constructible_v<T> &&
                 std::is_default_constructible_v<T> &&
@@ -194,7 +194,7 @@ void parallel_sort_dispatch(const backends::backend& be, const exec::policy& pol
       // A false return means the scatter buffer could not be allocated;
       // fall through to mergesort, whose own buffer failure leg degrades
       // to a sequential whole-array sort.
-      if (parallel_samplesort<Stable>(be, policy, first, n, comp)) {
+      if (parallel_samplesort<Stable>(be, first, n, comp)) {
         return;
       }
     }
@@ -211,7 +211,7 @@ void sort(const exec::policy& policy, It first, It last, Compare comp) {
   exec::dispatch(
       policy, n, [&] { std::sort(first, last, comp); },
       [&](const backends::backend& be, index_t) {
-        detail::parallel_sort_dispatch<false>(be, policy, first, n, comp);
+        detail::parallel_sort_dispatch<false>(be, first, n, comp);
       });
 }
 
@@ -228,7 +228,7 @@ void stable_sort(const exec::policy& policy, It first, It last, Compare comp) {
   exec::dispatch(
       policy, n, [&] { std::stable_sort(first, last, comp); },
       [&](const backends::backend& be, index_t) {
-        detail::parallel_sort_dispatch<true>(be, policy, first, n, comp);
+        detail::parallel_sort_dispatch<true>(be, first, n, comp);
       });
 }
 

@@ -72,39 +72,9 @@
 #include "numa/first_touch_allocator.hpp"
 #include "pstlb/detail/sort_stats.hpp"
 #include "sched/arena.hpp"
-#include "sched/locality.hpp"
 #include "trace/trace.hpp"
 
 namespace pstlb::detail {
-
-/// Bucket -> owning-node map for the bucket phase, resolved through the
-/// scatter buffer's page-registry entry: bucket bk's home is the node whose
-/// first-touch slice holds the midpoint of [offsets[bk], offsets[bk+1]).
-/// With oversampled splitters the buckets are near-uniform, so the map
-/// tracks the allocator's worker-sliced parallel touch closely; a skewed
-/// bucket merely costs locality on its tail pages, never correctness.
-struct samplesort_bucket_homes {
-  const index_t* offsets = nullptr;  // bucket-major (bucket, chunk) matrix
-  index_t chunk_count = 0;
-  index_t bucket_count = 0;
-  index_t n = 0;
-  std::size_t elem_bytes = 0;
-  numa::allocation_info info{};
-  const sched::locality_plan* plan = nullptr;
-
-  static unsigned home(const void* raw, index_t bk) {
-    const auto& s = *static_cast<const samplesort_bucket_homes*>(raw);
-    const index_t start = s.offsets[bk * s.chunk_count];
-    const index_t end = bk + 1 < s.bucket_count
-                            ? s.offsets[(bk + 1) * s.chunk_count]
-                            : s.n;
-    const std::size_t mid =
-        (static_cast<std::size_t>(start) +
-         static_cast<std::size_t>(end - start) / 2) *
-        s.elem_bytes;
-    return sched::home_node_of(s.info, mid, *s.plan);
-  }
-};
 
 /// Samplesort tunables. The front-ends use the defaults; tests pass smaller
 /// values to force the recursion paths.
@@ -301,23 +271,8 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
   // walks it contiguously in exactly scatter order.
   std::vector<index_t> hist(
       static_cast<std::size_t>(bucket_count * chunk_count), 0);
-  // Classify/scatter loops iterate chunk ids, so the NUMA hint stride is one
-  // chunk's worth of elements; the steal pool resolves it through the page
-  // registry to seed each node with the chunks it owns. Disengaged for
-  // non-contiguous iterators and at recursion depth 1 (sequential).
-  const auto chunk_data_hint = [&]() -> sched::scoped_data_hint {
-    if constexpr (std::contiguous_iterator<SrcIt>) {
-      if (depth == 0) {
-        return sched::scoped_data_hint(
-            std::to_address(src),
-            static_cast<std::size_t>(chunks.chunk) * sizeof(T));
-      }
-    }
-    return {};
-  };
   {
     sort_phase_span span(1);
-    const auto hint = chunk_data_hint();
     backends::parallel_for(be, chunk_count, index_t{1},
                            [&](index_t cb, index_t ce, unsigned) {
       std::vector<index_t> local(static_cast<std::size_t>(bucket_count));
@@ -373,7 +328,6 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
   // --- phase 3: stable parallel scatter -------------------------------------
   {
     sort_phase_span span(2);
-    const auto hint = chunk_data_hint();
     backends::parallel_for(be, chunk_count, index_t{1},
                            [&](index_t cb, index_t ce, unsigned) {
       std::vector<index_t> cursor(static_cast<std::size_t>(bucket_count));
@@ -403,38 +357,8 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
   }
 
   // --- phase 4: per-bucket sort + move back ---------------------------------
-  // Node-affine bucket placement: seed each bucket's sort + move-back onto
-  // the node owning its scatter-buffer pages, so leaf sorts read and write
-  // locally and stealing across nodes happens only as overflow.
-  samplesort_bucket_homes homes;
-  std::optional<sched::locality_plan> bucket_plan;
-  bool affine = false;
-  if constexpr (std::is_pointer_v<TmpIt> ||
-                std::contiguous_iterator<TmpIt>) {
-    if (const numa::topology_tree& topo = numa::tree(); depth == 0 && !topo.flat()) {
-      bucket_plan.emplace(sched::make_locality_plan(topo, be.threads()));
-      if (bucket_plan->active()) {
-        const auto info =
-            numa::page_registry::instance().lookup(std::to_address(tmp));
-        if (info.has_value()) {
-          homes = samplesort_bucket_homes{offsets.data(), chunk_count,
-                                          bucket_count,   n,
-                                          sizeof(T),      *info,
-                                          &*bucket_plan};
-          affine = true;
-        }
-      }
-    }
-  }
   {
     sort_phase_span span(3);
-    // Disengaged unless affine: installing a nullptr home would clobber any
-    // enclosing chunk-home map instead of leaving it in effect.
-    std::optional<sched::scoped_chunk_home> home_guard;
-    if (affine) {
-      home_guard.emplace(&samplesort_bucket_homes::home,
-                         static_cast<const void*>(&homes));
-    }
     backends::parallel_for(be, bucket_count, index_t{1},
                            [&](index_t bb, index_t be_, unsigned) {
       for (index_t bk = bb; bk < be_; ++bk) {
@@ -477,9 +401,10 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
 }
 
 /// Top-level entry: allocates the scatter buffer through the first-touch
-/// allocator configured with the caller's policy, so bucket pages spread
-/// across the NUMA nodes of the threads that will sort them (paper
-/// Listing 5 discipline), runs the pipeline with `params`, and publishes the
+/// allocator on `be` — the backend and width this call was granted — so
+/// bucket pages spread across the NUMA nodes of the threads that will sort
+/// them (paper Listing 5 discipline) and the touch region runs no wider than
+/// the sort's own regions. Runs the pipeline with `params`, and publishes the
 /// traffic snapshot + region counters.
 ///
 /// Returns false when the scatter buffer cannot be allocated — the one big
@@ -488,34 +413,21 @@ void samplesort_segment(const backends::backend& be, SrcIt src, TmpIt tmp, index
 /// to the merge pipeline (or all the way to a sequential sort) instead of
 /// letting std::bad_alloc escape from pstlb::sort.
 template <bool Stable, class It, class Compare>
-bool parallel_samplesort(const backends::backend& be, const exec::policy& policy,
-                         It first, index_t n, Compare comp,
-                         const samplesort_params& params = {}) {
+bool parallel_samplesort(const backends::backend& be, It first, index_t n,
+                         Compare comp, const samplesort_params& params = {}) {
   using T = typename std::iterator_traits<It>::value_type;
   using alloc_t = numa::first_touch_allocator<T, exec::policy>;
   // optional-wrapped so the fallback needs no allocator move-assignment;
   // the oom:p fault hook fires inside the allocator's tracked allocation.
   std::optional<std::vector<T, alloc_t>> buffer;
   try {
-    buffer.emplace(static_cast<std::size_t>(n), alloc_t{policy});
+    buffer.emplace(static_cast<std::size_t>(n),
+                   alloc_t{exec::make_policy(be.id(), be.threads())});
   } catch (const std::bad_alloc&) {
     sched::note_degradation(sched::shed_reason::oom);
     return false;
   }
   auto& stats = begin_sort_traffic("sample", n, sizeof(T));
-  // On multi-node topologies relabel the scatter buffer node_affine_touch:
-  // placement still comes from the allocator's worker-sliced parallel first
-  // touch, but the bucket phase will schedule against that layout (see
-  // samplesort_bucket_homes), and benches/tests can observe the mode.
-  if (n > 0 && !numa::tree().flat()) {
-    auto& registry = numa::page_registry::instance();
-    if (auto info = registry.lookup(buffer->data());
-        info.has_value() &&
-        info->touched == numa::placement::parallel_touch) {
-      info->touched = numa::placement::node_affine_touch;
-      registry.record(buffer->data(), *info);
-    }
-  }
   samplesort_segment<Stable>(be, first, buffer->begin(), n, comp, params, 0,
                              &stats);
   commit_sort_traffic(stats);

@@ -49,7 +49,6 @@ const std::vector<std::string_view>& known_vars() {
       "PSTLB_STATS_BUDGET_NS",    // stats-overhead microbench ns/call budget
       "PSTLB_STATS_FILE",         // stats registry JSON export path
       "PSTLB_TAB4_SIMD_LOG2",     // tab4_simd native leg: log2 input size
-      "PSTLB_TOPOLOGY",           // auto | flat | NxLxC[xS] synthetic spec
       "PSTLB_TRACE",              // scheduler tracing on/off
       "PSTLB_TRACE_FILE",         // Chrome-trace/Perfetto JSON export path
       "PSTLB_TRACE_RING",         // per-thread event-ring capacity

@@ -20,14 +20,11 @@
 //   omp_dynamic_policy extension: OpenMP schedule(dynamic) semantics
 #pragma once
 
-#include <iterator>
-#include <memory>
 #include <optional>
 
 #include "backends/backend.hpp"
 #include "pstlb/common.hpp"
 #include "sched/arena.hpp"
-#include "sched/locality.hpp"
 #include "sched/thread_pool.hpp"
 
 namespace pstlb::exec {
@@ -97,28 +94,6 @@ inline policy with_unseq(policy p) {
 /// Ready-made values in the spirit of std::execution::seq / unseq.
 inline const policy seq = make_policy(backends::backend_id::seq, 1);
 inline const policy unseq = with_unseq(seq);
-
-/// RAII NUMA data hint installed by algorithm front-ends around dispatch:
-/// declares that the parallel loop at index i touches element `first + i`
-/// (times `stride_elems` for loops whose index spans several elements). The
-/// locality-aware steal scheduler resolves the pointer through
-/// numa::page_registry to seed each NUMA node with the chunks whose pages it
-/// owns. Non-contiguous iterators produce a disengaged hint, and unregistered
-/// memory resolves to "no information" downstream — both degrade to the
-/// legacy single root seed, never to an error.
-template <class It>
-sched::scoped_data_hint data_hint(It first, index_t stride_elems = 1) {
-  if constexpr (std::contiguous_iterator<It>) {
-    using value_type = typename std::iterator_traits<It>::value_type;
-    return sched::scoped_data_hint(
-        std::to_address(first),
-        static_cast<std::size_t>(stride_elems) * sizeof(value_type));
-  } else {
-    (void)first;
-    (void)stride_elems;
-    return sched::scoped_data_hint();
-  }
-}
 
 /// One parallel call's claim on the machine (DESIGN.md §17): decides whether
 /// the call may run in parallel and on which backend, and holds the arena

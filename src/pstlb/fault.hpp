@@ -4,7 +4,7 @@
 // Modes (set PSTLB_FAULT, or call set() programmatically in tests):
 //   throw:<p>    each chunk throws fault::injected_fault with probability p
 //   oom:<p>      each tracked allocation throws std::bad_alloc with
-//                probability p (first_touch_allocator / default_touch_allocator)
+//                probability p (first_touch_allocator, detail::scratch_buffer)
 //   stall:<ms>   each chunk stalls for <ms> ms before running, polling the
 //                region's cancel token so a watchdog cancellation ends the
 //                stall early (this is what drives the watchdog tests)

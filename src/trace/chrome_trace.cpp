@@ -22,7 +22,7 @@ void write_us(std::ostream& os, std::uint64_t ns) {
 
 /// JSON string escaping for event/track names. Anything outside printable
 /// ASCII — control bytes AND bytes >= 0x7F — is emitted as \u00XX: labels
-/// come from PSTLB_TOPOLOGY specs and thread names we did not write, and a
+/// come from thread names we did not write, and a
 /// raw non-UTF-8 byte makes Perfetto reject the whole file, whereas \u00XX
 /// of the Latin-1 interpretation is always valid JSON.
 void write_json_string(std::ostream& os, std::string_view s) {
@@ -65,7 +65,8 @@ void write_event(std::ostream& os, const event& e, std::uint32_t tid) {
   }
   os << ",\"args\":{\"";
   if (e.kind == event_kind::steal_ok) {
-    // Victim tid plus the locality tag packed into steal_remote_bit.
+    // Victim tid plus the steal_remote_bit tag. Native steals are uniform
+    // and always write false; the arg keeps the format imported traces use.
     os << "victim\":" << (e.arg & 0xFFFFFFFFull) << ",\"remote\":"
        << (((e.arg & steal_remote_bit) != 0) ? "true" : "false");
     if (e.link != 0) { os << ",\"link\":" << e.link; }

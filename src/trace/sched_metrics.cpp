@@ -49,14 +49,6 @@ std::uint64_t sched_metrics::steals_failed() const {
   return sum_threads(*this,
                      [](const thread_metrics& t) { return t.steals_failed; });
 }
-std::uint64_t sched_metrics::steals_remote_ok() const {
-  return sum_threads(*this,
-                     [](const thread_metrics& t) { return t.steals_remote_ok; });
-}
-std::uint64_t sched_metrics::steals_remote_failed() const {
-  return sum_threads(
-      *this, [](const thread_metrics& t) { return t.steals_remote_failed; });
-}
 std::uint64_t sched_metrics::tasks_spawned() const {
   return sum_threads(*this,
                      [](const thread_metrics& t) { return t.tasks_spawned; });
@@ -104,13 +96,6 @@ double sched_metrics::load_imbalance() const {
   return max_busy / (total_busy / static_cast<double>(active));
 }
 
-double sched_metrics::steal_local_fraction() const {
-  const std::uint64_t ok = steals_ok();
-  if (ok == 0) { return 1; }
-  return static_cast<double>(ok - std::min(ok, steals_remote_ok())) /
-         static_cast<double>(ok);
-}
-
 sched_metrics collect() {
   sched_metrics out;
   for (event_ring* ring : registry::instance().rings()) {
@@ -120,9 +105,6 @@ sched_metrics collect() {
     t.label = ring->label();
     t.steals_ok = c.steals_ok.load(std::memory_order_relaxed);
     t.steals_failed = c.steals_failed.load(std::memory_order_relaxed);
-    t.steals_remote_ok = c.steals_remote_ok.load(std::memory_order_relaxed);
-    t.steals_remote_failed =
-        c.steals_remote_failed.load(std::memory_order_relaxed);
     t.tasks_spawned = c.tasks_spawned.load(std::memory_order_relaxed);
     t.range_splits = c.range_splits.load(std::memory_order_relaxed);
     t.chunks = c.chunks.load(std::memory_order_relaxed);
@@ -151,9 +133,6 @@ sched_metrics delta(const sched_metrics& before, const sched_metrics& after) {
     if (it != before.threads.end()) {
       d.steals_ok = sat_sub(a.steals_ok, it->steals_ok);
       d.steals_failed = sat_sub(a.steals_failed, it->steals_failed);
-      d.steals_remote_ok = sat_sub(a.steals_remote_ok, it->steals_remote_ok);
-      d.steals_remote_failed =
-          sat_sub(a.steals_remote_failed, it->steals_remote_failed);
       d.tasks_spawned = sat_sub(a.tasks_spawned, it->tasks_spawned);
       d.range_splits = sat_sub(a.range_splits, it->range_splits);
       d.chunks = sat_sub(a.chunks, it->chunks);

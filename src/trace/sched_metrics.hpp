@@ -26,8 +26,6 @@ struct thread_metrics {
   std::string label;
   std::uint64_t steals_ok = 0;
   std::uint64_t steals_failed = 0;
-  std::uint64_t steals_remote_ok = 0;      // subset of steals_ok
-  std::uint64_t steals_remote_failed = 0;  // subset of steals_failed
   std::uint64_t tasks_spawned = 0;
   std::uint64_t range_splits = 0;
   std::uint64_t chunks = 0;
@@ -46,8 +44,6 @@ struct sched_metrics {
 
   std::uint64_t steals_ok() const;
   std::uint64_t steals_failed() const;
-  std::uint64_t steals_remote_ok() const;
-  std::uint64_t steals_remote_failed() const;
   std::uint64_t tasks_spawned() const;
   std::uint64_t range_splits() const;
   std::uint64_t chunks() const;
@@ -64,11 +60,6 @@ struct sched_metrics {
   /// max / mean busy seconds over threads that did any work in the window
   /// (1 = perfectly balanced). 0 when no thread was busy.
   double load_imbalance() const;
-
-  /// Fraction of successful steals whose victim shared the thief's NUMA
-  /// node (1 = fully local window, also when no steal succeeded). The
-  /// Perfetto-facing locality ratio for the locality-first steal order.
-  double steal_local_fraction() const;
 };
 
 /// Snapshot of every ring's counters (cheap: no events are copied).

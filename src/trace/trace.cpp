@@ -242,9 +242,6 @@ void record_instant_slow(pool_id p, event_kind k, std::uint64_t arg,
   switch (k) {
     case event_kind::steal_ok:
       ring.counters.steals_ok.fetch_add(1, std::memory_order_relaxed);
-      if ((arg & steal_remote_bit) != 0) {
-        ring.counters.steals_remote_ok.fetch_add(1, std::memory_order_relaxed);
-      }
       break;
     case event_kind::spawn:
       ring.counters.tasks_spawned.fetch_add(1, std::memory_order_relaxed);
@@ -259,12 +256,8 @@ void record_instant_slow(pool_id p, event_kind k, std::uint64_t arg,
   ring.push(event{now, now, arg, link, k, p});
 }
 
-void count_failed_steal(bool remote) noexcept {
-  event_ring& ring = local_ring();
-  ring.counters.steals_failed.fetch_add(1, std::memory_order_relaxed);
-  if (remote) {
-    ring.counters.steals_remote_failed.fetch_add(1, std::memory_order_relaxed);
-  }
+void count_failed_steal() noexcept {
+  local_ring().counters.steals_failed.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace detail

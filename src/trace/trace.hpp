@@ -110,8 +110,6 @@ inline constexpr std::size_t hist_buckets = 48;
 struct alignas(cache_line_size) ring_counters {
   std::atomic<std::uint64_t> steals_ok{0};
   std::atomic<std::uint64_t> steals_failed{0};
-  std::atomic<std::uint64_t> steals_remote_ok{0};      // subset of steals_ok
-  std::atomic<std::uint64_t> steals_remote_failed{0};  // subset of steals_failed
   std::atomic<std::uint64_t> tasks_spawned{0};
   std::atomic<std::uint64_t> range_splits{0};
   std::atomic<std::uint64_t> chunks{0};
@@ -203,7 +201,7 @@ void record_span_slow(pool_id p, event_kind k, std::uint64_t begin_ns,
                       std::uint64_t link) noexcept;
 void record_instant_slow(pool_id p, event_kind k, std::uint64_t arg,
                          std::uint64_t link) noexcept;
-void count_failed_steal(bool remote) noexcept;
+void count_failed_steal() noexcept;
 }  // namespace detail
 
 /// True when tracing is active. This load + branch is the entire trace-off
@@ -234,24 +232,24 @@ inline void record_span(pool_id p, event_kind k, std::uint64_t begin_ns,
 }
 
 /// Steal-event arg layout: low 32 bits hold the victim tid; bit 32 marks a
-/// cross-NUMA-node (remote) attempt under the active locality plan.
+/// cross-NUMA-node (remote) steal. The native steal rule picks victims
+/// uniformly and never sets it; imported traces (trace_reader's `remote`
+/// arg) may, and span_graph counts them.
 inline constexpr std::uint64_t steal_remote_bit = std::uint64_t{1} << 32;
 
 /// A successful steal is a ring event and a count; a failed one is only
-/// counted (`steals_failed`, `steals_remote_failed`): a thief retries until
-/// the loop drains, so its failures would flood the ring, and the idle span
-/// around them already records the out-of-work interval.
-inline void count_steal(pool_id p, bool ok, unsigned victim, bool local = true,
+/// counted (`steals_failed`): a thief retries until the loop drains, so its
+/// failures would flood the ring, and the idle span around them already
+/// records the out-of-work interval.
+inline void count_steal(pool_id p, bool ok, unsigned victim,
                         std::uint64_t link = 0) noexcept {
   if (!enabled()) { return; }
   if (!ok) {
-    detail::count_failed_steal(!local);
+    detail::count_failed_steal();
     return;
   }
   detail::record_instant_slow(p, event_kind::steal_ok,
-                              static_cast<std::uint64_t>(victim) |
-                                  (local ? 0 : steal_remote_bit),
-                              link);
+                              static_cast<std::uint64_t>(victim), link);
 }
 
 inline void count_spawn(pool_id p, std::uint64_t link = 0) noexcept {

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <vector>
 
-#include "numa/page_registry.hpp"
 #include "numa/topology.hpp"
 
 namespace pstlb::numa {
@@ -29,38 +28,6 @@ TEST(FirstTouchAllocator, VectorWorksEndToEnd) {
   v.shrink_to_fit();
 }
 
-TEST(FirstTouchAllocator, RegistersParallelPlacement) {
-  exec::steal_policy pol{4};
-  first_touch_allocator<double, exec::steal_policy> alloc{pol};
-  double* p = alloc.allocate(1 << 16);
-  const auto info = page_registry::instance().lookup(p);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->bytes, (1u << 16) * sizeof(double));
-  EXPECT_EQ(info->touched, placement::parallel_touch);
-  EXPECT_EQ(info->touch_threads, 4u);
-  const std::size_t live_before = page_registry::instance().live_allocations();
-  alloc.deallocate(p, 1 << 16);
-  EXPECT_EQ(page_registry::instance().live_allocations(), live_before - 1);
-}
-
-TEST(FirstTouchAllocator, SeqPolicyRecordsSequentialPlacement) {
-  first_touch_allocator<double, exec::policy> alloc{exec::seq};
-  double* p = alloc.allocate(4096);
-  const auto info = page_registry::instance().lookup(p);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->touched, placement::sequential_touch);
-  alloc.deallocate(p, 4096);
-}
-
-TEST(DefaultTouchAllocator, RecordsSequentialPlacement) {
-  default_touch_allocator<double> alloc;
-  double* p = alloc.allocate(4096);
-  const auto info = page_registry::instance().lookup(p);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->touched, placement::sequential_touch);
-  alloc.deallocate(p, 4096);
-}
-
 TEST(FirstTouchAllocator, ZeroSizedAllocationIsSafe) {
   exec::omp_static_policy pol{2};
   first_touch_allocator<int, exec::omp_static_policy> alloc{pol};
@@ -73,16 +40,6 @@ TEST(FirstTouchAllocator, RebindPropagatesPolicy) {
   first_touch_allocator<double, exec::steal_policy> alloc{pol};
   first_touch_allocator<int, exec::steal_policy> rebound{alloc};
   EXPECT_EQ(rebound.policy().threads, 3u);
-}
-
-TEST(PageRegistry, TracksLiveBytes) {
-  auto& registry = page_registry::instance();
-  const std::size_t before = registry.live_bytes();
-  default_touch_allocator<char> alloc;
-  char* p = alloc.allocate(1 << 20);
-  EXPECT_EQ(registry.live_bytes(), before + (1 << 20));
-  alloc.deallocate(p, 1 << 20);
-  EXPECT_EQ(registry.live_bytes(), before);
 }
 
 TEST(ParallelFirstTouch, TouchesWholeRangeWithoutFault) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -11,55 +10,6 @@ namespace pstlb::numa {
 namespace {
 
 namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------- spec parsing
-
-TEST(TopologySpec, TwoNodeSpec) {
-  const auto t = parse_topology_spec("2x1x2");
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->cpus, 4u);
-  EXPECT_EQ(t->nodes, 2u);
-  EXPECT_EQ(t->llcs, 2u);
-  EXPECT_EQ(t->cores, 4u);
-  EXPECT_EQ(t->node_of_cpu, (std::vector<unsigned>{0, 0, 1, 1}));
-  EXPECT_EQ(t->llc_of_cpu, (std::vector<unsigned>{0, 0, 1, 1}));
-  EXPECT_FALSE(t->flat());
-}
-
-TEST(TopologySpec, SmtComponentSharesCores) {
-  const auto t = parse_topology_spec("2x2x2x2");
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->cpus, 16u);
-  EXPECT_EQ(t->nodes, 2u);
-  EXPECT_EQ(t->llcs, 4u);
-  EXPECT_EQ(t->cores, 8u);
-  // SMT siblings are adjacent cpu ids sharing a core id.
-  EXPECT_EQ(t->core_of_cpu[0], t->core_of_cpu[1]);
-  EXPECT_NE(t->core_of_cpu[1], t->core_of_cpu[2]);
-  // cpu 8 is the first cpu of the second node.
-  EXPECT_EQ(t->node_of_cpu[7], 0u);
-  EXPECT_EQ(t->node_of_cpu[8], 1u);
-}
-
-TEST(TopologySpec, EightNodeSpec) {
-  const auto t = parse_topology_spec("8x2x8");
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->cpus, 128u);
-  EXPECT_EQ(t->nodes, 8u);
-  EXPECT_EQ(t->llcs, 16u);
-  EXPECT_EQ(t->node_of_cpu[127], 7u);
-}
-
-TEST(TopologySpec, RejectsMalformedSpecs) {
-  EXPECT_FALSE(parse_topology_spec("").has_value());
-  EXPECT_FALSE(parse_topology_spec("2").has_value());
-  EXPECT_FALSE(parse_topology_spec("2x2").has_value());
-  EXPECT_FALSE(parse_topology_spec("2x2x2x2x2").has_value());
-  EXPECT_FALSE(parse_topology_spec("0x1x1").has_value());
-  EXPECT_FALSE(parse_topology_spec("axbxc").has_value());
-  EXPECT_FALSE(parse_topology_spec("2x2x2junk").has_value());
-  EXPECT_FALSE(parse_topology_spec("100000x4x4").has_value());  // > 4096 cpus
-}
 
 TEST(TopologySpec, FlatTreeIsFlat) {
   const topology_tree t = flat_tree(8);
@@ -171,45 +121,6 @@ TEST(TopologyDiscover, MissingCacheInfoFallsBackToNodes) {
   // No cache info: one LLC per node.
   EXPECT_EQ(t.llcs, 2u);
   EXPECT_EQ(t.llc_of_cpu, t.node_of_cpu);
-}
-
-// ----------------------------------------------------------------- env-driven
-
-TEST(TopologyTree, EnvSpecOverridesAndCaches) {
-  // PSTLB_TOPOLOGY is resolved once: a later setenv changes nothing.
-  const topology_tree& initial = numa::tree();
-  {
-    const char* const saved = std::getenv("PSTLB_TOPOLOGY");
-    const std::string restore = saved != nullptr ? saved : "";
-    ::setenv("PSTLB_TOPOLOGY", initial.flat() ? "2x1x2" : "flat", 1);
-    EXPECT_EQ(&numa::tree(), &initial);
-    if (saved != nullptr) {
-      ::setenv("PSTLB_TOPOLOGY", restore.c_str(), 1);
-    } else {
-      ::unsetenv("PSTLB_TOPOLOGY");
-    }
-  }
-
-  {
-    const scoped_topology_for_testing two_nodes("2x1x2");
-    const topology_tree& spec = numa::tree();
-    EXPECT_EQ(spec.nodes, 2u);
-    EXPECT_EQ(spec.cpus, 4u);
-    EXPECT_EQ(&numa::tree(), &spec);  // stable until the hook ends
-    {
-      const scoped_topology_for_testing flat("flat");
-      EXPECT_TRUE(numa::tree().flat());
-      EXPECT_NE(&numa::tree(), &spec);
-      // Earlier reference still valid and unchanged.
-      EXPECT_EQ(spec.nodes, 2u);
-    }
-    EXPECT_EQ(&numa::tree(), &spec);  // the inner hook restored its predecessor
-    {
-      const scoped_topology_for_testing malformed("not-a-spec");
-      EXPECT_TRUE(numa::tree().flat());  // malformed -> flat fallback
-    }
-  }
-  EXPECT_EQ(&numa::tree(), &initial);
 }
 
 }  // namespace

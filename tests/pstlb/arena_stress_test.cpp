@@ -2,8 +2,9 @@
 // mixed kernels through arena admission on every backend. Checks results
 // against sequential references, no deadlock on the shared core ledger or at
 // the cap<=1 floor, graceful degradation (not errors) under injected
-// worker-spawn failure, and the exactly-one-exception-per-caller contract
-// under fault injection.
+// worker-spawn failure, the exactly-one-exception-per-caller contract
+// under fault injection, and that no region of a call is wider than its
+// grant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "pstlb/pstlb.hpp"
 #include "sched/arena.hpp"
 #include "support/policies.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -171,6 +173,35 @@ TEST_F(ArenaStress, SortOomFallsThroughTheWholeDegradationLadder) {
   EXPECT_TRUE(std::is_sorted(stable.begin(), stable.end()));
   fault::set(fault::spec{});
   EXPECT_GT(a.snapshot().shed_oom, 0u);
+}
+
+TEST_F(ArenaStress, SortRegionsStayWithinTheGrant) {
+  // A 2^16-element sort takes samplesort, whose scatter buffer is first
+  // touched by a parallel region before any element moves. Bound to an
+  // arena of cap 2, every region the call opens, the touch region included,
+  // must stay within its 2-wide grant: a wider one runs on workers the
+  // ledger counts as free for other callers.
+  namespace trace = pstlb::trace;
+  arena a(arena_cfg("cap2", 2));
+  arena::scoped_bind bind(&a);
+  std::vector<double> v(std::size_t{1} << 16);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<double>((i * 2654435761u) % 100003);
+  }
+  const std::uint64_t since = trace::now_ns();
+  trace::set_enabled(true);
+  pstlb::sort(pstlb::exec::steal_policy{4}, v.begin(), v.end());
+  trace::set_enabled(false);
+  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+  unsigned regions = 0;
+  for (const trace::event_ring* ring : trace::registry::instance().rings()) {
+    for (const trace::event& e : ring->snapshot()) {
+      if (e.kind != trace::event_kind::region || e.begin_ns < since) { continue; }
+      ++regions;
+      EXPECT_LE(e.arg, 2u) << "a region wider than the arena's grant";
+    }
+  }
+  EXPECT_GT(regions, 0u);
 }
 
 TEST_F(ArenaStress, ScratchBufferOomShedsToTheStdAlgorithm) {

@@ -82,10 +82,9 @@ TEST(EnvAccessors, StringOr) {
 TEST(KnownVars, SortedAndCoversTheDocumentedKnobs) {
   const auto& vars = known_vars();
   EXPECT_TRUE(std::is_sorted(vars.begin(), vars.end()));
-  EXPECT_EQ(vars.size(), 23u);
-  for (const char* expected :
-       {"PSTLB_COUNTERS", "PSTLB_CSV", "PSTLB_TOPOLOGY", "PSTLB_TRACE",
-        "PSTLB_TRACE_FILE", "PSTLB_TRACE_RING"}) {
+  EXPECT_EQ(vars.size(), 22u);
+  for (const char* expected : {"PSTLB_COUNTERS", "PSTLB_CSV", "PSTLB_TRACE",
+                               "PSTLB_TRACE_FILE", "PSTLB_TRACE_RING"}) {
     EXPECT_NE(std::find(vars.begin(), vars.end(), expected), vars.end())
         << expected << " missing from known_vars()";
   }
@@ -120,20 +119,20 @@ TEST(KnownVars, MatchesReadmeTable) {
 }
 
 TEST(CheckNames, KnownVariablesPass) {
-  const auto unknown =
-      check_names({"PSTLB_TRACE", "PSTLB_COUNTERS", "PSTLB_TOPOLOGY"});
+  const auto unknown = check_names({"PSTLB_TRACE", "PSTLB_COUNTERS"});
   EXPECT_TRUE(unknown.empty());
 }
 
 TEST(CheckNames, DeletedKnobsAreUnknown) {
-  // Knobs that became constants, policy fields or the topology, and the
-  // arena knobs the one admission ledger replaced, warn like any other
-  // unknown name.
+  // Knobs that became constants or policy fields, the arena knobs the one
+  // admission ledger replaced, and the topology override that went with
+  // native locality stealing warn like any other unknown name.
   const auto unknown = check_names(
       {"PSTLB_SORT", "PSTLB_SCAN_CHUNK", "PSTLB_STEAL_LOCALITY",
        "PSTLB_NUMA_SCATTER", "PSTLB_COUNTER_SAMPLE_MS", "PSTLB_ARENA",
-       "PSTLB_ARENA_CAP", "PSTLB_ARENA_MAX_PENDING", "PSTLB_ARENA_DEADLINE_MS"});
-  EXPECT_EQ(unknown.size(), 9u);
+       "PSTLB_ARENA_CAP", "PSTLB_ARENA_MAX_PENDING", "PSTLB_ARENA_DEADLINE_MS",
+       "PSTLB_TOPOLOGY"});
+  EXPECT_EQ(unknown.size(), 10u);
 }
 
 TEST(CheckNames, NonPstlbNamesAreIgnored) {

@@ -155,7 +155,7 @@ TEST_P(FuzzDifferential, SamplesortPipeline) {
       auto expected = v;
       std::sort(expected.begin(), expected.end());
       ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(
-          be, policy, v.begin(), static_cast<index_t>(v.size()), std::less<>{}));
+          be, v.begin(), static_cast<index_t>(v.size()), std::less<>{}));
       ASSERT_EQ(v, expected);
 
       // Stability differential: pair each key with its original index and
@@ -169,7 +169,7 @@ TEST_P(FuzzDifferential, SamplesortPipeline) {
       auto by_key = [](const auto& a, const auto& b) { return a.first < b.first; };
       std::stable_sort(tagged_expected.begin(), tagged_expected.end(), by_key);
       ASSERT_TRUE(pstlb::detail::parallel_samplesort<true>(
-          be, policy, tagged.begin(), static_cast<index_t>(tagged.size()), by_key));
+          be, tagged.begin(), static_cast<index_t>(tagged.size()), by_key));
       ASSERT_EQ(tagged, tagged_expected);
     }
   });

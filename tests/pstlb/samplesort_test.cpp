@@ -1,8 +1,8 @@
 // Samplesort pipeline coverage: the splitter tree's ranks against
 // std::upper_bound, correctness on adversarial key distributions, the
 // stability contract, the recursion and all-equal escape hatches, pipeline
-// selection, traffic accounting, node-affine placement on synthetic
-// topologies, and fault propagation during classification/scatter.
+// selection, traffic accounting, and fault propagation during
+// classification/scatter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "numa/topology.hpp"
 #include "pstlb/detail/samplesort.hpp"
 #include "pstlb/detail/sort_stats.hpp"
 #include "pstlb/fault.hpp"
@@ -229,7 +228,7 @@ TEST(Samplesort, TinyBucketCapForcesRecursion) {
   auto expected = v;
   std::sort(expected.begin(), expected.end());
   ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(
-      be, pol, v.begin(), static_cast<index_t>(v.size()), std::less<>{},
+      be, v.begin(), static_cast<index_t>(v.size()), std::less<>{},
       params));
   EXPECT_EQ(v, expected);
 }
@@ -259,7 +258,7 @@ TEST(Samplesort, BoundarySizes) {
     for (auto& x : v) { x = static_cast<long long>(rng() % 100); }
     auto expected = v;
     std::sort(expected.begin(), expected.end());
-    ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(be, pol, v.begin(), n,
+    ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(be, v.begin(), n,
                                                           std::less<>{}));
     EXPECT_EQ(v, expected) << "n=" << n;
   }
@@ -326,70 +325,6 @@ TEST(Samplesort, BucketCountBounds) {
   EXPECT_EQ(samplesort_buckets(1 << 24, 8, 64), 4096);
   // Always enough buckets to balance the given threads (n permitting).
   EXPECT_GE(samplesort_buckets(1 << 20, 16, 1 << 15), 16 * 4);
-}
-
-TEST(Samplesort, NodeAffineScatterMatchesStdSort) {
-  // Synthetic 2-node topology activates the node-affine scatter path (bucket
-  // homes from the page registry, leaf sorts seeded onto the owning node's
-  // workers). The result must be identical to std::sort, and identical to the
-  // same pipeline with the placement protocol disabled (a flat topology).
-  const pstlb::numa::scoped_topology_for_testing topo("2x1x2");
-  auto base = zipf_input(1 << 17, 61);
-  auto expected = base;
-  std::sort(expected.begin(), expected.end());
-
-  auto pol = sample_policy();
-  {
-    auto v = base;
-    pstlb::sort(pol, v.begin(), v.end());
-    EXPECT_EQ(v, expected);
-    EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm, "sample");
-  }
-  {
-    const pstlb::numa::scoped_topology_for_testing flat("flat");
-    auto v = base;
-    pstlb::sort(pol, v.begin(), v.end());
-    EXPECT_EQ(v, expected);
-  }
-}
-
-TEST(Samplesort, NodeAffineScatterStableSortKeepsOrder) {
-  struct kv {
-    int key = 0;
-    int seq = 0;
-  };
-  const pstlb::numa::scoped_topology_for_testing topo("2x2x2");
-  auto pol = sample_policy();
-  std::mt19937_64 rng(67);
-  std::vector<kv> v(1 << 16);
-  for (int i = 0; i < static_cast<int>(v.size()); ++i) {
-    v[static_cast<std::size_t>(i)] = {static_cast<int>(rng() % 29), i};
-  }
-  auto by_key = [](const kv& a, const kv& b) { return a.key < b.key; };
-  pstlb::stable_sort(pol, v.begin(), v.end(), by_key);
-  ASSERT_TRUE(std::is_sorted(v.begin(), v.end(), by_key));
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i - 1].key == v[i].key) { ASSERT_LT(v[i - 1].seq, v[i].seq); }
-  }
-}
-
-TEST(Samplesort, NodeAffineFaultStillSingleException) {
-  const pstlb::numa::scoped_topology_for_testing topo("2x1x2");
-  auto pol = sample_policy();
-  std::vector<double> v(1 << 16);
-  std::mt19937_64 rng(71);
-  for (auto& x : v) { x = static_cast<double>(rng()); }
-  pstlb::fault::set("throw:1");
-  int caught = 0;
-  try {
-    pstlb::sort(pol, v.begin(), v.end());
-  } catch (const pstlb::fault::injected_fault&) {
-    ++caught;
-  }
-  pstlb::fault::set(pstlb::fault::spec{});
-  EXPECT_EQ(caught, 1);
-  pstlb::sort(pol, v.begin(), v.end());
-  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
 }
 
 PSTLB_POLICY_TEST(SamplesortPolicies, InjectedFaultPropagatesExactlyOneException) {

@@ -189,7 +189,7 @@ TEST(ThrowingCopy, SamplesortSurvivesSplitterCopyThrow) {
   for (int attempt = 0; attempt < 3; ++attempt) {
     try {
       pstlb::detail::parallel_samplesort<false>(
-          be, pol, v.begin(), static_cast<pstlb::index_t>(v.size()),
+          be, v.begin(), static_cast<pstlb::index_t>(v.size()),
           [](const flaky& a, const flaky& b) { return a.key < b.key; });
     } catch (const std::runtime_error&) {
       ++caught;

@@ -15,7 +15,6 @@
 
 #include "backends/backend.hpp"
 #include "backends/backend_registry.hpp"
-#include "numa/topology.hpp"
 #include "sched/steal_pool.hpp"
 #include "sched/thread_pool.hpp"
 
@@ -139,9 +138,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(WorkerTeams, StealRunOnASmallerTeamCoversEveryChunkOnce) {
-  // Two synthetic NUMA nodes engage the locality plan and seeded placement,
-  // which are planned for the team the run actually claims.
-  const numa::scoped_topology_for_testing topology("2x1x2");
+  // The run allocates a deque for each of its 4 possible participants
+  // before it knows how many workers it will claim: every chunk must still
+  // run once, and only on the team it claimed.
   thread_pool::global().ensure(4);
   const unsigned workers = thread_pool::global().worker_count();
   constexpr index_t n = 4096;
@@ -163,8 +162,6 @@ TEST(WorkerTeams, StealRunOnASmallerTeamCoversEveryChunkOnce) {
       unsigned top = s.top_tid->load();
       while (tid > top && !s.top_tid->compare_exchange_weak(top, tid)) {}
     };
-    const scoped_chunk_home home(
-        [](const void*, index_t c) -> unsigned { return c % 2 == 0 ? 0u : 1u; }, nullptr);
     steal_pool::global().run(4, ctx);
     for (index_t i = 0; i < n; ++i) {
       ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)

@@ -128,32 +128,6 @@ TEST_F(TracedTest, FoldIntoMarkersPublishesSchedColumns) {
   EXPECT_GT(it->second.total.sched_chunks, 0.0);
 }
 
-TEST_F(TracedTest, RemoteStealTaggingSplitsCounters) {
-  // count_steal with local=false must land in the remote subset counters;
-  // local steals must not.
-  count_steal(pool_id::steal, true, 1, true);
-  count_steal(pool_id::steal, true, 2, false);
-  count_steal(pool_id::steal, false, 3, false);
-  const sched_metrics w = window();
-  EXPECT_EQ(w.steals_ok(), 2u);
-  EXPECT_EQ(w.steals_remote_ok(), 1u);
-  EXPECT_EQ(w.steals_failed(), 1u);
-  EXPECT_EQ(w.steals_remote_failed(), 1u);
-  EXPECT_DOUBLE_EQ(w.steal_local_fraction(), 0.5);
-}
-
-TEST(SchedMetricsMath, StealLocalFractionEdgeCases) {
-  sched_metrics m;
-  // No steals at all: everything was local by definition.
-  EXPECT_DOUBLE_EQ(m.steal_local_fraction(), 1.0);
-  thread_metrics t;
-  t.ring_id = 0;
-  t.steals_ok = 4;
-  t.steals_remote_ok = 4;
-  m.threads = {t};
-  EXPECT_DOUBLE_EQ(m.steal_local_fraction(), 0.0);
-}
-
 TEST(SchedMetricsMath, PercentilesFromHistogram) {
   sched_metrics m;
   m.chunk_hist[10] = 90;  // 90 chunks of ~2^10
@@ -226,18 +200,15 @@ TEST_F(TracedTest, EmptyWindowIsZeroWithDefinedDerivedStats) {
   EXPECT_DOUBLE_EQ(w.chunk_size_p50(), 0.0);
   EXPECT_DOUBLE_EQ(w.chunk_size_p95(), 0.0);
   EXPECT_DOUBLE_EQ(w.load_imbalance(), 0.0);
-  EXPECT_DOUBLE_EQ(w.steal_local_fraction(), 1.0);
 }
 
 // A single instant event mid-window must be accounted exactly — no other
 // counter may move.
 TEST_F(TracedTest, SingleEventWindowCountsExactlyOnce) {
-  count_steal(pool_id::steal, /*ok=*/true, /*victim=*/2, /*local=*/false);
+  count_steal(pool_id::steal, /*ok=*/true, /*victim=*/2);
   const sched_metrics w = window();
   EXPECT_EQ(w.steals_ok(), 1u);
-  EXPECT_EQ(w.steals_remote_ok(), 1u);
   EXPECT_EQ(w.steals_failed(), 0u);
-  EXPECT_DOUBLE_EQ(w.steal_local_fraction(), 0.0);
   EXPECT_EQ(w.chunks(), 0u);
   EXPECT_EQ(w.tasks_spawned(), 0u);
   EXPECT_EQ(w.range_splits(), 0u);

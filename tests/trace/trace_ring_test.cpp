@@ -171,9 +171,7 @@ TEST(TraceHooks, FailedStealIsCountedButNotPushed) {
   const std::uint64_t pushed_before = ring.pushed();
   const std::uint64_t failed_before =
       ring.counters.steals_failed.load(std::memory_order_relaxed);
-  const std::uint64_t remote_before =
-      ring.counters.steals_remote_failed.load(std::memory_order_relaxed);
-  count_steal(pool_id::steal, /*ok=*/false, /*victim=*/1, /*local=*/false);
+  count_steal(pool_id::steal, /*ok=*/false, /*victim=*/1);
   const std::uint64_t pushed_after = ring.pushed();
   count_steal(pool_id::steal, /*ok=*/true, /*victim=*/1);
   set_enabled(false);
@@ -181,8 +179,6 @@ TEST(TraceHooks, FailedStealIsCountedButNotPushed) {
   EXPECT_EQ(ring.pushed(), pushed_before + 1);  // the successful steal
   EXPECT_EQ(ring.counters.steals_failed.load(std::memory_order_relaxed),
             failed_before + 1);
-  EXPECT_EQ(ring.counters.steals_remote_failed.load(std::memory_order_relaxed),
-            remote_before + 1);
 }
 
 TEST(TraceHooks, ThreadLabelFirstWins) {
