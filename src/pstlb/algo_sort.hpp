@@ -1,18 +1,21 @@
 // Sort-family parallel algorithms.
 //
-// sort / stable_sort pick between two parallel pipelines by the input alone
+// sort / stable_sort pick their path by the input alone: at most
+// detail::sort_seq_cutoff elements sort sequentially before admission, and
+// larger inputs take one of two parallel pipelines
 // (detail::parallel_sort_dispatch: the value type, then the size):
 //
 //   - samplesort (pstlb/detail/samplesort.hpp): counting distribution into
-//     cache-sized buckets — a constant number of full-array passes
-//     regardless of thread count; runs from detail::sample_sort_min
-//     elements up.
+//     cache-sized buckets, each distributed once more in cache before
+//     insertion sorts finish sub-buckets of at most 64 keys — a constant
+//     number of full-array passes regardless of thread count; runs from
+//     detail::sample_sort_min elements up.
 //   - mergesort (below): block sort + pairwise merge rounds, every merge
 //     split at merge-path diagonals into independent sub-merges (see
 //     pstlb/detail/merge.hpp) — log2(P) full passes. It is the one
-//     mergesort on every policy: the small-input path, the path of value
+//     mergesort on every policy: the mid-size path, the path of value
 //     types samplesort cannot take, and samplesort's fallback when its
-//     scatter buffer cannot be allocated. (GNU's single R-way merge round
+//     scratch cannot be allocated. (GNU's single R-way merge round
 //     lives on only in the simulator's model of GCC-GNU.)
 //
 // Both pipelines are plain parallel_for/scan launches, so they run on every
@@ -41,6 +44,12 @@
 namespace pstlb {
 
 namespace detail {
+
+/// Inputs of at most this many elements sort with std::sort /
+/// std::stable_sort on the caller, before admission, whatever the policy's
+/// seq_threshold: on a 4-core host the 4-wide mergesort lost to std::sort
+/// at 2^10 and 2^11 doubles on every backend and won from 2^12.
+inline constexpr index_t sort_seq_cutoff = index_t{1} << 11;
 
 /// Inputs of at least this many elements take samplesort; smaller ones keep
 /// the mergesort, whose merge rounds stay cache-resident at that scale and
@@ -179,10 +188,10 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
 }
 
 /// Routes a parallel sort to samplesort (n >= sample_sort_min) or mergesort.
-/// Samplesort materializes splitter copies and value-initializes its scatter
-/// buffer, so types that are not copy-constructible + default-constructible
-/// + move-assignable silently keep the mergesort pipeline (which needs only
-/// the latter two).
+/// Samplesort materializes splitter copies and value-initializes the
+/// scatter buffer of types that are not trivially copyable, so types that
+/// are not copy-constructible + default-constructible + move-assignable
+/// silently keep the mergesort pipeline (which needs only the latter two).
 template <bool Stable, class It, class Compare>
 void parallel_sort_dispatch(const backends::backend& be, It first, index_t n,
                             Compare comp) {
@@ -191,7 +200,7 @@ void parallel_sort_dispatch(const backends::backend& be, It first, index_t n,
                 std::is_default_constructible_v<T> &&
                 std::is_move_assignable_v<T>) {
     if (n >= sample_sort_min) {
-      // A false return means the scatter buffer could not be allocated;
+      // A false return means the scratch could not be allocated;
       // fall through to mergesort, whose own buffer failure leg degrades
       // to a sequential whole-array sort.
       if (parallel_samplesort<Stable>(be, first, n, comp)) {
@@ -208,6 +217,7 @@ template <class It, class Compare>
 void sort(const exec::policy& policy, It first, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::sort);
   const index_t n = std::distance(first, last);
+  if (n <= detail::sort_seq_cutoff) { return std::sort(first, last, comp); }
   exec::dispatch(
       policy, n, [&] { std::sort(first, last, comp); },
       [&](const backends::backend& be, index_t) {
@@ -225,6 +235,7 @@ template <class It, class Compare>
 void stable_sort(const exec::policy& policy, It first, It last, Compare comp) {
   stats::scoped_call pstlb_stats_scope_(stats::op::stable_sort);
   const index_t n = std::distance(first, last);
+  if (n <= detail::sort_seq_cutoff) { return std::stable_sort(first, last, comp); }
   exec::dispatch(
       policy, n, [&] { std::stable_sort(first, last, comp); },
       [&](const backends::backend& be, index_t) {

@@ -37,9 +37,9 @@ struct sort_traffic_stats {
 
   // Samplesort phases.
   sort_phase_traffic sample;    // splitter sampling + sort
-  sort_phase_traffic classify;  // per-chunk bucket counting (read-only)
-  sort_phase_traffic scatter;   // classify again + move into the buffer
-  sort_phase_traffic buckets;   // per-bucket sort + move back
+  sort_phase_traffic classify;  // per-chunk bucket counting + bucket ids
+  sort_phase_traffic scatter;   // move into the buffer by the recorded ids
+  sort_phase_traffic buckets;   // bucket kernel: buffer -> input, sorted
 
   // Mergesort phases.
   sort_phase_traffic block_sort;    // phase-1 independent run sorts

@@ -132,7 +132,9 @@ class admission {
 /// the fallback rules live in one place; a pool that fails to start sheds
 /// inside backends::run instead. The scan and pack front-ends first send an
 /// input that is one scan chunk to their sequential path
-/// (backends::fits_one_scan_chunk), since it would run on the caller anyway.
+/// (backends::fits_one_scan_chunk), since it would run on the caller anyway,
+/// and sort and stable_sort one of at most detail::sort_seq_cutoff elements,
+/// which std::sort beats on the host.
 ///
 /// Iterator requirement: the parallel bodies index their iterators
 /// (`first + i`), so every iterator passed to a front-end must be

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <vector>
 
+#include "pstlb/detail/sort_stats.hpp"
 #include "pstlb/pstlb.hpp"
 #include "support/policies.hpp"
 
@@ -174,6 +175,32 @@ PSTLB_POLICY_TEST(SortAlgos, PartialSortCopy) {
       pstlb::partial_sort_copy(this->pol, v.begin(), v.end(), big.begin(), big.end());
   EXPECT_EQ(end2 - big.begin(), 60000);
   EXPECT_TRUE(std::is_sorted(big.begin(), end2));
+}
+
+PSTLB_POLICY_TEST(SortAlgos, CutoffSortsSequentiallyBeforeAdmission) {
+  // At sort_seq_cutoff elements sort and stable_sort run std::sort /
+  // std::stable_sort on the caller even on an eager policy (seq_threshold
+  // 0), so no parallel pipeline touches the traffic snapshot; one element
+  // more runs the mergesort.
+  constexpr index_t cutoff = pstlb::detail::sort_seq_cutoff;
+  static_assert(cutoff < pstlb::detail::sample_sort_min);
+  auto by_key = [](int a, int b) { return a / 4 < b / 4; };
+  for (bool stable : {false, true}) {
+    for (index_t n : {cutoff, cutoff + 1}) {
+      pstlb::detail::begin_sort_traffic("untouched", 0, 1);
+      auto v = make_shuffled(n, 3);
+      if (stable) {
+        pstlb::stable_sort(this->pol, v.begin(), v.end(), by_key);
+        ASSERT_TRUE(std::is_sorted(v.begin(), v.end(), by_key));
+      } else {
+        pstlb::sort(this->pol, v.begin(), v.end());
+        ASSERT_TRUE(std::is_sorted(v.begin(), v.end()));
+      }
+      EXPECT_STREQ(pstlb::detail::last_sort_traffic().algorithm,
+                   n == cutoff ? "untouched" : "merge")
+          << "n=" << n << " stable=" << stable;
+    }
+  }
 }
 
 TEST(SortSeqThreshold, SmallInputsTakeSequentialPath) {

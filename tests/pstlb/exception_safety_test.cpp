@@ -5,11 +5,15 @@
 //
 // The scan cases run the single-pass decoupled-lookback skeleton over a
 // couple of hundred chunks, so exceptions land mid-lookback and the
-// poisoned-descriptor protocol is what keeps the spinning peers alive. This
-// whole file runs under TSan in CI.
+// poisoned-descriptor protocol is what keeps the spinning peers alive. The
+// sort case throws from the comparator in every samplesort and mergesort
+// phase. This whole file runs under TSan and ASan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -130,6 +134,52 @@ PSTLB_POLICY_TEST(ExceptionSafety, ScanCombineThrowMidLookback) {
   // Scan still produces correct output after the failed launches.
   pstlb::inclusive_scan(policy, in.begin(), in.end(), out.begin());
   EXPECT_EQ(out.back(), static_cast<long long>(n));
+}
+
+PSTLB_POLICY_TEST(ExceptionSafety, SortComparatorThrowOnItsKthCall) {
+  // The comparator throws on its k-th call. A clean run counts the calls;
+  // the k values then spread over them. On 2^17 elements (samplesort) the
+  // first calls sort the splitter sample on the caller, the next ones
+  // classify every key in the top-level chunks, and the rest run in the
+  // bucket kernels and their insertion-sort leaves, all inside pool
+  // regions; 2^12 elements take the mergesort's block sorts and merge
+  // rounds. Each throw must reach the caller as exactly one exception,
+  // without a hang, and a clean retry must sort.
+  auto policy = pstlb::test::make_eager(this->id);
+  for (const index_t n : {index_t{1} << 17, index_t{1} << 12}) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(n));
+    std::vector<double> input(static_cast<std::size_t>(n));
+    for (auto& x : input) { x = static_cast<double>(rng() >> 11); }
+    std::atomic<std::uint64_t> calls{0};
+    std::uint64_t throw_at = 0;  // 0: never
+    auto comp = [&](double a, double b) {
+      const std::uint64_t c = calls.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (c == throw_at) { throw user_error(); }
+      return a < b;
+    };
+    std::vector<double> v = input;
+    pstlb::sort(policy, v.begin(), v.end(), comp);
+    ASSERT_TRUE(std::is_sorted(v.begin(), v.end()));
+    const std::uint64_t total = calls.load();
+    for (const double at : {0.0, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99}) {
+      v = input;
+      calls = 0;
+      throw_at = 1 + static_cast<std::uint64_t>(at * static_cast<double>(total - 1));
+      int caught = 0;
+      try {
+        pstlb::sort(policy, v.begin(), v.end(), comp);
+      } catch (const user_error&) {
+        ++caught;
+      }
+      EXPECT_EQ(caught, 1) << "n=" << n << " throw at call " << throw_at << " of "
+                           << total;
+      EXPECT_EQ(v.size(), input.size());
+    }
+    throw_at = 0;
+    v = input;
+    pstlb::sort(policy, v.begin(), v.end(), comp);
+    EXPECT_TRUE(std::is_sorted(v.begin(), v.end())) << "n=" << n;
+  }
 }
 
 PSTLB_POLICY_TEST(ExceptionSafety, RepeatedFailuresDoNotExhaustPools) {

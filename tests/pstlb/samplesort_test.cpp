@@ -1,7 +1,8 @@
 // Samplesort pipeline coverage: the splitter tree's ranks against
-// std::upper_bound, correctness on adversarial key distributions, the
-// stability contract, the recursion and all-equal escape hatches, pipeline
-// selection, traffic accounting, and fault propagation during
+// std::upper_bound, the bucket kernel against std::sort/std::stable_sort,
+// correctness on adversarial key distributions, the stability contract, the
+// kernel's recursion and all-equal escape hatches, both bucket-id widths,
+// pipeline selection, traffic accounting, and fault propagation during
 // classification/scatter.
 #include <gtest/gtest.h>
 
@@ -134,6 +135,182 @@ TEST(Samplesort, SplitterTreeRanksInfinitiesAndMax) {
   }
 }
 
+// --- the bucket kernel, called directly --------------------------------------
+
+enum class key_kind { uniform, all_equal, two_valued, zipf, sorted, reverse, organ_pipe };
+constexpr key_kind kKeyKinds[] = {key_kind::uniform,    key_kind::all_equal,
+                                  key_kind::two_valued, key_kind::zipf,
+                                  key_kind::sorted,     key_kind::reverse,
+                                  key_kind::organ_pipe};
+
+std::vector<long long> make_keys(key_kind kind, index_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<long long> v(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    auto& x = v[static_cast<std::size_t>(i)];
+    switch (kind) {
+      case key_kind::uniform: x = static_cast<long long>(rng() >> 1); break;
+      case key_kind::all_equal: x = 7; break;
+      case key_kind::two_valued: x = (rng() & 1) != 0 ? 3 : -3; break;
+      case key_kind::zipf: break;
+      case key_kind::sorted: x = i; break;
+      case key_kind::reverse: x = n - i; break;
+      case key_kind::organ_pipe: x = std::min(i, n - i); break;
+    }
+  }
+  if (kind == key_kind::zipf) { v = zipf_input(n, seed); }
+  return v;
+}
+
+/// Range sizes around the kernel's boundaries: the leaf size, every step of
+/// the fan-out up to its saturation, the 2^12 buckets of a 2^16-key sort,
+/// the pipeline's bucket cap, and a bucket four times over it, whose
+/// sub-buckets outgrow a leaf and take the recursion.
+std::vector<index_t> kernel_sizes() {
+  using pstlb::detail::bucket_leaf;
+  using pstlb::detail::bucket_leaf_max;
+  const index_t cap = pstlb::detail::samplesort_params{}.bucket_cap;
+  std::vector<index_t> sizes{0, 1, 2, bucket_leaf_max - 1, bucket_leaf_max,
+                             bucket_leaf_max + 1};
+  for (index_t f = 8; f <= pstlb::detail::bucket_fanout_max; f *= 2) {
+    sizes.push_back(bucket_leaf * f);
+    sizes.push_back(bucket_leaf * f + 1);
+  }
+  for (index_t n : {index_t{4096}, cap, cap + 1, 4 * cap}) { sizes.push_back(n); }
+  return sizes;
+}
+
+/// Runs the bucket kernel from a copy of `keys` into a fresh range and
+/// compares it with std::stable_sort (Stable) or std::sort. Without
+/// stability, equal keys may come out in any order: the output must match
+/// the std result key for key and hold the same elements, which `total`
+/// (a strict total order on the whole element) checks.
+template <bool Stable, class T, class Compare, class Total = Compare>
+void expect_kernel_sorts(const std::vector<T>& keys, Compare comp,
+                         Total total = Total{}) {
+  std::vector<T> in = keys;
+  std::vector<T> out(keys.size());
+  std::vector<std::uint8_t> ids(keys.size());
+  pstlb::detail::samplesort_bucket<Stable>(
+      in.begin(), out.begin(), static_cast<index_t>(keys.size()), comp, ids.data());
+  std::vector<T> expected = keys;
+  if constexpr (Stable) {
+    std::stable_sort(expected.begin(), expected.end(), comp);
+    ASSERT_TRUE(out == expected) << "n=" << keys.size();
+  } else {
+    std::sort(expected.begin(), expected.end(), comp);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_FALSE(comp(out[i], expected[i]) || comp(expected[i], out[i]))
+          << "n=" << keys.size() << " i=" << i;
+    }
+    std::sort(out.begin(), out.end(), total);
+    std::sort(expected.begin(), expected.end(), total);
+    ASSERT_TRUE(out == expected) << "n=" << keys.size();
+  }
+}
+
+TEST(SamplesortKernel, FanOutStepsAndSaturates) {
+  using pstlb::detail::bucket_fanout;
+  using pstlb::detail::bucket_leaf;
+  for (index_t f = 8; f <= pstlb::detail::bucket_fanout_max; f *= 2) {
+    EXPECT_EQ(bucket_fanout(bucket_leaf * f), f);
+    EXPECT_EQ(bucket_fanout(bucket_leaf * f + 1),
+              std::min(2 * f, pstlb::detail::bucket_fanout_max));
+  }
+  EXPECT_EQ(bucket_fanout(index_t{1} << 30), pstlb::detail::bucket_fanout_max);
+  static_assert(pstlb::detail::bucket_fanout_max <= 256, "sub-bucket ids are one byte");
+}
+
+TEST(SamplesortKernel, MatchesStdSortOnEveryKeyKindAndSize) {
+  for (key_kind kind : kKeyKinds) {
+    for (index_t n : kernel_sizes()) {
+      SCOPED_TRACE(::testing::Message() << "kind=" << static_cast<int>(kind));
+      const auto keys = make_keys(kind, n, static_cast<std::uint64_t>(n) + 3);
+      expect_kernel_sorts<false>(keys, std::less<>{});
+      expect_kernel_sorts<false>(keys, std::greater<>{});
+    }
+  }
+}
+
+TEST(SamplesortKernel, StableVariantMatchesStdStableSort) {
+  // (key, index) pairs: the stable kernel must reproduce std::stable_sort
+  // exactly, which fixes the order of every run of equal keys.
+  auto by_key = [](const auto& a, const auto& b) { return a.first < b.first; };
+  for (key_kind kind : kKeyKinds) {
+    for (index_t n : kernel_sizes()) {
+      SCOPED_TRACE(::testing::Message() << "kind=" << static_cast<int>(kind));
+      const auto keys = make_keys(kind, n, static_cast<std::uint64_t>(n) + 5);
+      std::vector<std::pair<long long, index_t>> tagged(keys.size());
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        // Few distinct values, so every sub-bucket holds runs of equal keys.
+        tagged[i] = {keys[i] % 61, static_cast<index_t>(i)};
+      }
+      expect_kernel_sorts<true>(tagged, by_key);
+    }
+  }
+}
+
+TEST(SamplesortKernel, KeyExtractingLambdaOnAStruct) {
+  struct rec {
+    long long key = 0;
+    int tag = 0;
+    bool operator==(const rec&) const = default;
+  };
+  auto by_key = [](const rec& a, const rec& b) { return a.key < b.key; };
+  auto total = [](const rec& a, const rec& b) {
+    return a.key != b.key ? a.key < b.key : a.tag < b.tag;
+  };
+  for (key_kind kind : kKeyKinds) {
+    for (index_t n : kernel_sizes()) {
+      SCOPED_TRACE(::testing::Message() << "kind=" << static_cast<int>(kind));
+      const auto keys = make_keys(kind, n, static_cast<std::uint64_t>(n) + 7);
+      std::vector<rec> recs(keys.size());
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        recs[i] = {keys[i] % 1000, static_cast<int>(i)};
+      }
+      expect_kernel_sorts<false>(recs, by_key, total);
+      expect_kernel_sorts<true>(recs, by_key);
+    }
+  }
+}
+
+TEST(SamplesortKernel, StringKeys) {
+  const index_t cap = pstlb::detail::samplesort_params{}.bucket_cap;
+  for (key_kind kind : {key_kind::uniform, key_kind::two_valued, key_kind::zipf,
+                        key_kind::reverse}) {
+    for (index_t n : {index_t{0}, index_t{2}, pstlb::detail::bucket_leaf_max + 1,
+                      index_t{4097}, cap + 1}) {
+      SCOPED_TRACE(::testing::Message() << "kind=" << static_cast<int>(kind));
+      std::vector<std::string> keys;
+      for (long long k : make_keys(kind, n, static_cast<std::uint64_t>(n) + 9)) {
+        keys.push_back(std::to_string(k % 100000));
+      }
+      expect_kernel_sorts<false>(keys, std::less<>{});
+    }
+  }
+}
+
+TEST(SamplesortKernel, DoublesWithInfinitiesAndMax) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double max = std::numeric_limits<double>::max();
+  std::mt19937_64 rng(71);
+  for (index_t n : kernel_sizes()) {
+    std::vector<double> keys(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = i % 8 == 3    ? inf
+                : i % 8 == 5  ? -inf
+                : i % 16 == 7 ? max
+                              : static_cast<double>(rng() >> 11);
+    }
+    expect_kernel_sorts<false>(keys, std::less<>{});
+    // Mostly +inf: the sample can come out all equal on a range that is not.
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (i % 97 != 0) { keys[i] = inf; }
+    }
+    expect_kernel_sorts<false>(keys, std::less<>{});
+  }
+}
+
 PSTLB_POLICY_TEST(SamplesortPolicies, SortsRandomInputOnEveryBackend) {
   pol = sample_policy(id);
   std::mt19937_64 rng(17);
@@ -215,21 +392,25 @@ TEST(Samplesort, DuplicateHeavyZipf) {
   EXPECT_EQ(v, expected);
 }
 
-TEST(Samplesort, TinyBucketCapForcesRecursion) {
-  // With a 32-element cap nearly every bucket overflows, so the depth-1
-  // sequential recursion runs constantly; Zipf keys also hit the all-equal
-  // escape inside oversized buckets.
+TEST(Samplesort, TinyBucketCapRecordsTwoByteIds) {
+  // A 32-element cap makes 2048 buckets at 2^16 keys, past the 256 a
+  // one-byte id holds, so the classify and scatter passes run on two-byte
+  // ids; Zipf keys also fill the heaviest values' buckets, which the bucket
+  // kernel finds all equal and only moves.
   auto pol = sample_policy();
   const pstlb::backends::backend be(pol.backend, pol.threads);
   pstlb::detail::samplesort_params params;
   params.bucket_cap = 32;
   params.oversample = 4;
-  auto v = zipf_input(1 << 16, 11);
+  const auto n = index_t{1} << 16;
+  ASSERT_EQ(pstlb::detail::samplesort_id_bytes(pstlb::detail::samplesort_buckets(
+                n, be.threads(), params.bucket_cap)),
+            2u);
+  auto v = zipf_input(n, 11);
   auto expected = v;
   std::sort(expected.begin(), expected.end());
-  ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(
-      be, v.begin(), static_cast<index_t>(v.size()), std::less<>{},
-      params));
+  ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(be, v.begin(), n,
+                                                        std::less<>{}, params));
   EXPECT_EQ(v, expected);
 }
 
@@ -291,11 +472,17 @@ TEST(Samplesort, TrafficSnapshotShowsConstantPasses) {
   const auto& st = pstlb::detail::last_sort_traffic();
   EXPECT_STREQ(st.algorithm, "sample");
   EXPECT_GT(st.input_bytes, 0.0);
-  // ~3 read passes (classify, scatter, bucket load) + the sample reads.
+  // ~3 read passes (classify, scatter, bucket load) + the scatter's read of
+  // the bucket ids + the sample reads.
   EXPECT_GE(st.read_passes(), 2.9);
   EXPECT_LE(st.read_passes(), 3.5);
-  // Exactly 2 write passes (scatter, move-back).
-  EXPECT_NEAR(st.write_passes(), 2.0, 0.01);
+  // Exactly 2 element write passes (scatter, bucket kernel) + the classify
+  // pass's write of one id per key.
+  const double id_bytes = static_cast<double>(
+      pstlb::detail::samplesort_id_bytes(pstlb::detail::samplesort_buckets(
+          static_cast<index_t>(v.size()), pol.threads,
+          pstlb::detail::samplesort_params{}.bucket_cap)));
+  EXPECT_NEAR(st.write_passes(), 2.0 + id_bytes / sizeof(double), 0.01);
 
   // Mergesort's pass count grows with the round count instead.
   const pstlb::backends::backend be(pol.backend, pol.threads);
