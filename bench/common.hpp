@@ -4,9 +4,10 @@
 // 32–128-core machines cannot be measured on a small development host; see
 // DESIGN.md §1): each registered benchmark feeds the simulated seconds to
 // Google Benchmark via manual timing, and after the gbench run the binary
-// prints the figure/table in the paper's layout. The native benchmarks
-// (native_algorithms.cpp and the native legs of some figures) measure real
-// wall time of our own backends instead.
+// prints the figure/table in the paper's layout. The native legs of some
+// figures (fig5, fig7, the counter tables) and abl_grain_native measure real
+// wall time of our own backends instead; perfbench/ is the end-to-end native
+// benchmark.
 #pragma once
 
 #include <benchmark/benchmark.h>

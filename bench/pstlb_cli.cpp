@@ -25,9 +25,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -167,7 +171,8 @@ void print_usage() {
       "  --size=N|2^K           elements (default 2^20)\n"
       "  --k_it=N               for_each inner-loop iterations (default 1)\n"
       "  --alloc=custom|default (sim) first-touch strategy (Fig. 1)\n"
-      "  --reps=N               (native) repetitions, median reported\n"
+      "  --reps=N               (native) repetitions, median reported; every\n"
+      "                         result is checked against std (exit 4 if not)\n"
       "  --explain              (sim) per-phase breakdown\n"
       "  --csv                  machine-readable one-line-per-result output\n"
       "  --list                 machines, kernels, backends\n"
@@ -276,60 +281,161 @@ int run_sim(const options& opt) {
   return 0;
 }
 
+/// Exit status of a native run whose result differs from the std one.
+constexpr int kMismatchExit = 4;
+
+/// Thrown after a rep whose result differs from the std result.
+struct result_mismatch : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Whether a result over the 1..n input equals the std one. Sums of
+/// integer-valued doubles are exact while they stay below 2^53, which holds
+/// up to n = 2^26; past that a reassociated sum may round differently, by
+/// at most n ulps.
+bool same_value(elem_t got, elem_t want, index_t n) {
+  const elem_t ulps = static_cast<elem_t>(n) * std::numeric_limits<elem_t>::epsilon();
+  return got == want || std::abs(got - want) <= std::abs(want) * ulps;
+}
+
+/// One native kernel over `data` (1..n) and `out`: `run` makes the timed
+/// call and `ok` compares what it produced with the std result, which is
+/// computed once, before the reps.
+struct native_kernel {
+  std::function<void()> run;
+  std::function<bool()> ok;
+};
+
+native_kernel make_native_kernel(const options& opt, const exec::policy& policy,
+                                 bench::ft_vector& data, std::vector<elem_t>& out) {
+  const auto n = static_cast<index_t>(data.size());
+  const std::string& kernel = opt.kernel;
+  // `got` against the std result, element by element.
+  const auto matches = [n](const auto& got, std::vector<elem_t> want) {
+    return [&got, n, want = std::move(want)] {
+      return std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                        [n](elem_t a, elem_t b) { return same_value(a, b, n); });
+    };
+  };
+  // A scalar result (a value or a position) of the last call and the std one.
+  struct scalar {
+    elem_t got = 0;
+    elem_t want = 0;
+  };
+  const auto last = std::make_shared<scalar>();
+  const auto scalar_ok = [last, n] { return same_value(last->got, last->want, n); };
+  const auto at = [&data](auto it) { return static_cast<elem_t>(it - data.begin()); };
+  std::vector<elem_t> want(data.begin(), data.end());
+  if (kernel == "for_each") {
+    const auto k_it = static_cast<std::size_t>(opt.k_it);
+    const auto body = [k_it](elem_t& x) {
+      volatile std::size_t iterations = k_it;
+      elem_t acc{};
+      for (std::size_t i = 0; i < iterations; ++i) { acc += 1; }
+      x = acc;
+    };
+    std::for_each(want.begin(), want.end(), body);
+    return {[&policy, &data, body] {
+              pstlb::for_each(policy, data.begin(), data.end(), body);
+            },
+            matches(data, std::move(want))};
+  }
+  if (kernel == "find") {
+    // Every call looks for another value; value v sits at position v - 1.
+    return {[&policy, &data, n, last, at, seed = std::uint64_t{1}]() mutable {
+              const auto target = static_cast<elem_t>(bench::find_target(n, seed++) + 1);
+              last->want = target - 1;
+              last->got = at(pstlb::find(policy, data.begin(), data.end(), target));
+            },
+            scalar_ok};
+  }
+  if (kernel == "reduce") {
+    last->want = std::reduce(data.begin(), data.end());
+    return {[&policy, &data, last] {
+              last->got = pstlb::reduce(policy, data.begin(), data.end());
+            },
+            scalar_ok};
+  }
+  if (kernel == "count") {
+    last->want = static_cast<elem_t>(std::count(data.begin(), data.end(), elem_t{1}));
+    return {[&policy, &data, last] {
+              last->got = static_cast<elem_t>(
+                  pstlb::count(policy, data.begin(), data.end(), elem_t{1}));
+            },
+            scalar_ok};
+  }
+  if (kernel == "min_element") {
+    last->want = at(std::min_element(data.begin(), data.end()));
+    return {[&policy, &data, last, at] {
+              last->got = at(pstlb::min_element(policy, data.begin(), data.end()));
+            },
+            scalar_ok};
+  }
+  if (kernel == "inclusive_scan") {
+    std::inclusive_scan(data.begin(), data.end(), want.begin());
+    return {[&policy, &data, &out] {
+              pstlb::inclusive_scan(policy, data.begin(), data.end(), out.begin());
+            },
+            matches(out, std::move(want))};
+  }
+  if (kernel == "exclusive_scan") {
+    std::exclusive_scan(data.begin(), data.end(), want.begin(), elem_t{0});
+    return {[&policy, &data, &out] {
+              pstlb::exclusive_scan(policy, data.begin(), data.end(), out.begin(),
+                                    elem_t{0});
+            },
+            matches(out, std::move(want))};
+  }
+  if (kernel == "sort") {
+    std::sort(want.begin(), want.end());
+    return {[&policy, &data, n, seed = std::uint64_t{1}]() mutable {
+              bench::shuffle_values(data.data(), n, seed++);
+              pstlb::sort(policy, data.begin(), data.end());
+            },
+            matches(data, std::move(want))};
+  }
+  if (kernel == "copy") {
+    return {[&policy, &data, &out] {
+              pstlb::copy(policy, data.begin(), data.end(), out.begin());
+            },
+            matches(out, std::move(want))};
+  }
+  if (kernel == "transform") {
+    const auto twice = [](elem_t x) { return 2 * x; };
+    std::transform(want.begin(), want.end(), want.begin(), twice);
+    return {[&policy, &data, &out, twice] {
+              pstlb::transform(policy, data.begin(), data.end(), out.begin(), twice);
+            },
+            matches(out, std::move(want))};
+  }
+  std::fprintf(stderr, "native mode does not support kernel %s\n", kernel.c_str());
+  std::exit(2);
+}
+
+/// Times `opt.reps` calls of the kernel after one warmup. Every call's
+/// result is checked against the std result between the timed calls; a
+/// mismatch throws result_mismatch naming the kernel, backend and rep.
 double native_median_seconds(const options& opt, const exec::policy& policy,
                              const char* backend_name = nullptr,
                              unsigned threads = 0) {
   const auto n = static_cast<index_t>(opt.size);
   auto data = bench::generate_increment(policy, n);
   std::vector<elem_t> out(data.size());
-  std::uint64_t seed = 1;
-  const std::string kernel = opt.kernel;
-  const bench::reps_result run = bench::run_reps(
-      "cli", std::max(1, opt.reps), [] {}, [&] {
-        if (kernel == "for_each") {
-          const auto k_it = static_cast<std::size_t>(opt.k_it);
-          pstlb::for_each(policy, data.begin(), data.end(), [k_it](elem_t& x) {
-            volatile std::size_t iterations = k_it;
-            elem_t acc{};
-            for (std::size_t i = 0; i < iterations; ++i) { acc += 1; }
-            x = acc;
-          });
-        } else if (kernel == "find") {
-          const elem_t target =
-              static_cast<elem_t>(bench::find_target(n, seed++) + 1);
-          auto it = pstlb::find(policy, data.begin(), data.end(), target);
-          if (it == data.end() && n > 0) { std::abort(); }
-        } else if (kernel == "reduce") {
-          volatile elem_t sink = pstlb::reduce(policy, data.begin(), data.end());
-          (void)sink;
-        } else if (kernel == "count") {
-          volatile index_t sink =
-              pstlb::count(policy, data.begin(), data.end(), elem_t{1});
-          (void)sink;
-        } else if (kernel == "min_element") {
-          volatile elem_t sink = *pstlb::min_element(policy, data.begin(), data.end());
-          (void)sink;
-        } else if (kernel == "inclusive_scan") {
-          pstlb::inclusive_scan(policy, data.begin(), data.end(), out.begin());
-        } else if (kernel == "exclusive_scan") {
-          pstlb::exclusive_scan(policy, data.begin(), data.end(), out.begin(),
-                                elem_t{0});
-        } else if (kernel == "sort") {
-          bench::shuffle_values(data.data(), n, seed++);
-          pstlb::sort(policy, data.begin(), data.end());
-        } else if (kernel == "copy") {
-          pstlb::copy(policy, data.begin(), data.end(), out.begin());
-        } else if (kernel == "transform") {
-          pstlb::transform(policy, data.begin(), data.end(), out.begin(),
-                           [](elem_t x) { return 2 * x; });
-        } else {
-          std::fprintf(stderr, "native mode does not support kernel %s\n",
-                       kernel.c_str());
-          std::exit(2);
-        }
-      });
+  const native_kernel kernel = make_native_kernel(opt, policy, data, out);
+  int rep = -1;  // the rep check() reads; rep 0 is the warmup
+  const auto check = [&] {
+    if (rep >= 0 && !kernel.ok()) {
+      throw result_mismatch(opt.kernel + " on " +
+                            std::string(backends::name_of(policy.backend)) +
+                            " differs from the std result at rep " + std::to_string(rep));
+    }
+    ++rep;
+  };
+  const bench::reps_result run =
+      bench::run_reps("cli", std::max(1, opt.reps), check, kernel.run);
+  check();
   if (backend_name != nullptr) {
-    bench::record_native_result(kernel, backend_name, opt.size, threads,
+    bench::record_native_result(opt.kernel, backend_name, opt.size, threads,
                                 run.samples);
   }
   return bench::regress::median(run.samples);
@@ -353,6 +459,9 @@ int run_native(const options& opt) {
       policy.seq_threshold = 0;
       median = native_median_seconds(
           opt, policy, std::string(backends::name_of(id)).c_str(), threads);
+    } catch (const result_mismatch& e) {
+      std::fprintf(stderr, "pstlb_cli: %s\n", e.what());
+      return kMismatchExit;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "pstlb_cli: %s/%s failed: %s\n", opt.kernel.c_str(),
                    std::string(backends::name_of(id)).c_str(), e.what());
@@ -444,6 +553,9 @@ std::string run_isolated(const options& opt, const suite_spec& spec,
       policy.seq_threshold = 0;
       const double median = native_median_seconds(child_opt, policy);
       (void)!::write(pipe_fd[1], &median, sizeof median);
+    } catch (const result_mismatch& e) {
+      std::fprintf(stderr, "pstlb_cli: %s\n", e.what());
+      code = kMismatchExit;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "pstlb_cli: %s/%s failed: %s\n", spec.kernel.c_str(),
                    spec.backend.c_str(), e.what());

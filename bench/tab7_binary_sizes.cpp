@@ -34,8 +34,7 @@ void report(std::ostream& os) {
       if (!entry.is_regular_file()) { continue; }
       const auto& path = entry.path();
       if ((path.filename().string().rfind("fig", 0) == 0 ||
-           path.filename().string().rfind("tab", 0) == 0 ||
-           path.filename().string().rfind("native", 0) == 0) &&
+           path.filename().string().rfind("tab", 0) == 0) &&
           path.extension().empty()) {
         mine.add_row({path.filename().string(),
                       fmt(static_cast<double>(entry.file_size()) / (1024.0 * 1024), 2)});

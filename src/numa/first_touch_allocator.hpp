@@ -13,6 +13,13 @@
 // for_each (k_it = 1) and +50 % for reduce; slightly negative for find and
 // inclusive_scan. Natively the allocator is the placement and records
 // nothing; the simulator models both placements (numa::placement).
+//
+// It places benchmark inputs (bench_core generators, examples, user code).
+// No algorithm allocates through it: their scratch (pstlb/detail/scratch.hpp)
+// is left untouched until the algorithm's own first parallel pass writes
+// it. The touch is one parallel call like any other: it is admitted against
+// the caller's arena and runs at the granted width, or on the caller when
+// the arena sends it sequential.
 #pragma once
 
 #include <cstddef>
@@ -26,22 +33,29 @@
 namespace pstlb::numa {
 
 /// Touches the first byte of each page of [p, p + bytes) in parallel with
-/// the policy's backend — the core of Listing 5. A seq policy touches from
-/// the calling thread.
-inline void parallel_first_touch(const exec::policy& policy, std::byte* p,
+/// the policy's backend — the core of Listing 5. The touch goes through
+/// exec::dispatch at the default grain and with no sequential threshold, so
+/// the arena decides its width; a seq policy or a sequential admission
+/// touches from the calling thread.
+inline void parallel_first_touch(exec::policy policy, std::byte* p,
                                  std::size_t bytes) {
-  if (bytes == 0) { return; }
   const std::size_t page = topology().page_size;
   const index_t pages = static_cast<index_t>((bytes + page - 1) / page);
+  const auto touch = [&](index_t b, index_t e, unsigned) {
+    for (index_t i = b; i < e; ++i) {
+      p[static_cast<std::size_t>(i) * page] = std::byte{0};
+    }
+  };
+  // The grain and threshold are counted in elements; these are pages.
+  policy.grain = 0;
+  policy.seq_threshold = 0;
   // Contiguous page slices per thread, mirroring the chunks the parallel
   // algorithms will later hand to the same threads.
-  backends::parallel_for(backends::backend(policy.backend, policy.threads), pages,
-                         backends::default_grain(pages, policy.threads),
-                         [&](index_t b, index_t e, unsigned) {
-                           for (index_t i = b; i < e; ++i) {
-                             p[static_cast<std::size_t>(i) * page] = std::byte{0};
-                           }
-                         });
+  exec::dispatch(
+      policy, pages, [&] { touch(0, pages, 0); },
+      [&](const backends::backend& be, index_t grain) {
+        backends::parallel_for(be, pages, grain, touch);
+      });
 }
 
 /// std-compatible allocator performing a parallel first touch on allocate().

@@ -11,7 +11,6 @@
 #include <memory>
 #include <numeric>
 #include <utility>
-#include <vector>
 
 #include "backends/skeletons.hpp"
 #include "pstlb/detail/scratch.hpp"
@@ -341,13 +340,13 @@ It shift_left(const exec::policy& policy, It first, It last,
       policy, n, seq,
       [&](const backends::backend& be, index_t grain) {
         const index_t kept = n - shift;
-        auto buffer = detail::scratch_buffer<T>(kept);
-        if (!buffer.has_value()) { return seq(); }
+        const auto buffer = detail::scratch_buffer<T>(kept);
+        if (!buffer) { return seq(); }
         backends::parallel_for(be, kept, grain, [&](index_t b, index_t e, unsigned) {
-          std::move(first + shift + b, first + shift + e, buffer->begin() + b);
+          std::move(first + shift + b, first + shift + e, buffer.get() + b);
         });
         backends::parallel_for(be, kept, grain, [&](index_t b, index_t e, unsigned) {
-          std::move(buffer->begin() + b, buffer->begin() + e, first + b);
+          std::move(buffer.get() + b, buffer.get() + e, first + b);
         });
         return first + kept;
       });
@@ -368,13 +367,13 @@ It shift_right(const exec::policy& policy, It first, It last,
       policy, n, seq,
       [&](const backends::backend& be, index_t grain) {
         const index_t kept = n - shift;
-        auto buffer = detail::scratch_buffer<T>(kept);
-        if (!buffer.has_value()) { return seq(); }
+        const auto buffer = detail::scratch_buffer<T>(kept);
+        if (!buffer) { return seq(); }
         backends::parallel_for(be, kept, grain, [&](index_t b, index_t e, unsigned) {
-          std::move(first + b, first + e, buffer->begin() + b);
+          std::move(first + b, first + e, buffer.get() + b);
         });
         backends::parallel_for(be, kept, grain, [&](index_t b, index_t e, unsigned) {
-          std::move(buffer->begin() + b, buffer->begin() + e, first + shift + b);
+          std::move(buffer.get() + b, buffer.get() + e, first + shift + b);
         });
         return first + shift;
       });
@@ -398,16 +397,15 @@ It rotate(const exec::policy& policy, It first, It middle, It last) {
   return exec::dispatch(
       policy, n, seq,
       [&](const backends::backend& be, index_t grain) {
-        auto scratch = detail::scratch_buffer<T>(n);
-        if (!scratch.has_value()) { return seq(); }
-        std::vector<T>& buffer = *scratch;
+        const auto buffer = detail::scratch_buffer<T>(n);
+        if (!buffer) { return seq(); }
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
           for (index_t i = b; i < e; ++i) {
-            buffer[static_cast<std::size_t>(i)] = std::move(first[(i + shift) % n]);
+            buffer[i] = std::move(first[(i + shift) % n]);
           }
         });
         backends::parallel_for(be, n, grain, [&](index_t b, index_t e, unsigned) {
-          std::move(buffer.begin() + b, buffer.begin() + e, first + b);
+          std::move(buffer.get() + b, buffer.get() + e, first + b);
         });
         return first + (n - shift);
       });

@@ -315,12 +315,11 @@ It remove_if(const exec::policy& policy, It first, It last, Pred pred) {
   return exec::dispatch(
       policy, n, seq,
       [&](const backends::backend&, index_t) {
-        auto kept = detail::scratch_buffer<T>(n);
-        if (!kept.has_value()) { return seq(); }
-        auto end_kept = pstlb::remove_copy_if(policy, first, last, kept->begin(), pred);
-        const index_t count = end_kept - kept->begin();
-        pstlb::move(policy, kept->begin(), kept->begin() + count, first);
-        return first + count;
+        const auto kept = detail::scratch_buffer<T>(n);
+        if (!kept) { return seq(); }
+        T* const end_kept = pstlb::remove_copy_if(policy, first, last, kept.get(), pred);
+        pstlb::move(policy, kept.get(), end_kept, first);
+        return first + (end_kept - kept.get());
       });
 }
 
@@ -341,12 +340,11 @@ It unique(const exec::policy& policy, It first, It last, Pred pred) {
   return exec::dispatch(
       policy, n, seq,
       [&](const backends::backend&, index_t) {
-        auto kept = detail::scratch_buffer<T>(n);
-        if (!kept.has_value()) { return seq(); }
-        auto end_kept = pstlb::unique_copy(policy, first, last, kept->begin(), pred);
-        const index_t count = end_kept - kept->begin();
-        pstlb::move(policy, kept->begin(), kept->begin() + count, first);
-        return first + count;
+        const auto kept = detail::scratch_buffer<T>(n);
+        if (!kept) { return seq(); }
+        T* const end_kept = pstlb::unique_copy(policy, first, last, kept.get(), pred);
+        pstlb::move(policy, kept.get(), end_kept, first);
+        return first + (end_kept - kept.get());
       });
 }
 

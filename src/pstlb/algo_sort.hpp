@@ -13,17 +13,18 @@
 //   - mergesort (below): block sort + pairwise merge rounds, every merge
 //     split at merge-path diagonals into independent sub-merges (see
 //     pstlb/detail/merge.hpp) — log2(P) full passes. It is the one
-//     mergesort on every policy: the mid-size path, the path of value
-//     types samplesort cannot take, and samplesort's fallback when its
-//     scratch cannot be allocated. (GNU's single R-way merge round
-//     lives on only in the simulator's model of GCC-GNU.)
+//     mergesort on every policy: the mid-size path and the path of value
+//     types samplesort cannot take. (GNU's single R-way merge round lives
+//     on only in the simulator's model of GCC-GNU.)
 //
 // Both pipelines are plain parallel_for/scan launches, so they run on every
-// backend. Requirements beyond the std versions (documented limitation): the
-// parallel paths use an out-of-place buffer, so value types must be default-
-// constructible and move-assignable; samplesort additionally needs
-// copy-constructible values (materialized splitters) and falls back to
-// mergesort for types that are not.
+// backend, and both stage elements through detail::scratch_buffer: when it
+// cannot allocate, the call counts one oom shed and std::sort /
+// std::stable_sort sorts the input. Requirements beyond the std versions
+// (documented limitation): the out-of-place buffer needs default-
+// constructible, move-assignable value types; samplesort additionally needs
+// copy-constructible values (materialized splitters), and types that are
+// not take the mergesort.
 #pragma once
 
 #include <algorithm>
@@ -84,11 +85,7 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
       for (index_t r = rb; r < re; ++r) {
         const index_t b = r * run_len;
         const index_t e = std::min(n, b + run_len);
-        if constexpr (Stable) {
-          std::stable_sort(first + b, first + e, comp);
-        } else {
-          std::sort(first + b, first + e, comp);
-        }
+        std_sort<Stable>(first + b, first + e, comp);
       }
     });
     stats.block_sort.read += pass_bytes;
@@ -104,17 +101,13 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
   // safe here because the phase-1 run sorts are in-place and already
   // complete, so the input holds all elements (partially ordered, which the
   // std sort tolerates).
-  auto scratch = scratch_buffer<T>(n);
-  if (!scratch.has_value()) {
-    if constexpr (Stable) {
-      std::stable_sort(first, first + n, comp);
-    } else {
-      std::sort(first, first + n, comp);
-    }
+  const auto scratch = scratch_buffer<T>(n);
+  if (!scratch) {
+    std_sort<Stable>(first, first + n, comp);
     commit_sort_traffic(stats);
     return;
   }
-  std::vector<T>& buffer = *scratch;
+  T* const buffer = scratch.get();
 
   // Phase 2: pairwise merge rounds, ping-ponging the buffer.
   bool in_buffer = false;
@@ -166,9 +159,9 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
   for (index_t width = 1; width < runs; width *= 2) {
     sort_phase_span span(static_cast<std::uint64_t>(stats.merge_round_count) + 1);
     if (!in_buffer) {
-      do_round(first, buffer.begin(), width);
+      do_round(first, buffer, width);
     } else {
-      do_round(buffer.begin(), first, width);
+      do_round(buffer, first, width);
     }
     in_buffer = !in_buffer;
     stats.merge_rounds.read += pass_bytes;
@@ -178,7 +171,7 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
   if (in_buffer) {
     sort_phase_span span(static_cast<std::uint64_t>(stats.merge_round_count) + 1);
     backends::parallel_for(be, n, [&](index_t b, index_t e, unsigned) {
-      std::move(buffer.begin() + b, buffer.begin() + e, first + b);
+      std::move(buffer + b, buffer + e, first + b);
     });
     stats.merge_rounds.read += pass_bytes;
     stats.merge_rounds.written += pass_bytes;
@@ -188,24 +181,16 @@ void parallel_mergesort(const backends::backend& be, It first, index_t n,
 }
 
 /// Routes a parallel sort to samplesort (n >= sample_sort_min) or mergesort.
-/// Samplesort materializes splitter copies and value-initializes the
-/// scatter buffer of types that are not trivially copyable, so types that
-/// are not copy-constructible + default-constructible + move-assignable
-/// silently keep the mergesort pipeline (which needs only the latter two).
+/// Samplesort materializes splitter copies, so types that are not
+/// copy-constructible silently keep the mergesort pipeline.
 template <bool Stable, class It, class Compare>
 void parallel_sort_dispatch(const backends::backend& be, It first, index_t n,
                             Compare comp) {
   using T = typename std::iterator_traits<It>::value_type;
-  if constexpr (std::is_copy_constructible_v<T> &&
-                std::is_default_constructible_v<T> &&
-                std::is_move_assignable_v<T>) {
+  if constexpr (std::is_copy_constructible_v<T>) {
     if (n >= sample_sort_min) {
-      // A false return means the scratch could not be allocated;
-      // fall through to mergesort, whose own buffer failure leg degrades
-      // to a sequential whole-array sort.
-      if (parallel_samplesort<Stable>(be, first, n, comp)) {
-        return;
-      }
+      parallel_samplesort<Stable>(be, first, n, comp);
+      return;
     }
   }
   parallel_mergesort<Stable>(be, first, n, comp);
@@ -282,14 +267,15 @@ void inplace_merge(const exec::policy& policy, It first, It middle, It last,
   exec::dispatch(
       policy, n, seq,
       [&](const backends::backend& be, index_t) {
-        auto buffer = detail::scratch_buffer<T>(n);
-        if (!buffer.has_value()) { return seq(); }
+        const auto scratch = detail::scratch_buffer<T>(n);
+        if (!scratch) { return seq(); }
+        T* const buffer = scratch.get();
         const index_t n1 = std::distance(first, middle);
         detail::parallel_merge_into(be, std::make_move_iterator(first), n1,
                                     std::make_move_iterator(middle), n - n1,
-                                    buffer->begin(), comp);
+                                    buffer, comp);
         backends::parallel_for(be, n, [&](index_t b, index_t e, unsigned) {
-          std::move(buffer->begin() + b, buffer->begin() + e, first + b);
+          std::move(buffer + b, buffer + e, first + b);
         });
       });
 }
@@ -316,9 +302,9 @@ It stable_partition(const exec::policy& policy, It first, It last, Pred pred) {
         // which never knows the overall true count while it emits: true
         // element t goes to slot t, false element f to slot n-1-f. The
         // move back reads the false slots in reverse, restoring their order.
-        auto scratch = detail::scratch_buffer<T>(n);
-        if (!scratch.has_value()) { return seq(); }
-        std::vector<T>& buffer = *scratch;
+        const auto scratch = detail::scratch_buffer<T>(n);
+        if (!scratch) { return seq(); }
+        T* const buffer = scratch.get();
         const index_t count_true = backends::parallel_pack(
             be, n,
             [&](index_t b, index_t e) {
@@ -329,9 +315,9 @@ It stable_partition(const exec::policy& policy, It first, It last, Pred pred) {
               index_t f = b - true_offset;  // false elements before the chunk
               for (index_t i = b; i < e; ++i) {
                 if (pred(first[i])) {
-                  buffer[static_cast<std::size_t>(t++)] = std::move(first[i]);
+                  buffer[t++] = std::move(first[i]);
                 } else {
-                  buffer[static_cast<std::size_t>(n - 1 - f++)] = std::move(first[i]);
+                  buffer[n - 1 - f++] = std::move(first[i]);
                 }
               }
               return t - true_offset;
@@ -339,7 +325,7 @@ It stable_partition(const exec::policy& policy, It first, It last, Pred pred) {
         backends::parallel_for(be, n, [&](index_t b, index_t e, unsigned) {
           for (index_t i = b; i < e; ++i) {
             const index_t from = i < count_true ? i : n - 1 - (i - count_true);
-            first[i] = std::move(buffer[static_cast<std::size_t>(from)]);
+            first[i] = std::move(buffer[from]);
           }
         });
         return first + count_true;
@@ -404,10 +390,12 @@ RIt partial_sort_copy(const exec::policy& policy, It first, It last, RIt d_first
       policy, n, seq,
       [&](const backends::backend&, index_t) {
         using T = typename std::iterator_traits<It>::value_type;
-        auto scratch = detail::scratch_buffer<T>(n, first, last);
-        if (!scratch.has_value()) { return seq(); }
-        pstlb::sort(policy, scratch->begin(), scratch->end(), comp);
-        pstlb::copy(policy, scratch->begin(), scratch->begin() + k, d_first);
+        const auto scratch = detail::scratch_buffer<T>(n);
+        if (!scratch) { return seq(); }
+        T* const buffer = scratch.get();
+        pstlb::copy(policy, first, last, buffer);
+        pstlb::sort(policy, buffer, buffer + n, comp);
+        pstlb::copy(policy, buffer, buffer + k, d_first);
         return d_first + k;
       });
 }

@@ -50,12 +50,18 @@
 // insertion sorts, and the stable variant sorts any remainder with
 // std::stable_sort — so pstlb::stable_sort can run on this path.
 //
-// Failure: phases 2, 4 and 5 are plain for_blocks launches, so the pools'
-// cancellation protocol (PR 4) already guarantees exactly-one-exception and
-// no stranded peers; phase 3 inherits the scan's poisoned-descriptor
-// protocol — a throwing classification chunk can never leave an offset
-// consumer spinning. Fault-injection hooks fire at every chunk boundary via
-// the backends' standard chunk hook.
+// Scratch: the scatter buffer and the id array come from scratch_buffer
+// (scratch.hpp), default-initialized, so no region touches them before the
+// pipeline: CLASSIFY first writes the ids and SCATTER the elements, each
+// chunk from the thread that owns it, which places their pages.
+//
+// Failure: when either scratch allocation fails, std::sort / std::stable_sort
+// sorts the untouched input on the caller (one oom shed). Phases 2, 4 and 5
+// are plain for_blocks launches, so the pools' cancellation protocol already
+// guarantees exactly-one-exception and no stranded peers; phase 3 inherits
+// the scan's poisoned-descriptor protocol — a throwing classification chunk
+// can never leave an offset consumer spinning. Fault-injection hooks fire at
+// every chunk boundary via the backends' standard chunk hook.
 //
 // Requirements beyond mergesort's (default-constructible + move-assignable):
 // value types must be copy-constructible, because splitters are materialized
@@ -69,17 +75,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <memory>
-#include <new>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "backends/scan_lookback.hpp"
 #include "backends/skeletons.hpp"
-#include "numa/first_touch_allocator.hpp"
+#include "pstlb/detail/scratch.hpp"
 #include "pstlb/detail/sort_stats.hpp"
-#include "sched/arena.hpp"
 #include "trace/trace.hpp"
 
 namespace pstlb::detail {
@@ -222,18 +224,23 @@ inline index_t bucket_fanout(index_t len) {
   return std::min(static_cast<index_t>(want), bucket_fanout_max);
 }
 
+/// std::stable_sort in the Stable variant, std::sort otherwise.
+template <bool Stable, class It, class Compare>
+void std_sort(It first, It last, Compare comp) {
+  if constexpr (Stable) {
+    std::stable_sort(first, last, comp);
+  } else {
+    std::sort(first, last, comp);
+  }
+}
+
 /// Sorts a leaf of at most bucket_leaf_max keys by insertion, which is
 /// stable and so serves both variants; a longer range (the depth bound's
-/// remainder, or one its splitters could not split) takes std::sort or
-/// std::stable_sort.
+/// remainder, or one its splitters could not split) takes std_sort.
 template <bool Stable, class It, class Compare>
 void samplesort_leaf(It first, It last, Compare comp) {
   if (last - first > bucket_leaf_max) {
-    if constexpr (Stable) {
-      std::stable_sort(first, last, comp);
-    } else {
-      std::sort(first, last, comp);
-    }
+    std_sort<Stable>(first, last, comp);
     return;
   }
   for (It i = first + (first != last); i != last; ++i) {
@@ -475,103 +482,38 @@ void samplesort_segment(const backends::backend& be, SrcIt src, T* tmp, Id* ids,
   }
 }
 
-/// The scatter buffer of `n` elements and the id array of `n` ids of
-/// `id_bytes` each, in one allocation through the first-touch allocator on
-/// `be` — the backend and width the sort was granted — so bucket pages
-/// spread across the NUMA nodes of the threads that will sort them (paper
-/// Listing 5 discipline) and the touch region runs no wider than the sort's
-/// own regions. Trivially copyable elements stay default-initialized: the
-/// scatter assigns every slot before anything reads it. Other types are
-/// value-initialized on the caller, since the scatter move-assigns into
-/// live objects. A failed allocation leaves the scratch empty
-/// (`allocated()` is false) instead of throwing std::bad_alloc.
-template <class T>
-class samplesort_scratch {
- public:
-  samplesort_scratch(const backends::backend& be, index_t n, std::size_t id_bytes)
-      : alloc_(exec::make_policy(be.id(), be.threads())),
-        n_(static_cast<std::size_t>(n)),
-        ids_at_(ceil_div(n_ * sizeof(T), alignof(std::max_align_t)) *
-                alignof(std::max_align_t)),
-        count_(ceil_div(ids_at_ + n_ * id_bytes, sizeof(T))) {
-    try {
-      data_ = alloc_.allocate(count_);
-    } catch (const std::bad_alloc&) {
-      return;
-    }
-    if constexpr (!std::is_trivially_copyable_v<T>) {
-      try {
-        std::uninitialized_value_construct_n(data_, n_);
-      } catch (...) {
-        alloc_.deallocate(data_, count_);
-        throw;
-      }
-    }
-  }
-  ~samplesort_scratch() {
-    if (data_ == nullptr) { return; }
-    if constexpr (!std::is_trivially_copyable_v<T>) { std::destroy_n(data_, n_); }
-    alloc_.deallocate(data_, count_);
-  }
-  samplesort_scratch(const samplesort_scratch&) = delete;
-  samplesort_scratch& operator=(const samplesort_scratch&) = delete;
-
-  bool allocated() const { return data_ != nullptr; }
-  T* elements() const { return data_; }
-  template <class Id>
-  Id* ids() const {
-    return reinterpret_cast<Id*>(reinterpret_cast<std::byte*>(data_) + ids_at_);
-  }
-
- private:
-  static constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
-    return (a + b - 1) / b;
-  }
-
-  numa::first_touch_allocator<T, exec::policy> alloc_;
-  std::size_t n_;
-  std::size_t ids_at_;  // byte offset of the id array
-  std::size_t count_;   // elements allocated, ids included
-  T* data_ = nullptr;
-};
-
-/// Top-level entry: allocates the scratch (samplesort_scratch), runs the
-/// pipeline with `params`, and publishes the traffic snapshot + region
-/// counters.
-///
-/// Returns false when the scratch cannot be allocated — the one big
-/// contiguous bite of memory this sort takes, and the only allocation before
-/// any element moves, so the input is still intact and the caller falls back
-/// to the merge pipeline (or all the way to a sequential sort) instead of
-/// letting std::bad_alloc escape from pstlb::sort. The oom:p fault hook
-/// fires inside the allocator's tracked allocation.
+/// Top-level entry: takes the scatter buffer and the bucket ids (one byte
+/// each up to 256 buckets, two above) from scratch_buffer, runs the pipeline
+/// with `params`, and publishes the traffic snapshot + region counters.
+/// When either allocation fails (scratch_buffer notes the one oom shed), no
+/// element has moved yet and std_sort sorts the input on the caller.
 template <bool Stable, class It, class Compare>
-bool parallel_samplesort(const backends::backend& be, It first, index_t n,
+void parallel_samplesort(const backends::backend& be, It first, index_t n,
                          Compare comp, const samplesort_params& params = {}) {
   using T = typename std::iterator_traits<It>::value_type;
   const index_t bucket_count = samplesort_buckets(n, be.threads(), params.bucket_cap);
   if (bucket_count < 2) {
     samplesort_leaf<Stable>(first, first + n, comp);
-    return true;
+    return;
   }
-  const std::size_t id_bytes = samplesort_id_bytes(bucket_count);
-  const samplesort_scratch<T> scratch(be, n, id_bytes);
-  if (!scratch.allocated()) {
-    sched::note_degradation(sched::shed_reason::oom);
-    return false;
-  }
-  auto& stats = begin_sort_traffic("sample", n, sizeof(T));
-  if (id_bytes == 1) {
-    samplesort_segment<Stable>(be, first, scratch.elements(),
-                               scratch.template ids<std::uint8_t>(), n, bucket_count,
+  const auto sort_with = [&](auto id_type) {
+    using Id = decltype(id_type);
+    const auto elements = scratch_buffer<T>(n);
+    const auto ids = elements ? scratch_buffer<Id>(n) : nullptr;
+    if (!ids) {
+      std_sort<Stable>(first, first + n, comp);
+      return;
+    }
+    auto& stats = begin_sort_traffic("sample", n, sizeof(T));
+    samplesort_segment<Stable>(be, first, elements.get(), ids.get(), n, bucket_count,
                                comp, params, stats);
+    commit_sort_traffic(stats);
+  };
+  if (samplesort_id_bytes(bucket_count) == 1) {
+    sort_with(std::uint8_t{});
   } else {
-    samplesort_segment<Stable>(be, first, scratch.elements(),
-                               scratch.template ids<std::uint16_t>(), n, bucket_count,
-                               comp, params, stats);
+    sort_with(std::uint16_t{});
   }
-  commit_sort_traffic(stats);
-  return true;
 }
 
 }  // namespace pstlb::detail

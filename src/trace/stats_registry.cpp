@@ -11,6 +11,7 @@
 
 #include "bench_core/result_store.hpp"
 #include "pstlb/env.hpp"
+#include "pstlb/json_min.hpp"
 #include "sched/arena.hpp"
 
 namespace pstlb::stats {
@@ -110,7 +111,9 @@ void write_op_json(std::ostream& os, const op_snapshot& s) {
 /// `cap` is the per-call width cap; an arena without one (the default
 /// arena) prints sched::arena::no_cap, the largest unsigned.
 void write_arena_json(std::ostream& os, const sched::arena_snapshot& s) {
-  os << "{\"arena\":\"" << s.name << "\",\"cap\":" << s.cap
+  std::string name;
+  json_min::append_quoted(name, s.name);
+  os << "{\"arena\":" << name << ",\"cap\":" << s.cap
      << ",\"admitted\":" << s.admitted << ",\"completed\":" << s.completed
      << ",\"sequential_cap\":" << s.sequential_cap
      << ",\"shed_spawnfail\":" << s.shed_spawnfail
@@ -119,6 +122,23 @@ void write_arena_json(std::ostream& os, const sched::arena_snapshot& s) {
      << ",\"peak_pending\":" << s.peak_pending << ",\"calls\":" << s.calls
      << ",\"p50_ns\":" << s.p50_ns() << ",\"p95_ns\":" << s.p95_ns()
      << ",\"p99_ns\":" << s.p99_ns() << "}";
+}
+
+/// `text` as a Prometheus label value: backslash, double quote and newline
+/// escaped, as the text exposition format requires.
+std::string prometheus_label(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    if (c == '\\' || c == '"') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -321,25 +341,27 @@ void write_prometheus(std::ostream& os) {
   if (!arenas.empty()) {
     os << "# TYPE pstlb_arena_admitted_total counter\n";
     for (const sched::arena_snapshot& a : arenas) {
-      os << "pstlb_arena_admitted_total{arena=\"" << a.name << "\"} "
+      os << "pstlb_arena_admitted_total{arena=\"" << prometheus_label(a.name) << "\"} "
          << a.admitted << '\n';
     }
     os << "# TYPE pstlb_arena_shed_total counter\n";
     for (const sched::arena_snapshot& a : arenas) {
-      os << "pstlb_arena_shed_total{arena=\"" << a.name
+      const std::string name = prometheus_label(a.name);
+      os << "pstlb_arena_shed_total{arena=\"" << name
          << "\",reason=\"spawnfail\"} " << a.shed_spawnfail << '\n';
-      os << "pstlb_arena_shed_total{arena=\"" << a.name
+      os << "pstlb_arena_shed_total{arena=\"" << name
          << "\",reason=\"oom\"} " << a.shed_oom << '\n';
     }
     os << "# TYPE pstlb_arena_call_latency_ns summary\n";
     for (const sched::arena_snapshot& a : arenas) {
-      os << "pstlb_arena_call_latency_ns{arena=\"" << a.name
+      const std::string name = prometheus_label(a.name);
+      os << "pstlb_arena_call_latency_ns{arena=\"" << name
          << "\",quantile=\"0.5\"} " << a.p50_ns() << '\n';
-      os << "pstlb_arena_call_latency_ns{arena=\"" << a.name
+      os << "pstlb_arena_call_latency_ns{arena=\"" << name
          << "\",quantile=\"0.95\"} " << a.p95_ns() << '\n';
-      os << "pstlb_arena_call_latency_ns{arena=\"" << a.name
+      os << "pstlb_arena_call_latency_ns{arena=\"" << name
          << "\",quantile=\"0.99\"} " << a.p99_ns() << '\n';
-      os << "pstlb_arena_call_latency_ns_count{arena=\"" << a.name << "\"} "
+      os << "pstlb_arena_call_latency_ns_count{arena=\"" << name << "\"} "
          << a.calls << '\n';
     }
   }

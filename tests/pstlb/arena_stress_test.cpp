@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "numa/first_touch_allocator.hpp"
 #include "pstlb/fault.hpp"
 #include "pstlb/pstlb.hpp"
 #include "sched/arena.hpp"
@@ -153,10 +154,10 @@ TEST_F(ArenaStress, SpawnFailureShedsGracefullyWithObservableCounter) {
 }
 
 TEST_F(ArenaStress, SortOomFallsThroughTheWholeDegradationLadder) {
-  // oom:1 makes every hooked scratch allocation throw: samplesort's scatter
-  // buffer fails -> mergesort's merge buffer fails -> sequential whole-array
-  // sort. The call must still produce a sorted result, throw nothing, and
-  // count the sheds.
+  // oom:1 makes every hooked scratch allocation throw: samplesort's element
+  // and id buffers fail -> sequential whole-array std sort, the ladder's one
+  // rung. The call must still produce a sorted result, throw nothing, and
+  // count the shed.
   arena a(arena_cfg("oom", 8));
   fault::set("oom:1");
   arena::scoped_bind bind(&a);
@@ -175,12 +176,27 @@ TEST_F(ArenaStress, SortOomFallsThroughTheWholeDegradationLadder) {
   EXPECT_GT(a.snapshot().shed_oom, 0u);
 }
 
+/// The number of traced `region` spans since `since_ns`, each checked to
+/// be at most `width` participants wide.
+unsigned regions_within(std::uint64_t since_ns, unsigned width) {
+  namespace trace = pstlb::trace;
+  unsigned regions = 0;
+  for (const trace::event_ring* ring : trace::registry::instance().rings()) {
+    for (const trace::event& e : ring->snapshot()) {
+      if (e.kind != trace::event_kind::region || e.begin_ns < since_ns) { continue; }
+      ++regions;
+      EXPECT_LE(e.arg, width) << "a region wider than the arena's grant";
+    }
+  }
+  return regions;
+}
+
 TEST_F(ArenaStress, SortRegionsStayWithinTheGrant) {
-  // A 2^16-element sort takes samplesort, whose scatter buffer is first
-  // touched by a parallel region before any element moves. Bound to an
-  // arena of cap 2, every region the call opens, the touch region included,
-  // must stay within its 2-wide grant: a wider one runs on workers the
-  // ledger counts as free for other callers.
+  // A 2^16-element sort takes samplesort, whose classify, scatter and bucket
+  // passes are the call's regions (its scratch is placed by the passes that
+  // first write it, not by a touch region of its own). Bound to an arena of
+  // cap 2, every region the call opens must stay within its 2-wide grant: a
+  // wider one runs on workers the ledger counts as free for other callers.
   namespace trace = pstlb::trace;
   arena a(arena_cfg("cap2", 2));
   arena::scoped_bind bind(&a);
@@ -193,22 +209,36 @@ TEST_F(ArenaStress, SortRegionsStayWithinTheGrant) {
   pstlb::sort(pstlb::exec::steal_policy{4}, v.begin(), v.end());
   trace::set_enabled(false);
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
-  unsigned regions = 0;
-  for (const trace::event_ring* ring : trace::registry::instance().rings()) {
-    for (const trace::event& e : ring->snapshot()) {
-      if (e.kind != trace::event_kind::region || e.begin_ns < since) { continue; }
-      ++regions;
-      EXPECT_LE(e.arg, 2u) << "a region wider than the arena's grant";
-    }
+  EXPECT_GT(regions_within(since, 2), 0u);
+}
+
+TEST_F(ArenaStress, FirstTouchRegionsStayWithinTheGrant) {
+  // The first-touch allocator's page-touch loop is admitted like any other
+  // parallel call: bound to an arena of cap 2, a 4-wide policy's touch
+  // region must stay within the 2-wide grant.
+  namespace trace = pstlb::trace;
+  arena a(arena_cfg("cap2", 2));
+  arena::scoped_bind bind(&a);
+  const std::uint64_t since = trace::now_ns();
+  trace::set_enabled(true);
+  {
+    const std::vector<double, pstlb::numa::first_touch_allocator<
+                                  double, pstlb::exec::steal_policy>>
+        v(std::size_t{1} << 16, 0.0,
+          pstlb::numa::first_touch_allocator<double, pstlb::exec::steal_policy>{
+              pstlb::exec::steal_policy{4}});
+    EXPECT_EQ(v.size(), std::size_t{1} << 16);
   }
-  EXPECT_GT(regions, 0u);
+  trace::set_enabled(false);
+  EXPECT_GT(regions_within(since, 2), 0u);
 }
 
 TEST_F(ArenaStress, ScratchBufferOomShedsToTheStdAlgorithm) {
   // The parallel paths that stage elements through an n-element scratch
   // buffer allocate it before any element moves. Under oom:1 that
-  // allocation fails: each call must count one oom shed, throw nothing and
-  // return exactly what its std algorithm returns.
+  // allocation fails: each call, a samplesort included, must count exactly
+  // one oom shed, throw nothing and return exactly what its std algorithm
+  // returns.
   arena a(arena_cfg("scratch_oom", 8));
   arena::scoped_bind bind(&a);
   const auto policy = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
@@ -222,6 +252,12 @@ TEST_F(ArenaStress, ScratchBufferOomShedsToTheStdAlgorithm) {
   std::sort(halves.begin(), halves.begin() + n / 2);
   std::sort(halves.begin() + n / 2, halves.end());
   auto odd = [](long long x) { return x % 2 != 0; };
+  // sort and stable_sort take samplesort from sample_sort_min elements up;
+  // its two scratch buffers fail as one shed.
+  std::vector<long long> large(static_cast<std::size_t>(pstlb::detail::sample_sort_min));
+  for (std::size_t i = 0; i < large.size(); ++i) {
+    large[i] = static_cast<long long>((i * 2654435761u) % 100000);
+  }
 
   struct outcome {
     std::vector<long long> values;
@@ -291,6 +327,26 @@ TEST_F(ArenaStress, ScratchBufferOomShedsToTheStdAlgorithm) {
          auto it = par ? pstlb::unique(policy, v.begin(), v.end())
                        : std::unique(v.begin(), v.end());
          return outcome{{v.begin(), it}, it - v.begin()};
+       }},
+      {"sort",
+       [&](bool par) {
+         auto v = large;
+         if (par) {
+           pstlb::sort(policy, v.begin(), v.end());
+         } else {
+           std::sort(v.begin(), v.end());
+         }
+         return outcome{v, 0};
+       }},
+      {"stable_sort",
+       [&](bool par) {
+         auto v = large;
+         if (par) {
+           pstlb::stable_sort(policy, v.begin(), v.end());
+         } else {
+           std::stable_sort(v.begin(), v.end());
+         }
+         return outcome{v, 0};
        }},
   };
   for (const auto& [name, run] : cases) {

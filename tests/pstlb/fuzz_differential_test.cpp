@@ -154,8 +154,8 @@ TEST_P(FuzzDifferential, SamplesortPipeline) {
       auto v = input(r, 20000, mods[static_cast<std::size_t>(round) % 3]);
       auto expected = v;
       std::sort(expected.begin(), expected.end());
-      ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(
-          be, v.begin(), static_cast<index_t>(v.size()), std::less<>{}));
+      pstlb::detail::parallel_samplesort<false>(
+          be, v.begin(), static_cast<index_t>(v.size()), std::less<>{});
       ASSERT_EQ(v, expected);
 
       // Stability differential: pair each key with its original index and
@@ -168,8 +168,8 @@ TEST_P(FuzzDifferential, SamplesortPipeline) {
       auto tagged_expected = tagged;
       auto by_key = [](const auto& a, const auto& b) { return a.first < b.first; };
       std::stable_sort(tagged_expected.begin(), tagged_expected.end(), by_key);
-      ASSERT_TRUE(pstlb::detail::parallel_samplesort<true>(
-          be, tagged.begin(), static_cast<index_t>(tagged.size()), by_key));
+      pstlb::detail::parallel_samplesort<true>(
+          be, tagged.begin(), static_cast<index_t>(tagged.size()), by_key);
       ASSERT_EQ(tagged, tagged_expected);
     }
   });

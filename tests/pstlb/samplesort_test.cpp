@@ -409,8 +409,7 @@ TEST(Samplesort, TinyBucketCapRecordsTwoByteIds) {
   auto v = zipf_input(n, 11);
   auto expected = v;
   std::sort(expected.begin(), expected.end());
-  ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(be, v.begin(), n,
-                                                        std::less<>{}, params));
+  pstlb::detail::parallel_samplesort<false>(be, v.begin(), n, std::less<>{}, params);
   EXPECT_EQ(v, expected);
 }
 
@@ -439,8 +438,7 @@ TEST(Samplesort, BoundarySizes) {
     for (auto& x : v) { x = static_cast<long long>(rng() % 100); }
     auto expected = v;
     std::sort(expected.begin(), expected.end());
-    ASSERT_TRUE(pstlb::detail::parallel_samplesort<false>(be, v.begin(), n,
-                                                          std::less<>{}));
+    pstlb::detail::parallel_samplesort<false>(be, v.begin(), n, std::less<>{});
     EXPECT_EQ(v, expected) << "n=" << n;
   }
 }

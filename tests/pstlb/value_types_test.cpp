@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "pstlb/pstlb.hpp"
@@ -71,6 +74,114 @@ TEST(StringValues, SortAndUnique) {
   auto end = pstlb::unique(pol, v.begin(), v.end());
   auto expected_end = std::unique(expected.begin(), expected.end());
   EXPECT_EQ(end - v.begin(), expected_end - expected.begin());
+}
+
+TEST(StringValues, EveryScratchSiteMatchesStd) {
+  // The parallel paths that stage elements through detail::scratch_buffer
+  // get default-constructed strings there; each must return exactly what
+  // its std algorithm returns.
+  const auto pol = pstlb::test::make_eager(pstlb::backends::backend_id::steal);
+  const auto strings = [](std::size_t n) {
+    std::vector<std::string> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v.push_back("k" + std::to_string((i * 7919) % 997) + "#" + std::to_string(i));
+    }
+    return v;
+  };
+  // More than one scan chunk, so stable_partition and remove_if pack.
+  const auto input = strings(5000);
+  auto halves = input;  // two sorted runs (inplace_merge)
+  std::sort(halves.begin(), halves.begin() + 2500);
+  std::sort(halves.begin() + 2500, halves.end());
+  const auto odd = [](const std::string& s) { return s.back() % 2 != 0; };
+  // Orders by the part before '#' only, so equal keys show a stable sort's
+  // order; above sample_sort_min stable_sort takes samplesort.
+  const auto by_key = [](const std::string& a, const std::string& b) {
+    return std::string_view(a).substr(0, a.find('#')) <
+           std::string_view(b).substr(0, b.find('#'));
+  };
+  const auto large =
+      strings(static_cast<std::size_t>(pstlb::detail::sample_sort_min) + 1000);
+
+  struct outcome {
+    std::vector<std::string> values;
+    std::ptrdiff_t at = 0;  // offset of the returned iterator
+  };
+  // Each case runs the pstlb algorithm when `par` is set, else the std one.
+  const std::pair<const char*, std::function<outcome(bool)>> cases[] = {
+      {"rotate",
+       [&](bool par) {
+         auto v = input;
+         auto it = par ? pstlb::rotate(pol, v.begin(), v.begin() + 1234, v.end())
+                       : std::rotate(v.begin(), v.begin() + 1234, v.end());
+         return outcome{v, it - v.begin()};
+       }},
+      {"shift_left",
+       [&](bool par) {
+         auto v = input;
+         auto it = par ? pstlb::shift_left(pol, v.begin(), v.end(), 321)
+                       : std::shift_left(v.begin(), v.end(), 321);
+         return outcome{{v.begin(), it}, it - v.begin()};
+       }},
+      {"shift_right",
+       [&](bool par) {
+         auto v = input;
+         auto it = par ? pstlb::shift_right(pol, v.begin(), v.end(), 321)
+                       : std::shift_right(v.begin(), v.end(), 321);
+         return outcome{{it, v.end()}, it - v.begin()};
+       }},
+      {"stable_partition",
+       [&](bool par) {
+         auto v = input;
+         auto it = par ? pstlb::stable_partition(pol, v.begin(), v.end(), odd)
+                       : std::stable_partition(v.begin(), v.end(), odd);
+         return outcome{v, it - v.begin()};
+       }},
+      {"inplace_merge",
+       [&](bool par) {
+         auto v = halves;
+         if (par) {
+           pstlb::inplace_merge(pol, v.begin(), v.begin() + 2500, v.end());
+         } else {
+           std::inplace_merge(v.begin(), v.begin() + 2500, v.end());
+         }
+         return outcome{v, 0};
+       }},
+      // The tail past the returned position is unspecified; keep the kept part.
+      {"remove_if",
+       [&](bool par) {
+         auto v = input;
+         auto it = par ? pstlb::remove_if(pol, v.begin(), v.end(), odd)
+                       : std::remove_if(v.begin(), v.end(), odd);
+         return outcome{{v.begin(), it}, it - v.begin()};
+       }},
+      {"partial_sort_copy",
+       [&](bool par) {
+         std::vector<std::string> out(100);
+         auto it = par ? pstlb::partial_sort_copy(pol, input.begin(), input.end(),
+                                                  out.begin(), out.end())
+                       : std::partial_sort_copy(input.begin(), input.end(),
+                                                out.begin(), out.end());
+         return outcome{out, it - out.begin()};
+       }},
+      {"stable_sort",
+       [&](bool par) {
+         auto v = large;
+         if (par) {
+           pstlb::stable_sort(pol, v.begin(), v.end(), by_key);
+         } else {
+           std::stable_sort(v.begin(), v.end(), by_key);
+         }
+         return outcome{v, 0};
+       }},
+  };
+  for (const auto& [name, run] : cases) {
+    const outcome expected = run(false);
+    const outcome got = run(true);
+    EXPECT_EQ(got.values, expected.values) << name;
+    EXPECT_EQ(got.at, expected.at) << name;
+  }
 }
 
 struct account {

@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "pstlb/json_min.hpp"
 #include "pstlb/pstlb.hpp"
+#include "sched/arena.hpp"
 
 namespace pstlb::stats {
 namespace {
@@ -151,6 +153,31 @@ TEST_F(StatsTest, PrometheusExposition) {
             std::string::npos);
   EXPECT_NE(text.find("pstlb_latency_ns_count{op=\"reduce\"} 1"),
             std::string::npos);
+}
+
+TEST_F(StatsTest, ArenaNamesAreEscapedInBothFormats) {
+  // A quote or backslash in an arena name must not break the JSON document
+  // or the Prometheus label it is printed into.
+  const std::string name = "tenant \"a\"\\b";
+  const sched::arena tenant(sched::arena::config{name, 2});
+
+  std::ostringstream json;
+  write_json(json);
+  const json_min::value doc = json_min::parse(json.str());
+  const json_min::value* arenas = doc.find("arenas");
+  ASSERT_NE(arenas, nullptr);
+  ASSERT_EQ(arenas->t, json_min::value::type::array);
+  bool found = false;
+  for (const json_min::value& a : *arenas->arr) {
+    found = found || json_min::string_or(a.find("arena"), "") == name;
+  }
+  EXPECT_TRUE(found);
+
+  std::ostringstream prom;
+  write_prometheus(prom);
+  EXPECT_NE(prom.str().find("pstlb_arena_admitted_total{arena=\"tenant \\\"a\\\"\\\\b\"} "),
+            std::string::npos)
+      << prom.str();
 }
 
 TEST_F(StatsTest, SignalSafeDumpWritesOneLinePerLiveOp) {
