@@ -9,18 +9,15 @@
 //   stats_nested      enabled, inner call under an outer scope: depth
 //                     bookkeeping only, no clock
 //
-// The report prints ns/call for each plus a pass/fail line for the bar.
-// PSTLB_STATS_BUDGET_NS overrides the default 2 ns/call budget (slow CI
-// runners can relax it without recompiling).
+// The report prints ns/call for each plus a pass/fail line for the 2 ns/call
+// budget.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "bench_core/result_store.hpp"
-#include "pstlb/env.hpp"
 #include "trace/stats_registry.hpp"
 
 namespace pstlb::bench {
@@ -74,11 +71,8 @@ double measure_ns_per_call(bool enable, std::size_t iters) {
          static_cast<double>(iters);
 }
 
-double budget_ns() {
-  const std::string raw = pstlb::env::string_or("PSTLB_STATS_BUDGET_NS", "");
-  const double parsed = raw.empty() ? 0.0 : std::atof(raw.c_str());
-  return parsed > 0 ? parsed : 2.0;
-}
+/// The disabled hot path's ns/call budget.
+constexpr double budget_ns = 2.0;
 
 void record(const char* backend, double ns_per_call, std::size_t iters) {
   if (!results::result_store::export_enabled()) { return; }
@@ -102,7 +96,6 @@ bool report(std::ostream& os) {
   const double enabled = measure_ns_per_call(true, kIters / 10);
   record("disabled", disabled, kIters);
   record("enabled", enabled, kIters / 10);
-  const double budget = budget_ns();
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "stats registry overhead: disabled %.3f ns/call, enabled "
@@ -110,12 +103,12 @@ bool report(std::ostream& os) {
                 disabled, enabled);
   os << buf;
   std::snprintf(buf, sizeof(buf),
-                disabled <= budget
+                disabled <= budget_ns
                     ? "PASS: disabled hot path <= %.2f ns/call\n"
                     : "FAIL: disabled hot path exceeds the %.2f ns/call budget\n",
-                budget);
+                budget_ns);
   os << buf;
-  return disabled <= budget;
+  return disabled <= budget_ns;
 }
 
 }  // namespace

@@ -299,11 +299,13 @@ bool same_value(elem_t got, elem_t want, index_t n) {
 }
 
 /// One native kernel over `data` (1..n) and `out`: `run` makes the timed
-/// call and `ok` compares what it produced with the std result, which is
-/// computed once, before the reps.
+/// call, `ok` compares what it produced with the std result, which is
+/// computed once, before the reps, and `prepare` readies the input for the
+/// next call outside the timed region.
 struct native_kernel {
   std::function<void()> run;
   std::function<bool()> ok;
+  std::function<void()> prepare = [] {};
 };
 
 native_kernel make_native_kernel(const options& opt, const exec::policy& policy,
@@ -388,11 +390,11 @@ native_kernel make_native_kernel(const options& opt, const exec::policy& policy,
   }
   if (kernel == "sort") {
     std::sort(want.begin(), want.end());
-    return {[&policy, &data, n, seed = std::uint64_t{1}]() mutable {
+    return {[&policy, &data] { pstlb::sort(policy, data.begin(), data.end()); },
+            matches(data, std::move(want)),
+            [&data, n, seed = std::uint64_t{1}]() mutable {
               bench::shuffle_values(data.data(), n, seed++);
-              pstlb::sort(policy, data.begin(), data.end());
-            },
-            matches(data, std::move(want))};
+            }};
   }
   if (kernel == "copy") {
     return {[&policy, &data, &out] {
@@ -413,8 +415,9 @@ native_kernel make_native_kernel(const options& opt, const exec::policy& policy,
 }
 
 /// Times `opt.reps` calls of the kernel after one warmup. Every call's
-/// result is checked against the std result between the timed calls; a
-/// mismatch throws result_mismatch naming the kernel, backend and rep.
+/// result is checked against the std result between the timed calls, before
+/// the kernel prepares its next input; a mismatch throws result_mismatch
+/// naming the kernel, backend and rep.
 double native_median_seconds(const options& opt, const exec::policy& policy,
                              const char* backend_name = nullptr,
                              unsigned threads = 0) {
@@ -431,8 +434,13 @@ double native_median_seconds(const options& opt, const exec::policy& policy,
     }
     ++rep;
   };
-  const bench::reps_result run =
-      bench::run_reps("cli", std::max(1, opt.reps), check, kernel.run);
+  const bench::reps_result run = bench::run_reps(
+      "cli", std::max(1, opt.reps),
+      [&] {
+        check();
+        kernel.prepare();
+      },
+      kernel.run);
   check();
   if (backend_name != nullptr) {
     bench::record_native_result(opt.kernel, backend_name, opt.size, threads,

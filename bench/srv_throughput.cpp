@@ -21,14 +21,10 @@
 //   splitmix64 streams seeded per (caller, op); no wall-clock dependence in
 //   the mix.
 //
-// Arrival model: closed-loop by default (each caller issues its next request
-// the moment the previous one returns — latency can never exceed service
-// time, which *hides* queueing at saturation: coordinated omission).
-// PSTLB_SRV_ARRIVAL=open:<rate> switches to an open-loop schedule: requests
-// arrive on a fixed timetable at <rate> total ops/s split evenly (and
-// phase-staggered) across callers, and each latency is measured from the
-// request's *scheduled* arrival, so time spent queueing behind a saturated
-// ledger counts against the tail exactly as a real client would observe it.
+// Arrival model: closed loop. Each caller issues its next request the moment
+// the previous one returns, so a saturated ledger slows the callers down
+// instead of building a backlog: latencies include the admission wait but
+// not the delay an open-loop client would see (coordinated omission).
 //
 // PSTLB_BENCH_JSON exports the canonical BENCH_srv_throughput.json with
 // kernels srv_mix_p50/p95/p99 (seconds) and srv_mix_throughput (ops/s),
@@ -45,7 +41,6 @@
 
 #include "bench_core/result_store.hpp"
 #include "bench_core/wrapper.hpp"
-#include "pstlb/env.hpp"
 #include "pstlb/pstlb.hpp"
 #include "sched/arena.hpp"
 #include "sched/thread_pool.hpp"
@@ -125,35 +120,6 @@ struct sweep_point {
   std::uint64_t sheds = 0;      // arena sheds during this point
 };
 
-/// PSTLB_SRV_ARRIVAL: "closed" (default) or "open:<rate>" with <rate> the
-/// total scheduled arrival rate in ops/s across all callers.
-struct arrival_mode {
-  bool open = false;
-  double rate_ops = 0.0;
-};
-
-arrival_mode parse_arrival() {
-  arrival_mode m;
-  const std::string v = env::string_or("PSTLB_SRV_ARRIVAL", "closed");
-  if (v.rfind("open:", 0) == 0) {
-    m.rate_ops = std::strtod(v.c_str() + 5, nullptr);
-    if (m.rate_ops > 0.0) {
-      m.open = true;
-    } else {
-      std::fprintf(stderr,
-                   "srv_throughput: ignoring PSTLB_SRV_ARRIVAL=%s (rate must "
-                   "be > 0)\n",
-                   v.c_str());
-    }
-  } else if (v != "closed") {
-    std::fprintf(stderr,
-                 "srv_throughput: unknown PSTLB_SRV_ARRIVAL=%s (expected "
-                 "closed or open:<rate>), using closed\n",
-                 v.c_str());
-  }
-  return m;
-}
-
 double quantile(std::vector<double>& sorted, double q) {
   if (sorted.empty()) { return 0.0; }
   const auto rank = static_cast<std::size_t>(
@@ -161,8 +127,7 @@ double quantile(std::vector<double>& sorted, double q) {
   return sorted[rank];
 }
 
-sweep_point run_point(unsigned callers, int ops_per_caller, unsigned cap,
-                      const arrival_mode& arrival) {
+sweep_point run_point(unsigned callers, int ops_per_caller, unsigned cap) {
   sched::arena a({"srv", cap});
 
   std::vector<std::vector<double>> latencies(callers);
@@ -178,29 +143,8 @@ sweep_point run_point(unsigned callers, int ops_per_caller, unsigned cap,
       auto& mine = latencies[u];
       mine.reserve(static_cast<std::size_t>(ops_per_caller));
       long long local = 0;
-      // Open loop: this caller's requests are scheduled every
-      // callers/rate seconds, phase-staggered by caller index so the
-      // aggregate arrival process is uniform at `rate` ops/s. A request
-      // whose scheduled time has already passed starts immediately but its
-      // latency still counts from the schedule — queueing delay stays
-      // visible (no coordinated omission).
-      const double interval_s =
-          arrival.open ? static_cast<double>(callers) / arrival.rate_ops : 0.0;
-      const auto epoch =
-          wall0 + std::chrono::duration_cast<clock_type::duration>(
-                      std::chrono::duration<double>(
-                          interval_s * static_cast<double>(u) /
-                          static_cast<double>(callers)));
       for (int op = 0; op < ops_per_caller; ++op) {
-        auto t0 = clock_type::now();
-        if (arrival.open) {
-          const auto scheduled =
-              epoch + std::chrono::duration_cast<clock_type::duration>(
-                          std::chrono::duration<double>(
-                              interval_s * static_cast<double>(op)));
-          std::this_thread::sleep_until(scheduled);
-          t0 = scheduled;
-        }
+        const auto t0 = clock_type::now();
         static constexpr backends::backend_id rotation[] = {
             backends::backend_id::steal, backends::backend_id::fork_join,
             backends::backend_id::task_futures, backends::backend_id::omp_dynamic};
@@ -260,23 +204,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const arrival_mode arrival = parse_arrival();
-  if (arrival.open) {
-    std::printf(
-        "srv_throughput: open-loop Zipf request mix at %.1f ops/s scheduled "
-        "arrivals, arena cap %u, %d ops per caller\n",
-        arrival.rate_ops, cap, ops_per_caller);
-  } else {
-    std::printf(
-        "srv_throughput: closed-loop Zipf request mix, arena cap %u, %d ops "
-        "per caller\n",
-        cap, ops_per_caller);
-  }
+  std::printf(
+      "srv_throughput: closed-loop Zipf request mix, arena cap %u, %d ops "
+      "per caller\n",
+      cap, ops_per_caller);
   std::printf("%8s %14s %12s %12s %12s %8s\n", "callers", "ops/s", "p50_ms",
               "p95_ms", "p99_ms", "sheds");
 
   for (unsigned callers = 1; callers <= max_callers; callers *= 2) {
-    const sweep_point point = run_point(callers, ops_per_caller, cap, arrival);
+    const sweep_point point = run_point(callers, ops_per_caller, cap);
     std::printf("%8u %14.1f %12.3f %12.3f %12.3f %8llu\n", point.callers,
                 point.throughput_ops, point.p50_s * 1e3, point.p95_s * 1e3,
                 point.p99_s * 1e3,

@@ -9,11 +9,10 @@
 //
 // Native leg (this host): forces each compiled+detected ISA level in turn
 // and times pstlb::reduce and binary pstlb::transform (std::plus) under the
-// unseq policy at 2^24 doubles (PSTLB_TAB4_SIMD_LOG2 overrides). The
-// avx2-vs-scalar single-thread reduce/transform speedup is checked against
-// the 1.5x acceptance bar warn-only — DRAM-bound transform legitimately
-// lands near 1x on bandwidth-starved hosts; the deterministic sim leg is
-// the hard gate.
+// unseq policy at 2^24 doubles. The avx2-vs-scalar single-thread
+// reduce/transform speedup is checked against the 1.5x acceptance bar
+// warn-only — DRAM-bound transform legitimately lands near 1x on
+// bandwidth-starved hosts; the deterministic sim leg is the hard gate.
 #include "common.hpp"
 
 #include <cstdio>
@@ -24,7 +23,6 @@
 
 #include "bench_core/wrapper.hpp"
 #include "pstlb/detail/simd/isa.hpp"
-#include "pstlb/env.hpp"
 #include "pstlb/pstlb.hpp"
 
 namespace pstlb::bench {
@@ -116,7 +114,7 @@ void sim_report(std::ostream& os) {
 }
 
 void native_report(std::ostream& os) {
-  const unsigned log2n = env::unsigned_or("PSTLB_TAB4_SIMD_LOG2", 24);
+  constexpr unsigned log2n = 24;
   const index_t n = index_t{1} << log2n;
   constexpr int kReps = 5;
   std::vector<double> a(static_cast<std::size_t>(n));

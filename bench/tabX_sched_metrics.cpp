@@ -21,7 +21,6 @@
 
 #include "bench_core/report.hpp"
 #include "counters/counters.hpp"
-#include "pstlb/env.hpp"
 #include "pstlb/pstlb.hpp"
 #include "trace/sched_metrics.hpp"
 #include "trace/trace.hpp"
@@ -54,9 +53,7 @@ backend_row measure(backends::backend_id id, const std::string& name, index_t n)
     counters::region region("tabX/" + name);  // folds sched_* into markers
     run_foreach(id, n);
   }
-  backend_row row{name, trace::delta(before, trace::collect())};
-  trace::fold_into_markers("tabX/" + name + "/sched", row.window);
-  return row;
+  return {name, trace::delta(before, trace::collect())};
 }
 
 void report(std::ostream& os, const std::vector<backend_row>& rows, index_t n) {
@@ -104,9 +101,6 @@ void report(std::ostream& os, const std::vector<backend_row>& rows, index_t n) {
     mt.add_row(cells);
   }
   mt.print(os);
-  if (env::truthy("PSTLB_CSV")) {
-    t.print_csv(os);
-  }
   os << "Reading: task_futures heap-spawns one task per chunk (the HPX-like\n"
         "instruction overhead of Tab. 3); steal sheds ranges in-place and\n"
         "balances via steals; fork_join pre-slices statically and neither\n"

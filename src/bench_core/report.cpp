@@ -171,27 +171,6 @@ void table::print(std::ostream& os) const {
   crash_mark_printed();
 }
 
-namespace {
-void csv_row(std::ostream& os, const std::vector<std::string>& row) {
-  for (std::size_t c = 0; c < row.size(); ++c) {
-    if (c != 0) { os << ','; }
-    if (row[c].find(',') != std::string::npos) {
-      os << '"' << row[c] << '"';
-    } else {
-      os << row[c];
-    }
-  }
-  os << '\n';
-}
-}  // namespace
-
-void table::print_csv(std::ostream& os) const {
-  csv_row(os, header_);
-  for (const auto& row : rows_) { csv_row(os, row); }
-  os.flush();
-  crash_mark_printed();
-}
-
 std::string fmt(double value, int precision) {
   std::ostringstream ss;
   ss << std::fixed << std::setprecision(precision) << value;

@@ -23,9 +23,6 @@ class table {
   /// that dies mid-run still surfaces the measurements it completed.
   void add_row(std::vector<std::string> cells);
   void print(std::ostream& os) const;
-  /// Machine-readable form: header + rows, comma-separated, cells with
-  /// commas quoted.
-  void print_csv(std::ostream& os) const;
 
  private:
   std::string title_;

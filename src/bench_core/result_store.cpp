@@ -37,7 +37,6 @@ std::string num(double v) {
 /// measured, so they are not part of run comparability.
 constexpr std::string_view kEnvelopeExcludedKnobs[] = {
     "PSTLB_BENCH_JSON",
-    "PSTLB_STATS_BUDGET_NS",
     "PSTLB_STATS_FILE",
     "PSTLB_TRACE_FILE",
 };

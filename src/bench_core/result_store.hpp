@@ -73,8 +73,8 @@ struct run_envelope {
   std::string provider;  // active counters provider label
   std::uint64_t unix_time = 0;  // informational; never part of comparability
   /// Every set PSTLB_* knob, name -> value, sorted by name. Output-path-only
-  /// knobs (PSTLB_BENCH_JSON, PSTLB_TRACE_FILE, PSTLB_STATS_FILE,
-  /// PSTLB_STATS_BUDGET_NS) are excluded — they cannot change measurements.
+  /// knobs (PSTLB_BENCH_JSON, PSTLB_TRACE_FILE, PSTLB_STATS_FILE) are
+  /// excluded — they cannot change measurements.
   std::vector<std::pair<std::string, std::string>> knobs;
 };
 

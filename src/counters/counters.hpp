@@ -41,7 +41,7 @@ struct counter_set {
   double seconds = 0;        // region wall time
 
   // Scheduler telemetry (src/trace): filled by regions while PSTLB_TRACE is
-  // on, and by trace::fold_into_markers. Zero in trace-off runs.
+  // on. Zero in trace-off runs.
   double sched_steals_ok = 0;
   double sched_steals_failed = 0;
   double sched_tasks_spawned = 0;

@@ -32,10 +32,8 @@ std::string string_or(const char* name, std::string_view fallback) {
 
 const std::vector<std::string_view>& known_vars() {
   static const std::vector<std::string_view> vars = {
-      "PSTLB_ANALYZE",            // run the scalability advisor at exit
       "PSTLB_BENCH_JSON",         // canonical bench-result export: file or dir
       "PSTLB_COUNTERS",           // counter provider: sim | native | perf
-      "PSTLB_CSV",                // benches also print CSV tables
       "PSTLB_FAULT",              // fault injection: throw:<p>|oom:<p>|stall:<ms>|spawnfail[:<n>]
       "PSTLB_FAULT_SEED",         // fault injection: deterministic draw seed
       "PSTLB_FIG5_NATIVE_LOG2",   // fig5 native sweep: max log2 size
@@ -44,15 +42,10 @@ const std::vector<std::string_view>& known_vars() {
       "PSTLB_FIG7_NATIVE_REPS",   // fig7 native sort sweep: repetitions
       "PSTLB_SIMD",               // leaf ISA cap: auto|scalar|sse2|avx2|avx512
       "PSTLB_SIMD_VERBOSE",       // print the selected-ISA report line
-      "PSTLB_SRV_ARRIVAL",        // srv_throughput: open:<rate> open-loop mode
       "PSTLB_STATS",              // per-call latency stats registry on/off
-      "PSTLB_STATS_BUDGET_NS",    // stats-overhead microbench ns/call budget
       "PSTLB_STATS_FILE",         // stats registry JSON export path
-      "PSTLB_TAB4_SIMD_LOG2",     // tab4_simd native leg: log2 input size
       "PSTLB_TRACE",              // scheduler tracing on/off
       "PSTLB_TRACE_FILE",         // Chrome-trace/Perfetto JSON export path
-      "PSTLB_TRACE_RING",         // per-thread event-ring capacity
-      "PSTLB_WATCHDOG_EXIT",      // 0 disables the watchdog hard-exit rung
       "PSTLB_WATCHDOG_MS",        // hang watchdog stall interval (0 = off)
   };
   return vars;

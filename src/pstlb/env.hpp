@@ -1,7 +1,7 @@
 // Central registry for the library's PSTLB_* environment knobs.
 //
-// Every runtime toggle (tracing, counters provider, topology, CSV output,
-// ...) is read through these accessors so that one table — mirrored in
+// Every runtime toggle (tracing, counters provider, fault injection, ...)
+// is read through these accessors so that one table — mirrored in
 // README.md "Environment variables" — stays the single source of truth.
 // The subsystem that owns a knob reads it once, at first use (a
 // function-local static, call_once or a static-init object), or on an

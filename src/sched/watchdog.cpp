@@ -119,7 +119,7 @@ void export_trace_dump() {
     return;
   }
   const std::string path =
-      env::string_or("PSTLB_TRACE_FILE", "pstlb.watchdog.trace.json");
+      trace::env_file().empty() ? "pstlb.watchdog.trace.json" : trace::env_file();
   if (trace::write_chrome_trace_file(path)) {
     std::fprintf(stderr, "pstlb: watchdog:   Perfetto trace written to %s\n",
                  path.c_str());
@@ -184,8 +184,7 @@ void monitor_main() {
       }
       // Cancellation is cooperative; a region that still shows no progress
       // 8 intervals after being cancelled is wedged in non-cooperative code.
-      if (now - region->last_change_ms >= 8 * interval &&
-          env::string_or("PSTLB_WATCHDOG_EXIT", "1") != "0") {
+      if (now - region->last_change_ms >= 8 * interval) {
         hard_exit(s, *region, interval);
       }
     }

@@ -14,8 +14,8 @@
 //      stalls) drains and the caller gets exactly one exception;
 //   3. hard-exit — if the region still makes no progress for 8x the interval
 //      after cancellation (user code is wedged non-cooperatively), print a
-//      final diagnostic and _exit(124). PSTLB_WATCHDOG_EXIT=0 disables this
-//      last rung for processes that prefer the hang to the exit.
+//      final diagnostic and _exit(124), the code timeout(1) uses. An armed
+//      watchdog always takes this rung: a process never hangs silently.
 #pragma once
 
 #include <atomic>

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/run.hpp"
-#include "trace/trace.hpp"
 
 namespace pstlb::trace::analysis {
 
@@ -439,21 +438,6 @@ void write_text(const verdict& v, std::ostream& os) {
   }
   if (!v.detail.empty()) { os << "  detail      : " << v.detail << "\n"; }
   os << "  verdict     : " << v.summary() << "\n";
-}
-
-void report_live(std::ostream& os) {
-  std::vector<event> events;
-  std::vector<std::uint32_t> tids;
-  for (event_ring* ring : registry::instance().rings()) {
-    for (const event& e : ring->snapshot()) {
-      events.push_back(e);
-      tids.push_back(ring->id());
-    }
-  }
-  if (events.empty()) { return; }
-  const span_graph g = build_span_graph(events, tids);
-  if (g.work_ns <= 0) { return; }
-  write_text(advise(g), os);
 }
 
 }  // namespace pstlb::trace::analysis

@@ -110,9 +110,4 @@ verdict advise_model(const sim::machine& m, const sim::backend_profile& prof,
 void write_json(const verdict& v, std::ostream& os);
 void write_text(const verdict& v, std::ostream& os);
 
-/// Builds the span graph from the LIVE trace rings and prints a short text
-/// verdict — the PSTLB_ANALYZE=1 at-exit hook. No-op when no events were
-/// recorded.
-void report_live(std::ostream& os);
-
 }  // namespace pstlb::trace::analysis

@@ -142,10 +142,13 @@ bool write_chrome_trace_file(const std::string& path) {
   return os.good();
 }
 
+const std::string& env_file() {
+  static const std::string path = env::string_or("PSTLB_TRACE_FILE", "");
+  return path;
+}
+
 bool export_to_env_file() {
-  const std::string path = env::string_or("PSTLB_TRACE_FILE", "");
-  if (path.empty()) { return false; }
-  return write_chrome_trace_file(path);
+  return !env_file().empty() && write_chrome_trace_file(env_file());
 }
 
 }  // namespace pstlb::trace

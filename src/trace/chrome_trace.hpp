@@ -19,8 +19,11 @@ void write_chrome_trace(std::ostream& os);
 /// Writes the trace to `path`. Returns false when the file cannot be opened.
 bool write_chrome_trace_file(const std::string& path);
 
-/// Writes to $PSTLB_TRACE_FILE when set (the at-exit hook). Returns true
-/// when a file was written.
+/// $PSTLB_TRACE_FILE, read once; empty when unset.
+const std::string& env_file();
+
+/// Writes to env_file() when set (the at-exit hook). Returns true when a
+/// file was written.
 bool export_to_env_file();
 
 }  // namespace pstlb::trace

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "counters/counters.hpp"
-
 namespace pstlb::trace {
 
 namespace {
@@ -146,16 +144,6 @@ sched_metrics delta(const sched_metrics& before, const sched_metrics& after) {
     out.chunk_hist[b] = sat_sub(after.chunk_hist[b], before.chunk_hist[b]);
   }
   return out;
-}
-
-void fold_into_markers(const std::string& name, const sched_metrics& m) {
-  counters::counter_set sample;
-  sample.sched_steals_ok = static_cast<double>(m.steals_ok());
-  sample.sched_steals_failed = static_cast<double>(m.steals_failed());
-  sample.sched_tasks_spawned = static_cast<double>(m.tasks_spawned());
-  sample.sched_chunks = static_cast<double>(m.chunks());
-  sample.seconds = m.busy_s() + m.idle_s();
-  counters::marker_registry::instance().add(name, sample);
 }
 
 }  // namespace pstlb::trace

@@ -70,8 +70,4 @@ sched_metrics collect();
 /// are kept whole.
 sched_metrics delta(const sched_metrics& before, const sched_metrics& after);
 
-/// Folds a window into counters::marker_registry under `name` so marker
-/// tables show scheduler telemetry next to the paper's counters.
-void fold_into_markers(const std::string& name, const sched_metrics& m);
-
 }  // namespace pstlb::trace

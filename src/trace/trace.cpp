@@ -2,13 +2,10 @@
 
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <map>
 
 #include "pstlb/env.hpp"
-#include "trace/analysis/advisor.hpp"
 #include "trace/chrome_trace.hpp"
 
 namespace pstlb::trace {
@@ -28,21 +25,8 @@ std::uint64_t epoch_ns() {
   return epoch;
 }
 
-std::size_t configured_capacity() {
-  static const std::size_t capacity = [] {
-    // Every thread allocates a ring of this many events, so a typo must not
-    // size a multi-gigabyte allocation per thread: 2^20 events is the cap.
-    constexpr unsigned max_events = 1u << 20;
-    const unsigned raw = env::unsigned_or("PSTLB_TRACE_RING", 0);
-    if (raw > max_events) {
-      std::fprintf(stderr, "pstlb: PSTLB_TRACE_RING=%u clamped to %u events\n", raw,
-                   max_events);
-      return std::size_t{max_events};
-    }
-    return raw == 0 ? std::size_t{1} << 14 : static_cast<std::size_t>(raw);
-  }();
-  return capacity;
-}
+/// Events per thread ring: 2^14 slots of 48 bytes, 768 KiB per traced thread.
+constexpr std::size_t ring_capacity = std::size_t{1} << 14;
 
 std::size_t hist_bucket(std::uint64_t elems) {
   const std::size_t b =
@@ -60,14 +44,8 @@ struct env_init {
     if (env::truthy("PSTLB_TRACE")) {
       detail::g_enabled.store(true, std::memory_order_relaxed);
     }
-    if (!env::string_or("PSTLB_TRACE_FILE", "").empty()) {
+    if (!env_file().empty()) {
       std::atexit([] { export_to_env_file(); });
-    }
-    // PSTLB_ANALYZE implies tracing: capture the whole run and print the
-    // in-process scalability-advisor verdict to stderr at exit.
-    if (env::truthy("PSTLB_ANALYZE")) {
-      detail::g_enabled.store(true, std::memory_order_relaxed);
-      std::atexit([] { analysis::report_live(std::cerr); });
     }
   }
 };
@@ -151,7 +129,7 @@ registry& registry::instance() {
 
 event_ring& registry::create_ring() {
   std::lock_guard lock(mutex_);
-  auto ring = std::make_unique<event_ring>(configured_capacity());
+  auto ring = std::make_unique<event_ring>(ring_capacity);
   ring->id_ = static_cast<std::uint32_t>(rings_.size());
   rings_.push_back(std::move(ring));
   return *rings_.back();

@@ -22,7 +22,7 @@
 //   PSTLB_TRACE=1        enable at process start (tests/benches may also
 //                        toggle programmatically via set_enabled)
 //   PSTLB_TRACE_FILE=f   write a Chrome-trace/Perfetto JSON to `f` at exit
-//   PSTLB_TRACE_RING=n   per-thread ring capacity in events (default 2^14)
+// Each thread's ring holds the last 2^14 events.
 //
 // Two consumers sit on top:
 //   trace/chrome_trace — trace_event-format JSON (open in ui.perfetto.dev)
@@ -176,7 +176,7 @@ class registry {
  public:
   static registry& instance();
 
-  /// Registers a new ring with the configured default capacity.
+  /// Registers a new ring of 2^14 events.
   event_ring& create_ring();
 
   /// Stable snapshot of all rings (rings are never destroyed).

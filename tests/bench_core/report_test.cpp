@@ -21,15 +21,6 @@ TEST(Report, TablePrintsHeaderAndRows) {
   EXPECT_NE(out.find("7.3"), std::string::npos);
 }
 
-TEST(Report, CsvOutputQuotesCommas) {
-  table t("csv");
-  t.set_header({"backend", "values"});
-  t.add_row({"GCC-TBB", "1,2,3"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "backend,values\nGCC-TBB,\"1,2,3\"\n");
-}
-
 TEST(Report, FmtRoundsToPrecision) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(10.0, 1), "10.0");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <iterator>
 #include <numeric>
@@ -10,6 +11,7 @@
 
 #include "pstlb/detail/sort_stats.hpp"
 #include "pstlb/pstlb.hpp"
+#include "sched/arena.hpp"
 #include "support/policies.hpp"
 
 namespace {
@@ -200,6 +202,30 @@ PSTLB_POLICY_TEST(SortAlgos, CutoffSortsSequentiallyBeforeAdmission) {
                    n == cutoff ? "untouched" : "merge")
           << "n=" << n << " stable=" << stable;
     }
+  }
+}
+
+TEST(PartialSortCopyAdmission, SmallKSkipsAdmission) {
+  // A k of at most n / partial_sort_copy_seq_ratio runs
+  // std::partial_sort_copy on its caller at any width, so it takes no ledger
+  // grant; one output slot more sorts a copy of the input under one grant.
+  // A fixed 4-wide steal policy is execution::par's backend on any host.
+  const pstlb::exec::policy par = pstlb::exec::steal_policy{4};
+  auto& arena = pstlb::sched::arena::default_arena();
+  constexpr index_t n = index_t{1} << 16;
+  constexpr index_t small_k = n / pstlb::detail::partial_sort_copy_seq_ratio;
+  const auto v = make_shuffled(n, 5);
+  for (index_t k : {small_k, small_k + 1}) {
+    const std::uint64_t grants = k > small_k ? 1 : 0;
+    std::vector<int> out(static_cast<std::size_t>(k), -1);
+    std::vector<int> expected(out.size());
+    std::partial_sort_copy(v.begin(), v.end(), expected.begin(), expected.end());
+    const std::uint64_t before = arena.snapshot().admitted;
+    const auto end =
+        pstlb::partial_sort_copy(par, v.begin(), v.end(), out.begin(), out.end());
+    EXPECT_EQ(arena.snapshot().admitted, before + grants) << "k=" << k;
+    EXPECT_EQ(end, out.end()) << "k=" << k;
+    EXPECT_EQ(out, expected) << "k=" << k;
   }
 }
 

@@ -304,9 +304,11 @@ TEST_F(ArenaStress, ScratchBufferOomShedsToTheStdAlgorithm) {
          }
          return outcome{v, 0};
        }},
+      // k = 1000 is above n / partial_sort_copy_seq_ratio, so the call sorts
+      // a copy of the input instead of running std::partial_sort_copy.
       {"partial_sort_copy",
        [&](bool par) {
-         std::vector<long long> out(100);
+         std::vector<long long> out(1000);
          auto it = par ? pstlb::partial_sort_copy(policy, input.begin(), input.end(),
                                                   out.begin(), out.end())
                        : std::partial_sort_copy(input.begin(), input.end(),

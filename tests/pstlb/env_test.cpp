@@ -82,9 +82,9 @@ TEST(EnvAccessors, StringOr) {
 TEST(KnownVars, SortedAndCoversTheDocumentedKnobs) {
   const auto& vars = known_vars();
   EXPECT_TRUE(std::is_sorted(vars.begin(), vars.end()));
-  EXPECT_EQ(vars.size(), 22u);
-  for (const char* expected : {"PSTLB_COUNTERS", "PSTLB_CSV", "PSTLB_TRACE",
-                               "PSTLB_TRACE_FILE", "PSTLB_TRACE_RING"}) {
+  EXPECT_EQ(vars.size(), 15u);
+  for (const char* expected : {"PSTLB_COUNTERS", "PSTLB_STATS", "PSTLB_TRACE",
+                               "PSTLB_TRACE_FILE", "PSTLB_WATCHDOG_MS"}) {
     EXPECT_NE(std::find(vars.begin(), vars.end(), expected), vars.end())
         << expected << " missing from known_vars()";
   }
@@ -125,14 +125,23 @@ TEST(CheckNames, KnownVariablesPass) {
 
 TEST(CheckNames, DeletedKnobsAreUnknown) {
   // Knobs that became constants or policy fields, the arena knobs the one
-  // admission ledger replaced, and the topology override that went with
-  // native locality stealing warn like any other unknown name.
-  const auto unknown = check_names(
-      {"PSTLB_SORT", "PSTLB_SCAN_CHUNK", "PSTLB_STEAL_LOCALITY",
-       "PSTLB_NUMA_SCATTER", "PSTLB_COUNTER_SAMPLE_MS", "PSTLB_ARENA",
-       "PSTLB_ARENA_CAP", "PSTLB_ARENA_MAX_PENDING", "PSTLB_ARENA_DEADLINE_MS",
-       "PSTLB_TOPOLOGY"});
-  EXPECT_EQ(unknown.size(), 10u);
+  // admission ledger replaced, the topology override that went with native
+  // locality stealing, and the seven knobs that no run set (the live
+  // advisor, CSV tables, srv_throughput's open loop, the stats budget,
+  // tab4_simd's size, the ring capacity and the hard-exit opt-out) warn
+  // like any other unknown name.
+  const std::vector<std::string> deleted = {
+      "PSTLB_SORT", "PSTLB_SCAN_CHUNK", "PSTLB_STEAL_LOCALITY",
+      "PSTLB_NUMA_SCATTER", "PSTLB_COUNTER_SAMPLE_MS", "PSTLB_ARENA",
+      "PSTLB_ARENA_CAP", "PSTLB_ARENA_MAX_PENDING", "PSTLB_ARENA_DEADLINE_MS",
+      "PSTLB_TOPOLOGY", "PSTLB_ANALYZE", "PSTLB_CSV", "PSTLB_SRV_ARRIVAL",
+      "PSTLB_STATS_BUDGET_NS", "PSTLB_TAB4_SIMD_LOG2", "PSTLB_TRACE_RING",
+      "PSTLB_WATCHDOG_EXIT"};
+  const auto unknown = check_names(deleted);
+  ASSERT_EQ(unknown.size(), deleted.size());
+  for (std::size_t i = 0; i < deleted.size(); ++i) {
+    EXPECT_EQ(unknown[i].name, deleted[i]);
+  }
 }
 
 TEST(CheckNames, NonPstlbNamesAreIgnored) {
@@ -162,7 +171,7 @@ TEST(CheckNames, FarFromEverythingGetsNoSuggestion) {
 
 TEST(CheckNames, MixedListFlagsOnlyTheUnknowns) {
   const auto unknown = check_names(
-      {"PSTLB_TRACE", "PSTLB_COUNTER", "HOME", "PSTLB_CSV", "PSTLB_TRACE_FIL"});
+      {"PSTLB_TRACE", "PSTLB_COUNTER", "HOME", "PSTLB_SIMD", "PSTLB_TRACE_FIL"});
   ASSERT_EQ(unknown.size(), 2u);
   EXPECT_EQ(unknown[0].name, "PSTLB_COUNTER");
   EXPECT_EQ(unknown[0].suggestion, "PSTLB_COUNTERS");

@@ -1,6 +1,7 @@
 // Fault-injection and hang-watchdog coverage: injected stalls must trip the
 // watchdog within its contract (detection + cooperative cancellation inside
-// 2x PSTLB_WATCHDOG_MS, diagnostics naming the stalled worker), injected
+// 2x PSTLB_WATCHDOG_MS, diagnostics naming the stalled worker), a chunk that
+// ignores cancellation must end the process with exit code 124, injected
 // allocation failures must propagate cleanly out of the NUMA allocators, and
 // the PSTLB_FAULT grammar must reject garbage.
 #include <gtest/gtest.h>
@@ -233,6 +234,30 @@ TEST_F(FaultWatchdog, StalledNestedChunkGivesTheOutermostCallerOneTimeout) {
   EXPECT_EQ(others, 0);
   EXPECT_GT(watchdog::fired_count(), fired_before);
   EXPECT_LT(elapsed, std::chrono::milliseconds(6 * interval_ms)) << "the stall was not cancelled";
+}
+
+TEST_F(FaultWatchdog, ChunkThatIgnoresCancellationHardExitsWith124) {
+  // Both chunks sleep in 1 ms steps for up to 30 s and never poll the
+  // cancel token, so the region stays silent after the watchdog cancels it.
+  // 8 intervals later the watchdog ends the process with timeout(1)'s exit
+  // code instead of letting it hang. The threadsafe style re-executes the
+  // test binary for the child, so the parent's pool threads do not matter.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  constexpr unsigned interval_ms = 50;
+  EXPECT_EXIT(
+      {
+        watchdog::set_timeout_ms(interval_ms);
+        const auto policy =
+            pstlb::test::make_eager(pstlb::backends::backend_id::fork_join, 2, 1);
+        std::vector<int> v(2, 0);
+        pstlb::for_each(policy, v.begin(), v.end(), [](int&) {
+          const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (std::chrono::steady_clock::now() < until) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        });
+      },
+      ::testing::ExitedWithCode(124), "exiting to avoid a silent hang");
 }
 
 }  // namespace

@@ -156,9 +156,11 @@ TEST(StringValues, EveryScratchSiteMatchesStd) {
                        : std::remove_if(v.begin(), v.end(), odd);
          return outcome{{v.begin(), it}, it - v.begin()};
        }},
+      // k = 1000 is above n / partial_sort_copy_seq_ratio, so the call sorts
+      // a copy of the input instead of running std::partial_sort_copy.
       {"partial_sort_copy",
        [&](bool par) {
-         std::vector<std::string> out(100);
+         std::vector<std::string> out(1000);
          auto it = par ? pstlb::partial_sort_copy(pol, input.begin(), input.end(),
                                                   out.begin(), out.end())
                        : std::partial_sort_copy(input.begin(), input.end(),

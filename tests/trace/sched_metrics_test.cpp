@@ -111,23 +111,6 @@ TEST_F(TracedTest, RegionCapturesSchedDelta) {
   EXPECT_DOUBLE_EQ(it->second.total.sched_tasks_spawned, 0.0);
 }
 
-TEST_F(TracedTest, FoldIntoMarkersPublishesSchedColumns) {
-  counters::marker_registry::instance().reset();
-  const backends::backend be = backends::fork_join_backend(2);
-  std::vector<double> data(1 << 13, 1.0);
-  be.for_blocks(static_cast<index_t>(data.size()), 1 << 12, nullptr,
-                [&](index_t b, index_t e, unsigned) {
-                  for (index_t i = b; i < e; ++i) {
-                    data[static_cast<std::size_t>(i)] += 1.0;
-                  }
-                });
-  fold_into_markers("sched-window", window());
-  const auto stats = counters::marker_registry::instance().snapshot();
-  const auto it = stats.find("sched-window");
-  ASSERT_NE(it, stats.end());
-  EXPECT_GT(it->second.total.sched_chunks, 0.0);
-}
-
 TEST(SchedMetricsMath, PercentilesFromHistogram) {
   sched_metrics m;
   m.chunk_hist[10] = 90;  // 90 chunks of ~2^10
