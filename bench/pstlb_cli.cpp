@@ -166,7 +166,7 @@ void print_usage() {
       "                         transform count min_element exclusive_scan\n"
       "  --backend=NAME         sim: GCC-SEQ GCC-TBB GCC-GNU GCC-HPX ICC-TBB\n"
       "                              NVC-OMP   (default: all)\n"
-      "                         native: seq fork_join omp omp_dyn steal futures\n"
+      "                         native: seq fork_join omp_dyn steal futures\n"
       "  --threads=N            participants (default: machine cores / env)\n"
       "  --size=N|2^K           elements (default 2^20)\n"
       "  --k_it=N               for_each inner-loop iterations (default 1)\n"
@@ -728,11 +728,10 @@ int run_analyze(const options& opt) {
                 "%zu thread labels, %zu counter tracks\n",
                 parsed.events.size(), parsed.total_objects, parsed.unparsed,
                 parsed.thread_names.size(), parsed.counters.size());
-    std::printf("graph    : %zu nodes, %zu edges; %llu steals "
-                "(%llu remote), %llu spawns, %llu splits\n",
+    std::printf("graph    : %zu nodes, %zu edges; %llu steals, "
+                "%llu spawns, %llu splits\n",
                 g.nodes.size(), g.edges.size(),
                 static_cast<unsigned long long>(g.steals),
-                static_cast<unsigned long long>(g.remote_steals),
                 static_cast<unsigned long long>(g.spawns),
                 static_cast<unsigned long long>(g.splits));
     trace::analysis::write_text(v, std::cout);

@@ -36,7 +36,7 @@ void run_sequential(const sched::loop_context& ctx) {
   }
 }
 
-/// fork_join, omp_static and omp_dynamic: one thread_pool region. Each
+/// fork_join and omp_dynamic: one thread_pool region. Each
 /// participant claims chunks either as its even share of the chunk ids
 /// (static) or from one shared cursor (dynamic).
 void run_region(const sched::loop_context& ctx, unsigned threads, bool dynamic) {

@@ -5,8 +5,9 @@
 //
 //   seq          — GCC-SEQ baseline: blocks run in order on the caller
 //   fork_join    — GNU/OpenMP static scheduling: one thread_pool region,
-//   omp_static     each participant runs an even share of the chunks
-//                  (NVC-OMP is the same model under another policy profile)
+//                  each participant runs an even share of the chunks
+//                  (NVC-OMP is this engine under another policy profile,
+//                  exec::omp_static_policy)
 //   omp_dynamic  — OpenMP schedule(dynamic): the same region, but chunks are
 //                  claimed from one shared cursor
 //   steal        — TBB-style work stealing with lazy binary splitting
@@ -29,7 +30,11 @@
 
 namespace pstlb::backends {
 
-enum class backend_id { seq, fork_join, omp_static, omp_dynamic, steal, task_futures };
+/// Ids keep the numbers they had while NVC-OMP was an engine of its own (2,
+/// now exec::omp_static_policy over fork_join), so a recorded id, such as
+/// the raw bytes gtest prints in a parameterized test's name, still names
+/// the same engine.
+enum class backend_id { seq, fork_join, omp_dynamic = 3, steal, task_futures };
 
 class backend;
 

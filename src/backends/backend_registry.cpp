@@ -5,12 +5,11 @@
 namespace pstlb::backends {
 
 namespace {
-constexpr std::array par_ids{backend_id::fork_join, backend_id::omp_static,
+constexpr std::array par_ids{backend_id::fork_join, backend_id::omp_dynamic,
+                             backend_id::steal, backend_id::task_futures};
+constexpr std::array all_ids{backend_id::seq, backend_id::fork_join,
                              backend_id::omp_dynamic, backend_id::steal,
                              backend_id::task_futures};
-constexpr std::array all_ids{backend_id::seq, backend_id::fork_join,
-                             backend_id::omp_static, backend_id::omp_dynamic,
-                             backend_id::steal, backend_id::task_futures};
 }  // namespace
 
 std::span<const backend_id> parallel_backends() { return par_ids; }
@@ -20,7 +19,6 @@ std::string_view name_of(backend_id id) {
   switch (id) {
     case backend_id::seq: return "seq";
     case backend_id::fork_join: return "fork_join";
-    case backend_id::omp_static: return "omp";
     case backend_id::omp_dynamic: return "omp_dyn";
     case backend_id::steal: return "steal";
     case backend_id::task_futures: return "futures";

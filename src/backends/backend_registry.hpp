@@ -5,11 +5,15 @@
 // matching policy value):
 //
 //   "seq"       -> backend_id::seq           (GCC-SEQ)
-//   "fork_join" -> backend_id::fork_join     (GCC-GNU)
-//   "omp"       -> backend_id::omp_static    (NVC-OMP)
+//   "fork_join" -> backend_id::fork_join     (GCC-GNU; NVC-OMP is its
+//                                             omp_static_policy profile)
 //   "omp_dyn"   -> backend_id::omp_dynamic   (extension: dynamic schedule)
 //   "steal"     -> backend_id::steal         (GCC-TBB / ICC-TBB)
 //   "futures"   -> backend_id::task_futures  (GCC-HPX)
+//
+// backend_registry.cpp is the one list of engines: the CLI and the
+// engine-parameterized tests iterate all_backends() or parallel_backends()
+// instead of spelling ids by hand.
 #pragma once
 
 #include <span>

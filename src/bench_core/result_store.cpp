@@ -98,10 +98,9 @@ run_envelope current_envelope(std::string suite) {
   }
 
   const numa::topology_info& info = numa::topology();
-  const numa::topology_tree& tree = numa::tree();
   std::ostringstream topo;
-  topo << "nodes=" << tree.nodes << " llcs=" << tree.llcs
-       << " cores=" << tree.cores << " cpus=" << tree.cpus
+  topo << "nodes=" << info.nodes << " llcs=" << info.llcs
+       << " cores=" << info.cores << " cpus=" << info.cpus
        << " page=" << info.page_size;
   e.topology = topo.str();
 

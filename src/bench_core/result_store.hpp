@@ -79,8 +79,8 @@ struct run_envelope {
 };
 
 /// Envelope for the current process (topology fingerprint from
-/// numa::topology/tree, provider from counters, knobs from the env
-/// registry). `suite` is caller-provided.
+/// numa::topology, provider from counters, knobs from the env registry).
+/// `suite` is caller-provided.
 run_envelope current_envelope(std::string suite);
 
 /// A complete result document: one envelope + all results of one run.

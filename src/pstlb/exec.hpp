@@ -16,7 +16,8 @@
 //                      parallel mode's "sequential below 2^10" heuristic)
 //   steal_policy       GCC-TBB / ICC-TBB (work stealing, lazy splitting)
 //   task_policy        GCC-HPX (per-chunk futures through a central queue)
-//   omp_static_policy  NVC-OMP (fork-join with no fallback threshold)
+//   omp_static_policy  NVC-OMP (the fork_join engine with no fallback
+//                      threshold: a profile, not an engine of its own)
 //   omp_dynamic_policy extension: OpenMP schedule(dynamic) semantics
 #pragma once
 
@@ -60,8 +61,8 @@ inline policy make_policy(backends::backend_id id, unsigned threads = 0) {
   p.backend = id;
   if (threads != 0) { p.threads = threads; }
   // fork_join keeps GNU parallel mode's "sequential below 2^10" rule and
-  // every other profile the defaults. omp_static (NVC-OMP) is the same
-  // fork-join engine with no fallback threshold. NVC-OMP's sequential
+  // every other profile the defaults. omp_static_policy (NVC-OMP) is the
+  // same engine with no fallback threshold. NVC-OMP's sequential
   // inclusive_scan (Section 5.4) and GCC-GNU's one-round R-way merge
   // (Section 5.6) are modelled by the sim, not natively.
   if (id == backends::backend_id::fork_join) { p.seq_threshold = index_t{1} << 10; }
@@ -77,7 +78,11 @@ struct preset : policy {
 };
 
 using fork_join_policy = preset<backends::backend_id::fork_join>;
-using omp_static_policy = preset<backends::backend_id::omp_static>;
+/// NVC-OMP: the fork_join engine without GNU's sequential cutoff.
+struct omp_static_policy : fork_join_policy {
+  omp_static_policy() { seq_threshold = 0; }
+  explicit omp_static_policy(unsigned t) : omp_static_policy() { threads = t; }
+};
 /// Extension beyond the paper's set: dynamically-claimed chunks over the
 /// fork-join pool (OpenMP schedule(dynamic) semantics).
 using omp_dynamic_policy = preset<backends::backend_id::omp_dynamic>;

@@ -287,24 +287,17 @@ verdict advise(const span_graph& g, const advice_hints& hints) {
     v.steal_wait_frac = g.critical_steal_wait_ns / crit_wall;
     v.queue_wait_frac = g.critical_queue_wait_ns / crit_wall;
   }
-  if (g.steals > 0) {
-    v.remote_steal_frac =
-        static_cast<double>(g.remote_steals) / static_cast<double>(g.steals);
-  }
   if (hints.bytes_moved > 0 && hints.wall_s > 0 && hints.peak_bw_gbs > 0) {
     v.achieved_bw_frac =
         hints.bytes_moved / hints.wall_s / 1e9 / hints.peak_bw_gbs;
   }
 
   if (v.achieved_bw_frac > 0.5) {
-    v.bound = v.remote_steal_frac > 0.3 ? bound_kind::remote_traffic_bound
-                                        : bound_kind::memory_bound;
+    v.bound = bound_kind::memory_bound;
   } else if (v.steal_wait_frac + v.queue_wait_frac > 0.3) {
     v.bound = bound_kind::scheduler_bound;
   } else if (v.lookback_wait_frac > 0.3) {
     v.bound = bound_kind::span_bound;
-  } else if (v.remote_steal_frac > 0.3 && g.remote_steals >= 16) {
-    v.bound = bound_kind::remote_traffic_bound;
   } else if (v.threads_observed >= 2 &&
              v.max_speedup < 0.5 * static_cast<double>(v.threads_observed)) {
     v.bound = bound_kind::span_bound;
@@ -405,7 +398,6 @@ void write_json(const verdict& v, std::ostream& os) {
   os << ",\"waits\":{\"lookback_frac\":" << json_num(v.lookback_wait_frac)
      << ",\"steal_frac\":" << json_num(v.steal_wait_frac)
      << ",\"queue_frac\":" << json_num(v.queue_wait_frac) << "}";
-  os << ",\"remote_steal_frac\":" << json_num(v.remote_steal_frac);
   os << ",\"achieved_bw_frac\":" << json_num(v.achieved_bw_frac);
   os << ",\"threads_observed\":" << v.threads_observed;
   os << "}\n";
@@ -428,12 +420,6 @@ void write_text(const verdict& v, std::ostream& os) {
                   "  waits       : lookback %.0f%%  steal %.0f%%  queue %.0f%%\n",
                   v.lookback_wait_frac * 100, v.steal_wait_frac * 100,
                   v.queue_wait_frac * 100);
-    os << buf;
-  }
-  if (v.remote_steal_frac > 0) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "  remote steal: %.0f%%\n",
-                  v.remote_steal_frac * 100);
     os << buf;
   }
   if (!v.detail.empty()) { os << "  detail      : " << v.detail << "\n"; }

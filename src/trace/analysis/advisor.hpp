@@ -5,10 +5,9 @@
 // Two front doors produce the same `verdict`:
 //
 //   advise(span_graph, hints)   trace side: Brent's bound from the causal
-//                               DAG (T1/T-inf), critical-path wait shares,
-//                               remote-steal fraction; optional counter
-//                               hints (achieved GB/s, IPC) sharpen the
-//                               memory-bound call.
+//                               DAG (T1/T-inf) and critical-path wait
+//                               shares; optional counter hints (achieved
+//                               GB/s, IPC) sharpen the memory-bound call.
 //
 //   advise_model(...)           model side: a closed-form mirror of
 //                               sim::simulate_cpu's scheduling/bandwidth
@@ -41,6 +40,7 @@ enum class bound_kind : std::uint8_t {
   span_bound,            // the critical path itself is too long (T1/T-inf)
   scheduler_bound,       // fork/queue/steal overhead dominates
   remote_traffic_bound,  // memory-bound *and* the traffic crosses nodes
+                         // (model side only: a trace cannot tell)
 };
 
 std::string_view bound_kind_name(bound_kind b) noexcept;
@@ -67,7 +67,6 @@ struct verdict {
   double lookback_wait_frac = 0;  // of the critical path's wall length
   double steal_wait_frac = 0;
   double queue_wait_frac = 0;
-  double remote_steal_frac = 0;   // remote steals / successful steals
   double achieved_bw_frac = 0;    // achieved GB/s over machine peak
 
   unsigned threads_observed = 0;  // trace side: tids that did work

@@ -126,7 +126,6 @@ span_graph build_span_graph(const std::vector<event>& events,
         break;
       case event_kind::steal_ok:
         ++g.steals;
-        if ((e.arg & steal_remote_bit) != 0) { ++g.remote_steals; }
         steal_instants.push_back({e.begin_ns, tid, e.link, e.arg});
         break;
       case event_kind::idle:

@@ -115,7 +115,6 @@ struct span_graph {
 
   unsigned threads_observed = 0;  // distinct tids with work nodes
   std::uint64_t steals = 0;
-  std::uint64_t remote_steals = 0;
   std::uint64_t spawns = 0;
   std::uint64_t splits = 0;
   double idle_ns_total = 0;  // summed idle spans (scheduler wait)

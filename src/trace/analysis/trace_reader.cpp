@@ -95,17 +95,11 @@ bool consume_element(const json_value& el, parsed_trace& out) {
                  : e.begin_ns;
   if (args != nullptr) {
     e.link = static_cast<std::uint64_t>(number_or(args->find("link"), 0));
-    if (e.kind == event_kind::steal_ok) {
-      const std::uint64_t victim =
-          static_cast<std::uint64_t>(number_or(args->find("victim"), 0));
-      const json_value* remote = args->find("remote");
-      e.arg = victim | (remote != nullptr && remote->b ? steal_remote_bit : 0);
-    } else {
-      const json_value* arg = args->find("elems");
-      if (arg == nullptr) { arg = args->find("phase"); }
-      if (arg == nullptr) { arg = args->find("arg"); }
-      e.arg = static_cast<std::uint64_t>(number_or(arg, 0));
-    }
+    const json_value* arg = args->find("victim");
+    if (arg == nullptr) { arg = args->find("elems"); }
+    if (arg == nullptr) { arg = args->find("phase"); }
+    if (arg == nullptr) { arg = args->find("arg"); }
+    e.arg = static_cast<std::uint64_t>(number_or(arg, 0));
   }
   out.events.push_back(e);
   out.tids.push_back(tid);

@@ -65,10 +65,7 @@ void write_event(std::ostream& os, const event& e, std::uint32_t tid) {
   }
   os << ",\"args\":{\"";
   if (e.kind == event_kind::steal_ok) {
-    // Victim tid plus the steal_remote_bit tag. Native steals are uniform
-    // and always write false; the arg keeps the format imported traces use.
-    os << "victim\":" << (e.arg & 0xFFFFFFFFull) << ",\"remote\":"
-       << (((e.arg & steal_remote_bit) != 0) ? "true" : "false");
+    os << "victim\":" << e.arg;
     if (e.link != 0) { os << ",\"link\":" << e.link; }
     os << "}}";
     return;

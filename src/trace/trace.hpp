@@ -231,12 +231,6 @@ inline void record_span(pool_id p, event_kind k, std::uint64_t begin_ns,
   detail::record_span_slow(p, k, begin_ns, now_ns(), arg, link);
 }
 
-/// Steal-event arg layout: low 32 bits hold the victim tid; bit 32 marks a
-/// cross-NUMA-node (remote) steal. The native steal rule picks victims
-/// uniformly and never sets it; imported traces (trace_reader's `remote`
-/// arg) may, and span_graph counts them.
-inline constexpr std::uint64_t steal_remote_bit = std::uint64_t{1} << 32;
-
 /// A successful steal is a ring event and a count; a failed one is only
 /// counted (`steals_failed`): a thief retries until the loop drains, so its
 /// failures would flood the ring, and the idle span around them already

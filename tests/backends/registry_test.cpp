@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "pstlb/pstlb.hpp"
@@ -33,6 +34,32 @@ TEST(BackendRegistry, MakePolicyDispatchesEveryBackend) {
     EXPECT_DOUBLE_EQ(pstlb::reduce(policy, v.begin(), v.end(), 0.0), expected)
         << name_of(id);
   }
+}
+
+/// A policy's five fields: (backend, threads, grain, seq_threshold, unseq).
+using fields_t = std::tuple<backend_id, unsigned, index_t, index_t, bool>;
+
+fields_t fields(const exec::policy& p) {
+  return {p.backend, p.threads, p.grain, p.seq_threshold, p.unseq};
+}
+
+TEST(PolicyProfiles, PresetsMapToEngines) {
+  const unsigned d = exec::default_threads();
+  const index_t gnu_cutoff = index_t{1} << 10;
+  // NVC-OMP is GCC-GNU's fork_join engine without the sequential cutoff.
+  EXPECT_EQ(fields(exec::omp_static_policy{4}),
+            fields_t(backend_id::fork_join, 4, 0, 0, false));
+  EXPECT_EQ(fields(exec::omp_static_policy{}),
+            fields_t(backend_id::fork_join, d, 0, 0, false));
+  EXPECT_EQ(fields(exec::fork_join_policy{4}),
+            fields_t(backend_id::fork_join, 4, 0, gnu_cutoff, false));
+  EXPECT_EQ(fields(exec::omp_dynamic_policy{4}),
+            fields_t(backend_id::omp_dynamic, 4, 0, 0, false));
+  EXPECT_EQ(fields(exec::steal_policy{4}), fields_t(backend_id::steal, 4, 0, 0, false));
+  EXPECT_EQ(fields(exec::task_policy{4}),
+            fields_t(backend_id::task_futures, 4, 0, 0, false));
+  EXPECT_EQ(fields(execution::par), fields_t(backend_id::steal, d, 0, 0, false));
+  EXPECT_EQ(fields(execution::par_unseq), fields_t(backend_id::steal, d, 0, 0, true));
 }
 
 TEST(BackendRegistry, ZeroThreadsMeansEnvironmentDefault) {

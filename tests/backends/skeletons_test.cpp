@@ -377,15 +377,13 @@ TEST(FitGrain, KeepsEveryLoopWithinThirtyTwoBitChunkIds) {
 TEST(StaticClaimRule, SharesDifferByAtMostOneChunk) {
   // 25 one-element chunks on 4 participants: 7, 6, 6, 6 — participant t owns
   // its share of the chunk ids, so the counts are exact.
-  for (const backend_id id : {backend_id::fork_join, backend_id::omp_static}) {
-    std::array<std::atomic<int>, 4> per_tid{};
-    parallel_for(backend(id, 4), index_t{25}, index_t{1},
-                 [&](index_t b, index_t e, unsigned tid) {
-                   per_tid[tid].fetch_add(static_cast<int>(e - b));
-                 });
-    EXPECT_EQ(per_tid[0].load(), 7) << name_of(id);
-    for (unsigned t = 1; t < 4; ++t) { EXPECT_EQ(per_tid[t].load(), 6) << name_of(id); }
-  }
+  std::array<std::atomic<int>, 4> per_tid{};
+  parallel_for(fork_join_backend(4), index_t{25}, index_t{1},
+               [&](index_t b, index_t e, unsigned tid) {
+                 per_tid[tid].fetch_add(static_cast<int>(e - b));
+               });
+  EXPECT_EQ(per_tid[0].load(), 7);
+  for (unsigned t = 1; t < 4; ++t) { EXPECT_EQ(per_tid[t].load(), 6); }
 }
 
 TEST(StaticClaimRule, CoarseGrainStillGivesEveryParticipantASlice) {

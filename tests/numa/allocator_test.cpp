@@ -13,8 +13,10 @@ namespace {
 TEST(Topology, ReportsSaneValues) {
   const auto& info = topology();
   EXPECT_GE(info.page_size, 1024u);
-  EXPECT_GE(info.numa_nodes, 1u);
+  EXPECT_GE(info.nodes, 1u);
+  EXPECT_GE(info.llcs, 1u);
   EXPECT_GE(info.cores, 1u);
+  EXPECT_GE(info.cpus, info.cores);
 }
 
 TEST(FirstTouchAllocator, VectorWorksEndToEnd) {

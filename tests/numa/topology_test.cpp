@@ -11,17 +11,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-TEST(TopologySpec, FlatTreeIsFlat) {
-  const topology_tree t = flat_tree(8);
-  EXPECT_EQ(t.cpus, 8u);
-  EXPECT_TRUE(t.flat());
-  EXPECT_EQ(t.node_of_cpu[7], 0u);
-}
-
 // ------------------------------------------------------------ sysfs discovery
 
 /// Builds a sysfs-shaped fixture tree: `nodes` NUMA nodes, `cpus_per_node`
-/// cpus each, one LLC per node, no SMT. Layout matches what discover_tree
+/// cpus each, one LLC per node, no SMT. Layout matches what discover_topology
 /// reads from /sys/devices/system.
 class SysfsFixture {
  public:
@@ -58,14 +51,25 @@ class SysfsFixture {
   fs::path root_;
 };
 
+TEST(TopologySpec, FlatTreeIsFlat) {
+  // A root with no cpu or node entries: the cpu fallback, one node, one
+  // LLC, and every cpu its own core.
+  SysfsFixture fx("pstlb_topo_empty");
+  const topology_info t = discover_topology(fx.root(), 8);
+  EXPECT_EQ(t.cpus, 8u);
+  EXPECT_EQ(t.nodes, 1u);
+  EXPECT_EQ(t.llcs, 1u);
+  EXPECT_EQ(t.cores, 8u);
+}
+
 TEST(TopologyDiscover, SingleNodeTree) {
   SysfsFixture fx("pstlb_topo_1node");
   for (unsigned c = 0; c < 4; ++c) { fx.add_cpu(c, "0-3", ""); }
-  const topology_tree t = discover_tree(fx.root(), 1);
+  const topology_info t = discover_topology(fx.root(), 1);
   EXPECT_EQ(t.cpus, 4u);
   EXPECT_EQ(t.nodes, 1u);
   EXPECT_EQ(t.llcs, 1u);
-  EXPECT_TRUE(t.flat());
+  EXPECT_EQ(t.cores, 4u);
 }
 
 TEST(TopologyDiscover, TwoNodeTree) {
@@ -76,14 +80,11 @@ TEST(TopologyDiscover, TwoNodeTree) {
   fx.add_cpu(1, "0-1", "1");
   fx.add_cpu(2, "2-3", "2");
   fx.add_cpu(3, "2-3", "3");
-  const topology_tree t = discover_tree(fx.root(), 1);
+  const topology_info t = discover_topology(fx.root(), 1);
   EXPECT_EQ(t.cpus, 4u);
   EXPECT_EQ(t.nodes, 2u);
   EXPECT_EQ(t.llcs, 2u);
   EXPECT_EQ(t.cores, 4u);
-  EXPECT_EQ(t.node_of_cpu, (std::vector<unsigned>{0, 0, 1, 1}));
-  EXPECT_NE(t.llc_of_cpu[0], t.llc_of_cpu[2]);
-  EXPECT_FALSE(t.flat());
 }
 
 TEST(TopologyDiscover, EightNodeTreeWithSmt) {
@@ -101,14 +102,11 @@ TEST(TopologyDiscover, EightNodeTreeWithSmt) {
       fx.add_cpu(c, span, sib);
     }
   }
-  const topology_tree t = discover_tree(fx.root(), 1);
+  const topology_info t = discover_topology(fx.root(), 1);
   EXPECT_EQ(t.cpus, 32u);
   EXPECT_EQ(t.nodes, 8u);
   EXPECT_EQ(t.llcs, 8u);
-  EXPECT_EQ(t.cores, 16u);
-  EXPECT_EQ(t.core_of_cpu[0], t.core_of_cpu[1]);
-  EXPECT_NE(t.core_of_cpu[1], t.core_of_cpu[2]);
-  EXPECT_EQ(t.node_of_cpu[31], 7u);
+  EXPECT_EQ(t.cores, 16u);  // SMT pairs count once
 }
 
 TEST(TopologyDiscover, MissingCacheInfoFallsBackToNodes) {
@@ -116,11 +114,11 @@ TEST(TopologyDiscover, MissingCacheInfoFallsBackToNodes) {
   fx.add_node(0, "0-1");
   fx.add_node(1, "2-3");
   for (unsigned c = 0; c < 4; ++c) { fx.add_cpu(c, "", ""); }
-  const topology_tree t = discover_tree(fx.root(), 1);
+  const topology_info t = discover_topology(fx.root(), 1);
   EXPECT_EQ(t.nodes, 2u);
-  // No cache info: one LLC per node.
+  // No cache info: one LLC per node; no siblings info: one core per cpu.
   EXPECT_EQ(t.llcs, 2u);
-  EXPECT_EQ(t.llc_of_cpu, t.node_of_cpu);
+  EXPECT_EQ(t.cores, 4u);
 }
 
 }  // namespace

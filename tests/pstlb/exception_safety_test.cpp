@@ -37,7 +37,7 @@ index_t throw_position(index_t n, int trial) {
 }
 
 PSTLB_POLICY_TEST(ExceptionSafety, ForEachDeliversExactlyOneException) {
-  auto policy = pstlb::test::make_eager(this->id);
+  auto policy = this->pol;
   std::vector<long long> v(20000, 1);
   for (int trial = 0; trial < 8; ++trial) {
     const index_t bad = throw_position(static_cast<index_t>(v.size()), trial);
@@ -63,7 +63,7 @@ PSTLB_POLICY_TEST(ExceptionSafety, ForEachDeliversExactlyOneException) {
 PSTLB_POLICY_TEST(ExceptionSafety, EveryChunkThrowingStillDeliversOne) {
   // All chunks throw concurrently: the single-winner capture must drop all
   // but one, and the barrier must still be met on every backend.
-  auto policy = pstlb::test::make_eager(this->id);
+  auto policy = this->pol;
   std::vector<int> v(8192, 0);
   int caught = 0;
   try {
@@ -76,7 +76,7 @@ PSTLB_POLICY_TEST(ExceptionSafety, EveryChunkThrowingStillDeliversOne) {
 }
 
 PSTLB_POLICY_TEST(ExceptionSafety, ReduceOperatorThrowPropagates) {
-  auto policy = pstlb::test::make_eager(this->id);
+  auto policy = this->pol;
   std::vector<long long> v(16384, 1);
   EXPECT_THROW(
       (void)pstlb::reduce(policy, v.begin(), v.end(), 0LL,
@@ -89,7 +89,7 @@ PSTLB_POLICY_TEST(ExceptionSafety, ReduceOperatorThrowPropagates) {
 }
 
 PSTLB_POLICY_TEST(ExceptionSafety, TransformThrowLeavesOutputValid) {
-  auto policy = pstlb::test::make_eager(this->id);
+  auto policy = this->pol;
   std::vector<int> in(20000);
   std::iota(in.begin(), in.end(), 0);
   std::vector<int> out(in.size(), -1);
@@ -112,7 +112,7 @@ PSTLB_POLICY_TEST(ExceptionSafety, ScanCombineThrowMidLookback) {
   // threads); an element-level throw then lands while peers are actively
   // spinning on predecessor descriptors. The poisoned-descriptor protocol
   // must unblock every one of them or this test hangs.
-  auto policy = pstlb::test::make_eager(this->id);
+  auto policy = this->pol;
   const index_t n = index_t{1} << 19;
   std::vector<long long> in(static_cast<std::size_t>(n), 1);
   std::vector<long long> out(in.size(), 0);
@@ -145,7 +145,7 @@ PSTLB_POLICY_TEST(ExceptionSafety, SortComparatorThrowOnItsKthCall) {
   // regions; 2^12 elements take the mergesort's block sorts and merge
   // rounds. Each throw must reach the caller as exactly one exception,
   // without a hang, and a clean retry must sort.
-  auto policy = pstlb::test::make_eager(this->id);
+  auto policy = this->pol;
   for (const index_t n : {index_t{1} << 17, index_t{1} << 12}) {
     std::mt19937_64 rng(static_cast<std::uint64_t>(n));
     std::vector<double> input(static_cast<std::size_t>(n));
@@ -185,7 +185,7 @@ PSTLB_POLICY_TEST(ExceptionSafety, SortComparatorThrowOnItsKthCall) {
 PSTLB_POLICY_TEST(ExceptionSafety, RepeatedFailuresDoNotExhaustPools) {
   // 50 consecutive failed regions: leaked job state, stuck epochs, or
   // un-reset cancel tokens would wedge one of these launches.
-  auto policy = pstlb::test::make_eager(this->id);
+  auto policy = this->pol;
   std::vector<int> v(4096, 1);
   for (int round = 0; round < 50; ++round) {
     EXPECT_THROW(pstlb::for_each(policy, v.begin(), v.end(),

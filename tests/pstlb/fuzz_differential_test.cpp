@@ -207,9 +207,7 @@ TEST_P(FuzzDifferential, SetFamily) {
 std::vector<std::tuple<std::uint64_t, backend_id>> fuzz_grid() {
   std::vector<std::tuple<std::uint64_t, backend_id>> grid;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    for (backend_id id :
-         {backend_id::fork_join, backend_id::omp_dynamic, backend_id::steal,
-          backend_id::task_futures}) {
+    for (const backend_id id : pstlb::backends::parallel_backends()) {
       grid.emplace_back(seed, id);
     }
   }

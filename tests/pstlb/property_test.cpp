@@ -9,14 +9,12 @@
 #include <tuple>
 #include <vector>
 
-#include "backends/backend_registry.hpp"
 #include "pstlb/pstlb.hpp"
 #include "support/policies.hpp"
 
 namespace {
 
 using pstlb::index_t;
-using pstlb::backends::backend_id;
 
 std::vector<long long> seeded_values(index_t n, std::uint64_t seed) {
   std::vector<long long> v(static_cast<std::size_t>(n));
@@ -30,12 +28,12 @@ std::vector<long long> seeded_values(index_t n, std::uint64_t seed) {
 
 struct sweep_param {
   index_t n;
-  backend_id backend;
+  pstlb::test::profile backend;
   index_t grain;  // 0 = auto
 };
 
 void PrintTo(const sweep_param& p, std::ostream* os) {
-  *os << "n=" << p.n << " backend=" << pstlb::backends::name_of(p.backend)
+  *os << "n=" << p.n << " backend=" << pstlb::test::name_of(p.backend)
       << " grain=" << p.grain;
 }
 
@@ -168,11 +166,9 @@ std::vector<sweep_param> sweep_grid() {
   std::vector<sweep_param> grid;
   for (const index_t n : {index_t{0}, index_t{1}, index_t{2}, index_t{100},
                           index_t{1024}, index_t{33333}}) {
-    for (const backend_id id :
-         {backend_id::seq, backend_id::fork_join, backend_id::omp_static,
-          backend_id::omp_dynamic, backend_id::steal, backend_id::task_futures}) {
+    for (const pstlb::test::profile backend : pstlb::test::all_profiles) {
       for (const index_t grain : {index_t{0}, index_t{1}, index_t{513}}) {
-        grid.push_back({n, id, grain});
+        grid.push_back({n, backend, grain});
       }
     }
   }

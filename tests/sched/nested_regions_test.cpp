@@ -11,6 +11,7 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -37,9 +38,9 @@ std::vector<int> iota_vector(int n) {
   return v;
 }
 
-/// (outer, inner) backend ids, named "<inner>_in_<outer>".
+/// (outer, inner) profiles, named "<inner>_in_<outer>".
 class NestedPair
-    : public ::testing::TestWithParam<std::tuple<backend_id, backend_id>> {};
+    : public ::testing::TestWithParam<std::tuple<test::profile, test::profile>> {};
 
 TEST_P(NestedPair, DepthThreeComputesExactResults) {
   // for_each on A, inside it transform_reduce on B, inside that
@@ -93,17 +94,16 @@ TEST_P(NestedPair, NestedTidsStayBelowTheBackendsThreads) {
   EXPECT_EQ(blocks.load(), 8 * 128);
 }
 
-constexpr backend_id kParallel[] = {backend_id::fork_join, backend_id::omp_static,
-                                    backend_id::omp_dynamic, backend_id::steal,
-                                    backend_id::task_futures};
-
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, NestedPair,
-    ::testing::Combine(::testing::ValuesIn(kParallel), ::testing::ValuesIn(kParallel)),
+    ::testing::Combine(::testing::ValuesIn(test::parallel_profiles),
+                       ::testing::ValuesIn(test::parallel_profiles)),
     [](const ::testing::TestParamInfo<NestedPair::ParamType>& pair) {
-      return std::string(backends::name_of(std::get<1>(pair.param))) + "_in_" +
-             std::string(backends::name_of(std::get<0>(pair.param)));
+      return test::name_of(std::get<1>(pair.param)) + "_in_" +
+             test::name_of(std::get<0>(pair.param));
     });
+
+const std::span<const backend_id> kParallel = backends::parallel_backends();
 
 TEST(NestedRegions, WideCallInANarrowRegionUsesTheIdleWorkers) {
   // The width-2 outer region holds one worker; the 4-wide call nested in it

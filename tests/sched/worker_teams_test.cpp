@@ -8,6 +8,7 @@
 #include <chrono>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -25,8 +26,7 @@ using backends::backend;
 using backends::backend_id;
 using namespace std::chrono_literals;
 
-constexpr backend_id kParallel[] = {backend_id::fork_join, backend_id::omp_dynamic,
-                                    backend_id::steal, backend_id::task_futures};
+const std::span<const backend_id> kParallel = backends::parallel_backends();
 
 /// A `width`-wide loop of `width` chunks on `id`, run from a background
 /// thread, whose chunk 0 stays open until release() or a 2 s timeout.

@@ -109,7 +109,6 @@ TEST(SpanGraph, StealEdgeLinksSplitToThiefChunk) {
   const span_graph g = tb.build();
 
   EXPECT_EQ(g.steals, 1u);
-  EXPECT_EQ(g.remote_steals, 0u);
   EXPECT_EQ(g.splits, 1u);
   EXPECT_EQ(count_nodes(g, node_kind::split_point), 1u);
   const span_edge* steal = find_edge(g, edge_kind::steal);
@@ -127,17 +126,6 @@ TEST(SpanGraph, StealEdgeLinksSplitToThiefChunk) {
   EXPECT_DOUBLE_EQ(g.critical_exec_ns, 200.0);
   ASSERT_EQ(g.critical_path.size(), 3u);
   EXPECT_EQ(g.critical_path.back().via, edge_kind::steal);
-}
-
-TEST(SpanGraph, RemoteStealTagCounts) {
-  const std::uint64_t range = link_range(0, 4);
-  trace_builder tb;
-  tb.instant(0, event_kind::split, pool_id::steal, 10, range);
-  tb.instant(1, event_kind::steal_ok, pool_id::steal, 20, range,
-             /*victim|remote=*/0 | steal_remote_bit);
-  const span_graph g = tb.build();
-  EXPECT_EQ(g.steals, 1u);
-  EXPECT_EQ(g.remote_steals, 1u);
 }
 
 TEST(SpanGraph, DecoupledScanSplitsChunkAroundLookback) {
